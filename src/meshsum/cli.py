@@ -14,22 +14,21 @@ import os
 import sys
 
 from . import __version__
-from .growth import InvalidSeedError, SeedDescriptor
-from .mesh import DEFAULT_VERTEX_BUDGET, MalformedDiskError, disk_from_json_obj, disk_to_json_obj
-from .render import LayoutError, emit_svg, layout_disk
-from .report import canonical_json, growth_report, invariants_report, prediction_report
-from .summation import UndefinedSumError
+from .growth import SeedDescriptor
+from .mesh import DEFAULT_VERTEX_BUDGET, disk_from_json_obj, disk_to_json_obj
+from .render import emit_svg, layout_disk
+from .report import (
+    canonical_json,
+    growth_report,
+    invariants_report,
+    prediction_report,
+    seed_descriptor_for,
+)
 from .verify import FAULT_MODES, run_verification
 
-_INPUT_ERRORS = (
-    ValueError,
-    InvalidSeedError,
-    UndefinedSumError,
-    MalformedDiskError,
-    LayoutError,
-    OSError,
-    json.JSONDecodeError,
-)
+# Every bad-input error (seed, sum, disk JSON, layout) subclasses ValueError.
+_INPUT_ERRORS = (ValueError, OSError)
+MAX_SHOWN_VIOLATIONS = 20
 
 
 def _parse_degrees(text: str) -> list[int]:
@@ -55,10 +54,9 @@ def _single_degree(text: str) -> int:
 
 
 def _parse_seed_descriptor(text: str, r: int) -> SeedDescriptor:
-    if text == "face":
-        return SeedDescriptor(r, 3, 6)
-    if text == "vertex":
-        return SeedDescriptor(r, r, 3 * r)
+    """'face', 'vertex' or an explicit t:d boundary profile."""
+    if text in ("face", "vertex"):
+        return seed_descriptor_for(text, r)
     t_text, sep, d_text = text.partition(":")
     if not sep:
         raise ValueError(f"seed must be 'vertex', 'face', or t:d, got {text!r}")
@@ -192,8 +190,11 @@ def cmd_verify(args) -> int:
     rows = []
     for name, counts in report["checks"].items():
         rows.append(f"{name:<24} pass={counts['pass']:<7} fail={counts['fail']}")
-    for violation in report["violations"][:20]:
+    violations = report["violations"]
+    for violation in violations[:MAX_SHOWN_VIOLATIONS]:
         rows.append(f"FAIL {violation}")
+    if len(violations) > MAX_SHOWN_VIOLATIONS:
+        rows.append(f"… and {len(violations) - MAX_SHOWN_VIOLATIONS} more")
     rows.append("all checks passed" if report["all_pass"] else "FAILURES detected")
     _emit(args, report, "\n".join(rows))
     return 0 if report["all_pass"] else 1

@@ -16,24 +16,6 @@ from fractions import Fraction
 RationalLike = Fraction | int
 
 
-def as_rational(value: RationalLike, den: int = 1) -> Fraction:
-    """Build a rational, normalized to lowest terms with positive denominator."""
-    return Fraction(value, den) if den != 1 else Fraction(value)
-
-
-def rational_add(a: RationalLike, b: RationalLike) -> Fraction:
-    return Fraction(a) + Fraction(b)
-
-
-def rational_mul(a: RationalLike, b: RationalLike) -> Fraction:
-    return Fraction(a) * Fraction(b)
-
-
-def rational_div(a: RationalLike, b: RationalLike) -> Fraction:
-    """Exact division; division by zero raises ZeroDivisionError."""
-    return Fraction(a) / Fraction(b)
-
-
 def int_to_json(n: int) -> str:
     """Encode an integer as a decimal string."""
     if not isinstance(n, int) or isinstance(n, bool):
@@ -42,12 +24,14 @@ def int_to_json(n: int) -> str:
 
 
 def int_from_json(text: str) -> int:
-    """Decode a decimal-string integer; rejects anything non-canonical."""
+    """Decode a decimal string exactly as int_to_json writes it; rejects anything else."""
     if not isinstance(text, str):
         raise ValueError(f"integer field must be a string, got {type(text).__name__}")
-    stripped = text[1:] if text.startswith("-") else text
-    if not stripped.isdigit():
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
+    if digits[0] == "0" and text != "0":
+        raise ValueError(f"not a canonical decimal integer: {text!r}")
     return int(text)
 
 

@@ -66,28 +66,19 @@ class RotationGraph:
     def vertex_count(self) -> int:
         return len(self.rotations)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(rot) for rot in self.rotations) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
-
 
 @dataclass(frozen=True)
 class CombinatorialDisk:
     """A grown disk: rotation graph, ambient degree, ccw boundary cycle.
 
-    ``vertex_layer[v]`` records the expansion layer that created v; disks
-    loaded from JSON carry None there.  The degenerate seed (one vertex,
-    no boundary) is flagged by an empty boundary.
+    The degenerate seed (one vertex, no boundary) is flagged by an empty
+    boundary.
     """
 
     graph: RotationGraph
     ambient_degree: int
     boundary: tuple[int, ...]
     layer_index: int
-    vertex_layer: tuple[int, ...] | None = None
 
     @property
     def is_degenerate(self) -> bool:
@@ -145,13 +136,13 @@ def seed_face(r: int) -> CombinatorialDisk:
     """Single triangle: vertices 0,1,2 counterclockwise."""
     _require_degree(r)
     graph = RotationGraph([[1, 2], [2, 0], [0, 1]])
-    return CombinatorialDisk(graph, r, (0, 1, 2), 0, (0, 0, 0))
+    return CombinatorialDisk(graph, r, (0, 1, 2), 0)
 
 
 def seed_vertex(r: int) -> CombinatorialDisk:
     """Single vertex, no faces; degenerate until the first expansion."""
     _require_degree(r)
-    return CombinatorialDisk(RotationGraph([[]]), r, (), 0, (0,))
+    return CombinatorialDisk(RotationGraph([[]]), r, (), 0)
 
 
 def _fan(r: int, layer_index: int) -> CombinatorialDisk:
@@ -162,13 +153,7 @@ def _fan(r: int, layer_index: int) -> CombinatorialDisk:
         succ = i + 1 if i < r else 1
         pred = i - 1 if i > 1 else r
         rotations.append([succ, 0, pred])
-    return CombinatorialDisk(
-        RotationGraph(rotations),
-        r,
-        tuple(range(1, r + 1)),
-        layer_index,
-        (0,) + (1,) * r,
-    )
+    return CombinatorialDisk(RotationGraph(rotations), r, tuple(range(1, r + 1)), layer_index)
 
 
 def is_convex(disk: CombinatorialDisk) -> bool:
@@ -232,7 +217,6 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
         next_id += 1
 
     out = list(rotations)
-    new_layer = disk.layer_index + 1
 
     for j in range(t):
         w = boundary[j]
@@ -262,10 +246,8 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
         append([u_j + 1 if u_j < last else first, w_next, w, u_j - 1 if u_j > first else last])
 
     assert len(out) == v_new
-    layer_tags = disk.vertex_layer
-    new_tags = None if layer_tags is None else layer_tags + (new_layer,) * n_new
     return CombinatorialDisk(
-        RotationGraph(out), r, tuple(range(v_old, v_new)), new_layer, new_tags
+        RotationGraph(out), r, tuple(range(v_old, v_new)), disk.layer_index + 1
     )
 
 
@@ -305,10 +287,8 @@ def layer_census(prev: CombinatorialDisk, new: CombinatorialDisk) -> LayerCensus
     return LayerCensus(a, b)
 
 
-def delta_counts(prev: CombinatorialDisk, new: CombinatorialDisk) -> DeltaCounts:
-    """Measured per-layer increments of (v, e, f)."""
-    before = count_explicit(prev)
-    after = count_explicit(new)
+def delta_counts(before: DiskCounts, after: DiskCounts) -> DeltaCounts:
+    """Per-layer increments of (v, e, f) between two measured disks."""
     return DeltaCounts(after.v - before.v, after.e - before.e, after.f - before.f)
 
 
@@ -504,23 +484,28 @@ def disk_to_json_obj(disk: CombinatorialDisk) -> dict:
 
 
 def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
-    """Parse the portable form; layer provenance is not recoverable here."""
+    """Parse the portable form; ids must be integers (not booleans) in [0, len(rotation))."""
     if not isinstance(obj, dict):
         raise MalformedDiskError("disk JSON must be an object")
     missing = {"r", "layer", "boundary", "rotation"} - set(obj)
     if missing:
         raise MalformedDiskError(f"disk JSON missing keys: {sorted(missing)}")
     r, layer, boundary, rotation = obj["r"], obj["layer"], obj["boundary"], obj["rotation"]
-    if not isinstance(r, int) or not isinstance(layer, int):
+    if type(r) is not int or type(layer) is not int:
         raise MalformedDiskError("'r' and 'layer' must be integers")
     if not isinstance(boundary, list) or not isinstance(rotation, list):
         raise MalformedDiskError("'boundary' and 'rotation' must be arrays")
-    rotations = []
-    for rot in rotation:
-        if not isinstance(rot, list) or any(not isinstance(u, int) for u in rot):
-            raise MalformedDiskError("rotation rows must be arrays of integers")
-        rotations.append(list(rot))
-    if any(not isinstance(w, int) for w in boundary):
-        raise MalformedDiskError("boundary must contain integers")
+    if not all(isinstance(rot, list) for rot in rotation):
+        raise MalformedDiskError("rotation rows must be arrays of integers")
+    # Whole-array passes that run in C cost less than a Python check per row.
+    ids = list(chain.from_iterable(rotation))
+    if set(map(type, ids)) - {int}:
+        raise MalformedDiskError("rotation rows must be arrays of integers")
+    nv = len(rotation)
+    if ids and (min(ids) < 0 or max(ids) >= nv):
+        raise MalformedDiskError(f"rotation rows list a vertex id outside [0, {nv})")
+    rotations = [list(rot) for rot in rotation]
+    if any(type(w) is not int or not 0 <= w < nv for w in boundary):
+        raise MalformedDiskError(f"boundary must contain vertex ids in [0, {nv})")
     _require_degree(r)
-    return CombinatorialDisk(RotationGraph(rotations), r, tuple(boundary), layer, None)
+    return CombinatorialDisk(RotationGraph(rotations), r, tuple(boundary), layer)

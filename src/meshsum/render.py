@@ -68,16 +68,17 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> list[int]:
 def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     """Place layer-k vertices on ring k (id order fixes angles).
 
-    A single innermost vertex sits at the center; otherwise the innermost
-    layer already occupies ring 1.  Each ring must be a contiguous id
-    range, which holds for every disk produced by expansion.
+    Layers are recovered by boundary peeling.  A single innermost vertex
+    sits at the center; otherwise the innermost layer already occupies
+    ring 1.  Each ring must be a contiguous id range, which holds for
+    every disk produced by expansion.
     """
     nv = disk.graph.vertex_count
     if disk.is_degenerate:
         c = CANVAS / 2
         return DiskLayout(((c, c),), (0,))
 
-    layers = list(disk.vertex_layer) if disk.vertex_layer is not None else _rings_by_peeling(disk)
+    layers = _rings_by_peeling(disk)
     groups: dict[int, list[int]] = {}
     for v, k in enumerate(layers):
         groups.setdefault(k, []).append(v)

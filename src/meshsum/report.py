@@ -9,7 +9,6 @@ parse, re-serialize, same bytes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 from . import mesh
 from .exact import int_to_json, rational_to_json
@@ -82,24 +81,20 @@ def growth_report(
     the budget rules out are reported from the analytic side alone with a
     null match flag.  The analytic base for the vertex seed is its first
     expansion (the fan), so explicit layer k matches analytic layer k-1.
+    Only the current disk and its predecessor are kept alive.
     """
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
-    seed_disk = mesh.seed_face(r) if seed_kind == "face" else mesh.seed_vertex(r)
+    disk = mesh.seed_face(r) if seed_kind == "face" else mesh.seed_vertex(r)
     base_layer = 0 if seed_kind == "face" else 1
     descriptor = seed_descriptor_for(seed_kind, r)
 
     analytic_depth = n_layers - base_layer
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        predictions = pool.submit(
-            lambda: predict_layers(descriptor, analytic_depth) if analytic_depth >= 1 else []
-        )
-        explicit, truncated = _grow_within_budget(seed_disk, n_layers, budget)
-        predictions = predictions.result()
-
+    predictions = predict_layers(descriptor, analytic_depth) if analytic_depth >= 1 else []
     base_counts = counts_to_json_obj(counts_from_boundary(descriptor))
     records = []
     all_match = True
+    truncated = False
     for k in range(n_layers + 1):
         rec: dict = {"layer": k, "explicit": None, "census": None, "predicted": None,
                      "match": None, "census_match": None}
@@ -109,20 +104,25 @@ def growth_report(
         elif n >= 1:
             rec["predicted"] = prediction_to_json_obj(predictions[n - 1])
 
-        if k < len(explicit):
-            disk = explicit[k]
-            counts = mesh.count_explicit(disk)
-            entry = counts_to_json_obj(counts)
+        if k >= 1 and not truncated:
+            prev = disk
+            try:
+                disk = mesh.expand(prev, budget)
+            except mesh.BudgetExceededError:
+                truncated = True
+        if not truncated:
+            measured = counts_to_json_obj(mesh.count_explicit(disk))
+            entry = dict(measured)
             if not disk.is_degenerate:
                 profile = mesh.boundary_profile(disk)
                 entry["t"] = int_to_json(profile.t)
                 entry["d"] = int_to_json(profile.d)
             rec["explicit"] = entry
             if k >= 1:
-                census = mesh.layer_census(explicit[k - 1], disk)
+                census = mesh.layer_census(prev, disk)
                 rec["census"] = {"a": int_to_json(census.a), "b": int_to_json(census.b)}
             if rec["predicted"] is not None:
-                rec["match"] = rec["predicted"]["cum"] == counts_to_json_obj(counts)
+                rec["match"] = rec["predicted"]["cum"] == measured
                 all_match = all_match and rec["match"]
             if n >= 1 and rec["census"] is not None:
                 rec["census_match"] = (
@@ -148,19 +148,7 @@ def growth_report(
         "truncated_at_budget": truncated,
         "all_match": all_match,
     }
-    return report, explicit[-1]
-
-
-def _grow_within_budget(seed_disk, n_layers, budget):
-    disks = [seed_disk]
-    truncated = False
-    for _ in range(n_layers):
-        try:
-            disks.append(mesh.expand(disks[-1], budget))
-        except mesh.BudgetExceededError:
-            truncated = True
-            break
-    return disks, truncated
+    return report, disk
 
 
 def invariants_report(degrees: list[int], seed: SeedDescriptor | None = None) -> dict:

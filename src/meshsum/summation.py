@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import RationalLike
 from .growth import (
     SeedDescriptor,
     census_step,
@@ -30,8 +31,6 @@ from .growth import (
     deltas_from_census,
     initial_census,
 )
-
-RationalLike = Fraction | int
 
 
 class UndefinedSumError(ValueError):

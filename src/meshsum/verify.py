@@ -1,16 +1,15 @@
 """Cross-verification battery: explicit growth against every closed form.
 
 Each degree gets an independent, deterministically seeded run; degrees
-are verified concurrently and merged in sorted order, so the report is
-reproducible regardless of scheduling.  Fault injection deliberately
-corrupts one comparison to prove the harness can fail.
+are verified one after another in sorted order.  Each disk's counts and
+boundary profile are measured once and carried into the next layer's
+delta and census checks.  Fault injection deliberately corrupts one
+comparison to prove the harness can fail.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import mesh
@@ -19,8 +18,8 @@ from .growth import (
     census_step,
     counts_from_boundary,
     deltas_from_census,
-    initial_census,
     platonic_counts,
+    predict_layers,
     second_order_step,
 )
 from .report import SCHEMA_VERSION, seed_descriptor_for
@@ -57,7 +56,7 @@ class _Tally:
 def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tally, fault):
     disk = mesh.seed_face(r) if seed_kind == "face" else mesh.seed_vertex(r)
     closed_inv = mesh_invariants(r)
-    prev = None
+    prev = counts = profile = None
     census_pred = None
     where = f"r={r} seed={seed_kind}"
 
@@ -67,17 +66,18 @@ def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tal
                 prev, disk = disk, mesh.expand(disk, budget)
             except mesh.BudgetExceededError:
                 break
+        prev_counts, prev_profile = counts, profile
         counts = mesh.count_explicit(disk)
+        profile = None if disk.is_degenerate else mesh.boundary_profile(disk)
         tag = f"{where} layer={layer}"
         tally.record(
             "euler-layer", counts.v - counts.e + counts.f == 1, f"{tag}: v-e+f != 1"
         )
         tally.record("disk-invariants", not mesh.validate_disk(disk), f"{tag}: invariant broken")
 
-        if disk.is_degenerate:
+        if profile is None:
             continue
 
-        profile = mesh.boundary_profile(disk)
         tally.record(
             "handshake",
             profile.d + r * counts.s == 2 * counts.e,
@@ -102,41 +102,37 @@ def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tal
             f"{tag}: invariants depend on the seed profile",
         )
 
-        if prev is not None:
-            try:
-                census = mesh.layer_census(prev, disk)
-                census_ok = True
-            except mesh.CensusContradiction as exc:
-                census_ok = False
-                tally.record("census-degrees", False, f"{tag}: {exc}")
-            if census_ok:
-                tally.record("census-degrees", True)
-                deltas = mesh.delta_counts(prev, disk)
-                tally.record(
-                    "delta-linear-map",
-                    deltas_from_census(census) == deltas,
-                    f"{tag}: measured deltas disagree with the census map",
-                )
-                if prev.is_degenerate:
-                    census_pred = None
-                else:
-                    expected_b = len(prev.boundary)
-                    prev_profile = mesh.boundary_profile(prev)
-                    expected_a = prev_profile.t * (r - 2) - prev_profile.d
-                    a = census.a + (1 if fault == "census" and layer == 1 else 0)
-                    tally.record(
-                        "census-formulas",
-                        a == expected_a and census.b == expected_b,
-                        f"{tag}: census ({a}, {census.b}) != predicted "
-                        f"({expected_a}, {expected_b})",
-                    )
-                    if census_pred is not None:
-                        tally.record(
-                            "census-recursion",
-                            census == census_pred,
-                            f"{tag}: census disagrees with the linear recursion",
-                        )
-                    census_pred = census_step(r, census)
+        if prev is None:
+            continue
+        try:
+            census = mesh.layer_census(prev, disk)
+        except mesh.CensusContradiction as exc:
+            tally.record("census-degrees", False, f"{tag}: {exc}")
+            continue
+        tally.record("census-degrees", True)
+        tally.record(
+            "delta-linear-map",
+            deltas_from_census(census) == mesh.delta_counts(prev_counts, counts),
+            f"{tag}: measured deltas disagree with the census map",
+        )
+        if prev_profile is None:
+            census_pred = None
+            continue
+        expected_a = prev_profile.t * (r - 2) - prev_profile.d
+        expected_b = prev_profile.t
+        a = census.a + (1 if fault == "census" and layer == 1 else 0)
+        tally.record(
+            "census-formulas",
+            a == expected_a and census.b == expected_b,
+            f"{tag}: census ({a}, {census.b}) != predicted ({expected_a}, {expected_b})",
+        )
+        if census_pred is not None:
+            tally.record(
+                "census-recursion",
+                census == census_pred,
+                f"{tag}: census disagrees with the linear recursion",
+            )
+        census_pred = census_step(r, census)
 
 
 def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
@@ -155,16 +151,9 @@ def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
             f"{where} seed={seed_kind}: seeded invariants drift from closed form",
         )
 
-        census = initial_census(descriptor)
-        nxt = census_step(r, census)
-        d1, d2 = deltas_from_census(census), deltas_from_census(nxt)
-        for name, x1, x2 in (("dv", d1.dv, d2.dv), ("de", d1.de, d2.de), ("df", d1.df, d2.df)):
-            series = [x1, x2]
-            c = nxt
-            for _ in range(48):
-                c = census_step(r, c)
-                d = deltas_from_census(c)
-                series.append({"dv": d.dv, "de": d.de, "df": d.df}[name])
+        deltas = [p.deltas for p in predict_layers(descriptor, 50)]
+        for name in ("dv", "de", "df"):
+            series = [getattr(d, name) for d in deltas]
             ok = all(
                 series[i + 2] == second_order_step(r, series[i], series[i + 1])
                 for i in range(len(series) - 2)
@@ -176,7 +165,7 @@ def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
             )
 
         gamma = r - 4
-        probe = RecurrenceSeries(gamma, d1.dv, d2.dv)
+        probe = RecurrenceSeries(gamma, deltas[0].dv, deltas[1].dv)
         t = Fraction(1, 2 * gamma)
         exact = generating_value(probe, t)
         gap = abs(partial_sum(probe, t, 40) - exact)
@@ -227,9 +216,11 @@ def run_verification(
     rng_seed: int = 0,
     fault: str | None = None,
 ) -> dict:
-    """Verify every degree concurrently; merge deterministically."""
+    """Verify every degree, one after another in sorted order; merge the tallies."""
     if fault is not None and fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {fault!r}; expected one of {FAULT_MODES}")
+    if layers < 0 or trials < 0:
+        raise ValueError(f"layers and trials must be >= 0, got {layers} and {trials}")
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("no degrees to verify")
@@ -237,13 +228,7 @@ def run_verification(
         raise ValueError(
             f"verification degrees must lie within {mesh.MIN_DEGREE}..{MAX_VERIFY_DEGREE}"
         )
-    workers = max(1, min(len(degrees), os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda r: verify_degree(r, layers, budget, trials, rng_seed, fault), degrees
-            )
-        )
+    results = [verify_degree(r, layers, budget, trials, rng_seed, fault) for r in degrees]
 
     merged: dict[str, dict[str, int]] = {}
     violations: list[str] = []

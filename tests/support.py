@@ -49,9 +49,7 @@ def pentagon_fan(r: int) -> CombinatorialDisk:
         [5, 0, 3],
         [0, 4],
     ]
-    return CombinatorialDisk(
-        RotationGraph(rotations), r, (0, 1, 2, 3, 4, 5), 0, (0,) * 6
-    )
+    return CombinatorialDisk(RotationGraph(rotations), r, (0, 1, 2, 3, 4, 5), 0)
 
 
 @st.composite

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from meshsum import cli
 from meshsum.cli import main
-from meshsum.report import canonical_json
+from meshsum.report import canonical_json, growth_report
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,30 @@ def test_budget_truncation_still_exits_zero(capsys, monkeypatch):
     assert all(rec["predicted"] is not None for rec in analytic_only)
 
 
+def test_truncated_grow_emits_last_explicit_disk(capsys, tmp_path):
+    disk_path = tmp_path / "disk.json"
+    code, out, _ = run_cli(
+        capsys, "grow", "-r", "7", "-n", "6", "--budget", "200",
+        "--emit-disk", str(disk_path), "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["truncated_at_budget"] is True
+    last = [rec for rec in report["layers"] if rec["explicit"] is not None][-1]
+    disk = json.loads(disk_path.read_text())
+    assert str(len(disk["rotation"])) == last["explicit"]["v"]
+    assert disk["layer"] == last["layer"]
+
+
+@pytest.mark.parametrize("seed", ["face", "vertex"])
+def test_growth_report_returns_last_explicit_disk(seed):
+    for budget in (200, 10**6):
+        report, disk = growth_report(8, seed, 4, budget)
+        explicit = [rec["layer"] for rec in report["layers"] if rec["explicit"] is not None]
+        assert disk.layer_index == explicit[-1]
+        assert str(disk.graph.vertex_count) == report["layers"][explicit[-1]]["explicit"]["v"]
+
+
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("MESHSUM_BUDGET", "10")
     code, out, _ = run_cli(capsys, "grow", "-r", "7", "-n", "1", "--budget", "100", "--json")
@@ -110,6 +135,16 @@ def test_render_rejects_bad_input(capsys, tmp_path):
     not_disk.write_text('{"r": 7}')
     code, _, err = run_cli(capsys, "render", str(not_disk))
     assert code == 2
+    for rotation in ("[[1, 5], [2, 0], [0, 1]]", "[[1, -1], [2, 0], [0, 1]]",
+                     "[[true, 2], [2, 0], [0, 1]]"):
+        bad_disk = tmp_path / "baddisk.json"
+        bad_disk.write_text(
+            f'{{"r": 7, "layer": 0, "boundary": [0, 1, 2], "rotation": {rotation}}}'
+        )
+        code, _, err = run_cli(capsys, "render", str(bad_disk))
+        assert code == 2
+        assert "error:" in err
+        assert not (tmp_path / "baddisk.svg").exists()
 
 
 def test_sum_range_and_seed(capsys):
@@ -179,10 +214,35 @@ def test_verify_large_degree_within_budget(capsys):
 
 
 def test_verify_rejects_degrees_outside_range(capsys):
-    for degree in ("6", "1001", "7:1001"):
-        code, _, err = run_cli(capsys, "verify", "-r", degree, "-n", "1", "--trials", "1")
+    for argv in (
+        ("-r", "6", "-n", "1", "--trials", "1"),
+        ("-r", "1001", "-n", "1", "--trials", "1"),
+        ("-r", "7:1001", "-n", "1", "--trials", "1"),
+        ("-r", "7", "-n", "-1", "--trials", "-3"),
+        ("-r", "7", "-n", "-1", "--trials", "1"),
+        ("-r", "7", "-n", "1", "--trials", "-3"),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert "error:" in err
+        assert "all checks passed" not in out
+
+
+def test_verify_says_how_many_violations_it_left_out(capsys, monkeypatch):
+    report = {
+        "checks": {"euler-layer": {"pass": 0, "fail": 25}},
+        "violations": [f"euler-layer: case {i}" for i in range(25)],
+        "all_pass": False,
+    }
+    monkeypatch.setattr(cli, "run_verification", lambda *args, **kwargs: report)
+    code, out, _ = run_cli(capsys, "verify", "-r", "7")
+    assert code == 1
+    lines = out.splitlines()
+    assert sum(line.startswith("FAIL ") for line in lines) == 20
+    assert "FAIL euler-layer: case 19" in lines
+    assert "… and 5 more" in lines
+    code, out, _ = run_cli(capsys, "verify", "-r", "7", "--json")
+    assert out == canonical_json(report)
 
 
 @pytest.mark.parametrize("mode", ["census", "invariants"])

@@ -80,7 +80,7 @@ def test_single_expansion_of_face_seed():
     grown = expand(disk)
     assert count_explicit(grown) == DiskCounts(15, 30, 16, 3)
     assert layer_census(disk, grown) == LayerCensus(9, 3)
-    assert delta_counts(disk, grown) == DeltaCounts(12, 27, 15)
+    assert delta_counts(count_explicit(disk), count_explicit(grown)) == DeltaCounts(12, 27, 15)
     assert boundary_profile(grown).t == 12
     assert validate_disk(grown) == []
 
@@ -112,7 +112,6 @@ def test_new_boundary_is_id_range_in_order():
     disk = expand(seed_face(8))
     v_old = 3
     assert disk.boundary == tuple(range(v_old, disk.graph.vertex_count))
-    assert disk.vertex_layer == (0, 0, 0) + (1,) * (disk.graph.vertex_count - 3)
 
 
 def test_boundary_degrees_after_expansion():
@@ -150,9 +149,7 @@ def test_census_contradiction_detected():
     grown = expand(disk)
     rotations = [list(rot) for rot in grown.graph.rotations]
     rotations[3].extend([8, 9])  # boundary vertex forced to degree 5
-    doctored = CombinatorialDisk(
-        RotationGraph(rotations), 7, grown.boundary, 1, grown.vertex_layer
-    )
+    doctored = CombinatorialDisk(RotationGraph(rotations), 7, grown.boundary, 1)
     with pytest.raises(CensusContradiction):
         layer_census(disk, doctored)
 
@@ -179,7 +176,7 @@ def test_face_tracer_agrees_with_reference():
 
 def test_malformed_nontriangular_face():
     square = CombinatorialDisk(
-        RotationGraph([[1, 3], [2, 0], [3, 1], [0, 2]]), 7, (0, 1, 2, 3), 0, None
+        RotationGraph([[1, 3], [2, 0], [3, 1], [0, 2]]), 7, (0, 1, 2, 3), 0
     )
     with pytest.raises(MalformedDiskError):
         count_explicit(square)
@@ -189,7 +186,7 @@ def test_malformed_nontriangular_face():
 
 def test_malformed_asymmetric_adjacency():
     disk = CombinatorialDisk(
-        RotationGraph([[1, 2], [2], [0, 1]]), 7, (0, 1, 2), 0, None
+        RotationGraph([[1, 2], [2], [0, 1]]), 7, (0, 1, 2), 0
     )
     kinds = {v.kind for v in validate_disk(disk)}
     assert "symmetry" in kinds
@@ -199,27 +196,25 @@ def test_malformed_asymmetric_adjacency():
 
 def test_malformed_reversed_boundary():
     grown = expand(seed_face(7))
-    mirrored = CombinatorialDisk(
-        grown.graph, 7, tuple(reversed(grown.boundary)), 1, None
-    )
+    mirrored = CombinatorialDisk(grown.graph, 7, tuple(reversed(grown.boundary)), 1)
     with pytest.raises(MalformedDiskError):
         count_explicit(mirrored)
 
 
 def test_malformed_loop_and_duplicate():
     loopy = CombinatorialDisk(
-        RotationGraph([[1, 2, 0], [2, 0], [0, 1]]), 7, (0, 1, 2), 0, None
+        RotationGraph([[1, 2, 0], [2, 0], [0, 1]]), 7, (0, 1, 2), 0
     )
     assert any(v.kind == "loop" for v in validate_disk(loopy))
     dupe = CombinatorialDisk(
-        RotationGraph([[1, 2, 1], [2, 0], [0, 1]]), 7, (0, 1, 2), 0, None
+        RotationGraph([[1, 2, 1], [2, 0], [0, 1]]), 7, (0, 1, 2), 0
     )
     assert any(v.kind == "duplicate-neighbor" for v in validate_disk(dupe))
 
 
 def test_interior_degree_checked():
     fan = expand(seed_vertex(7))
-    wrong_ambient = CombinatorialDisk(fan.graph, 8, fan.boundary, 1, fan.vertex_layer)
+    wrong_ambient = CombinatorialDisk(fan.graph, 8, fan.boundary, 1)
     kinds = {v.kind for v in validate_disk(wrong_ambient)}
     assert "interior-degree" in kinds
 
@@ -233,7 +228,6 @@ def test_disk_json_round_trip():
     assert loaded.boundary == disk.boundary
     assert loaded.ambient_degree == disk.ambient_degree
     assert loaded.layer_index == disk.layer_index
-    assert loaded.vertex_layer is None
     assert count_explicit(loaded) == count_explicit(disk)
 
 
@@ -245,6 +239,14 @@ def test_disk_json_rejects_malformed():
         lambda o: o.update(rotation=[[0.5]]),
         lambda o: o.update(rotation="nope"),
         lambda o: o.update(boundary=[0, "1", 2]),
+        lambda o: o.update(r=True),
+        lambda o: o.update(layer=False),
+        lambda o: o.update(boundary=[0, True, 2]),
+        lambda o: o.update(rotation=[[True, 2], [2, 0], [0, 1]]),
+        lambda o: o.update(rotation=[[1, 5], [2, 0], [0, 1]]),
+        lambda o: o.update(rotation=[[1, -1], [2, 0], [0, 1]]),
+        lambda o: o.update(boundary=[0, 1, 3]),
+        lambda o: o.update(boundary=[-1, 1, 2]),
     ):
         obj = json.loads(json.dumps(good))
         mutate(obj)

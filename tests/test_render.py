@@ -96,9 +96,15 @@ def test_emit_svg_rejects_layout_for_wrong_disk():
 
 
 def test_layout_from_json_matches_provenance_layout():
-    disk = grow(seed_face(9), 2)
+    # rings recovered by peeling are the id ranges each expansion created
+    disk = seed_face(9)
+    expected = [1, 1, 1]
+    for ring in (2, 3):
+        disk = expand(disk)
+        expected += [ring] * len(disk.boundary)
     loaded = disk_from_json_obj(json.loads(json.dumps(disk_to_json_obj(disk))))
-    assert loaded.vertex_layer is None
+    assert layout_disk(loaded) == layout_disk(disk)
+    assert list(layout_disk(loaded).ring) == expected
     assert emit_svg(loaded) == emit_svg(disk)
 
 
@@ -110,7 +116,7 @@ def test_relabelled_disk_has_no_usable_provenance():
     for v, rot in enumerate(fan.graph.rotations):
         rotations[perm(v)] = [perm(u) for u in rot]
     shuffled = CombinatorialDisk(
-        RotationGraph(rotations), 7, tuple(perm(w) for w in fan.boundary), 1, None
+        RotationGraph(rotations), 7, tuple(perm(w) for w in fan.boundary), 1
     )
     from meshsum import validate_disk
 
