@@ -15,7 +15,13 @@ import sys
 
 from . import __version__
 from .growth import SeedDescriptor
-from .mesh import DEFAULT_VERTEX_BUDGET, disk_from_json_obj, disk_to_json_obj
+from .mesh import (
+    DEFAULT_VERTEX_BUDGET,
+    MalformedDiskError,
+    disk_from_json_obj,
+    disk_to_json_obj,
+    validate_disk,
+)
 from .render import emit_svg, layout_disk
 from .report import (
     canonical_json,
@@ -203,6 +209,11 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         disk = disk_from_json_obj(json.load(fh))
+    violations = validate_disk(disk)
+    if violations:
+        first = violations[0]
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise MalformedDiskError(f"malformed disk: {first.kind}: {first.detail}{more}")
     svg = emit_svg(disk, layout_disk(disk))
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _write_text(out, svg)

@@ -7,16 +7,33 @@ of reversed boundary edges).  Interior vertices have degree exactly r;
 boundary vertices keep degree at most floor(1 + r/2), which is the
 convexity condition that makes one more growth layer well defined.
 
+The rotation system is stored in CSR form ("compressed sparse row"): an
+int64 array ``offsets`` of length nv + 1 and an int32 array ``neighbors``
+of length 2e, so that ``neighbors[offsets[v]:offsets[v + 1]]`` is the
+rotation at v.  Every function here works on these two arrays with
+whole-array numpy operations; ``RotationGraph.rotations`` is a derived
+list-of-lists copy for tests, disk JSON and drawing.
+
 Expansion attaches every face of the ambient mesh that shares a vertex
 with the current disk.  Each boundary edge (w_j, w_j+1) contributes one
-shared new vertex of final degree 4, and each boundary vertex w_j of
+shared new vertex u_j of final degree 4, and each boundary vertex w_j of
 current degree k contributes r - 2 - k private new vertices of final
 degree 3.  New vertices are created in counterclockwise boundary order,
 so the new boundary cycle is exactly the id range [v_old, v_new).
 
+Gap at the end: every boundary vertex lists its successor w_next on the
+boundary first and its predecessor w_prev last, so the outer gap of its
+rotation sits at the end of its row.  Expansion relies on this and keeps
+it: a boundary row w_j only gains the contiguous id run u_{j-1}, the
+privates of w_j, u_j at its end, and every new row reads [successor,
+boundary neighbors, predecessor] on the new cycle.  A boundary row whose
+gap sits elsewhere is rotated into this form first, which leaves the
+rotation system unchanged.
+
 Face counts are measured, never assumed: faces are orbits of the
 next-edge permutation next(u -> v) = (v, predecessor of u in the rotation
-at v), so every count here is independent of the closed-form layer
+at v) (Mohar & Thomassen, Graphs on Surfaces, 2001), so every count here
+is independent of the gap-at-end invariant and of the closed-form layer
 predictions it is later checked against.
 """
 
@@ -29,6 +46,8 @@ import numpy as np
 
 MIN_DEGREE = 7
 DEFAULT_VERTEX_BUDGET = 1_000_000
+# Vertex ids are stored as int32, so a disk holds at most this many vertices.
+MAX_VERTICES = int(np.iinfo(np.int32).max)
 
 
 class ConvexityError(ValueError):
@@ -52,19 +71,74 @@ class CensusContradiction(RuntimeError):
     """A freshly added boundary vertex has degree outside {3, 4}."""
 
 
-@dataclass(frozen=True)
 class RotationGraph:
-    """Undirected graph as counterclockwise neighbor lists per vertex id.
+    """Undirected graph as counterclockwise rotations in CSR form.
 
-    Vertex ids are 0..n-1.  The lists are treated as immutable once the
-    graph is built; expansion shares untouched lists with its input.
+    ``RotationGraph(rows)`` builds the arrays from per-vertex neighbor
+    lists; ids are not range-checked here (validate_disk does that).
+    ``RotationGraph.from_arrays`` wraps arrays already in CSR form.  Both
+    arrays are read-only, so expansion never changes its input graph.
     """
 
-    rotations: list[list[int]]
+    __slots__ = ("offsets", "neighbors")
+
+    def __init__(self, rows):
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        ids = list(chain.from_iterable(rows))
+        if any(
+            kind is bool or not issubclass(kind, (int, np.integer))
+            for kind in set(map(type, ids))
+        ):
+            raise MalformedDiskError("rotation rows must be arrays of integers")
+        too_wide = MalformedDiskError("a vertex id does not fit in 32 bits")
+        try:
+            flat = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            raise too_wide from None
+        if flat.size and (flat.min() < -MAX_VERTICES or flat.max() > MAX_VERTICES):
+            raise too_wide
+        self._init(offsets, flat.astype(np.int32))
+
+    @classmethod
+    def from_arrays(cls, offsets: np.ndarray, neighbors: np.ndarray) -> RotationGraph:
+        graph = cls.__new__(cls)
+        graph._init(offsets, neighbors)
+        return graph
+
+    def _init(self, offsets: np.ndarray, neighbors: np.ndarray) -> None:
+        offsets.flags.writeable = False
+        neighbors.flags.writeable = False
+        self.offsets = offsets
+        self.neighbors = neighbors
 
     @property
     def vertex_count(self) -> int:
-        return len(self.rotations)
+        return len(self.offsets) - 1
+
+    def slot_sources(self) -> np.ndarray:
+        """The vertex whose row holds each slot: the tail of each directed edge."""
+        return np.repeat(np.arange(self.vertex_count, dtype=np.int32), np.diff(self.offsets))
+
+    @property
+    def rotations(self) -> list[list[int]]:
+        """Per-vertex neighbor lists, copied out of the arrays on each access."""
+        flat = self.neighbors.tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def __eq__(self, other):
+        if not isinstance(other, RotationGraph):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
+            self.neighbors, other.neighbors
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RotationGraph(vertices={self.vertex_count}, slots={self.neighbors.size})"
 
 
 @dataclass(frozen=True)
@@ -147,13 +221,35 @@ def seed_vertex(r: int) -> CombinatorialDisk:
 
 def _fan(r: int, layer_index: int) -> CombinatorialDisk:
     """All r triangles around one vertex: the first layer of seed_vertex."""
-    center = list(range(1, r + 1))
-    rotations = [center]
-    for i in range(1, r + 1):
-        succ = i + 1 if i < r else 1
-        pred = i - 1 if i > 1 else r
-        rotations.append([succ, 0, pred])
-    return CombinatorialDisk(RotationGraph(rotations), r, tuple(range(1, r + 1)), layer_index)
+    rim = np.arange(1, r + 1, dtype=np.int32)
+    spokes = np.stack([np.roll(rim, -1), np.zeros_like(rim), np.roll(rim, 1)], axis=1)
+    offsets = np.concatenate([[0], r + 3 * np.arange(r + 1)])
+    graph = RotationGraph.from_arrays(offsets, np.concatenate([rim, spokes.ravel()]))
+    return CombinatorialDisk(graph, r, tuple(range(1, r + 1)), layer_index)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) over the pairs (s, n)."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
+def _boundary_degrees(disk: CombinatorialDisk) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary ids as an array and their degrees, in boundary order."""
+    nv = disk.graph.vertex_count
+    w = np.fromiter(disk.boundary, dtype=np.int64, count=len(disk.boundary))
+    if w.size and (w.min() < 0 or w.max() >= nv):
+        raise MalformedDiskError(f"boundary vertex id outside [0, {nv})")
+    offsets = disk.graph.offsets
+    return w, offsets[w + 1] - offsets[w]
+
+
+def _require_simple_cycle(w: np.ndarray, nv: int) -> None:
+    seen = np.zeros(nv, dtype=bool)
+    seen[w] = True
+    if w.size < 3 or np.count_nonzero(seen) != w.size:
+        raise MalformedDiskError("boundary is not a simple cycle")
 
 
 def is_convex(disk: CombinatorialDisk) -> bool:
@@ -161,94 +257,139 @@ def is_convex(disk: CombinatorialDisk) -> bool:
     if disk.is_degenerate:
         raise ValueError("degenerate disk has no boundary to test")
     bound = convexity_bound(disk.ambient_degree)
-    rotations = disk.graph.rotations
-    return all(len(rotations[w]) <= bound for w in disk.boundary)
+    _, degs = _boundary_degrees(disk)
+    return bool((degs <= bound).all())
 
 
 def boundary_profile(disk: CombinatorialDisk) -> BoundaryProfile:
     """Boundary length and degree sum, in boundary order."""
     if disk.is_degenerate:
         raise ValueError("degenerate disk has no boundary profile")
-    rotations = disk.graph.rotations
-    degrees = tuple(len(rotations[w]) for w in disk.boundary)
-    return BoundaryProfile(len(degrees), sum(degrees), degrees)
+    _, degs = _boundary_degrees(disk)
+    return BoundaryProfile(len(degs), int(degs.sum()), tuple(degs.tolist()))
 
 
 def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> CombinatorialDisk:
     """One growth layer; the input disk is left untouched.
 
     Raises ConvexityError if a boundary vertex exceeds floor(1 + r/2),
-    and BudgetExceededError if the result would exceed ``budget`` vertices.
+    BudgetExceededError if the result would exceed ``budget`` vertices
+    (or the int32 id range), and MalformedDiskError if the boundary is not
+    a simple cycle of ids whose rotations have an outer gap.
     """
     r = disk.ambient_degree
     if disk.is_degenerate:
-        if 1 + r > budget:
-            raise BudgetExceededError(1 + r, budget)
+        _require_room(1 + r, budget)
         return _fan(r, disk.layer_index + 1)
 
-    rotations = disk.graph.rotations
-    boundary = disk.boundary
-    t = len(boundary)
+    offsets = disk.graph.offsets
+    v_old = disk.graph.vertex_count
+    w, degs = _boundary_degrees(disk)
+    _require_simple_cycle(w, v_old)
     bound = convexity_bound(r)
-    degs = [len(rotations[w]) for w in boundary]
-    for w, k in zip(boundary, degs):
-        if k > bound:
-            raise ConvexityError(
-                f"boundary vertex {w} has degree {k} > {bound}, disk is not convex"
-            )
+    over = np.flatnonzero(degs > bound)
+    if over.size:
+        j = over[0]
+        raise ConvexityError(
+            f"boundary vertex {w[j]} has degree {degs[j]} > {bound}, disk is not convex"
+        )
 
-    v_old = len(rotations)
-    n_new = t + t * (r - 2) - sum(degs)
-    if v_old + n_new > budget:
-        raise BudgetExceededError(v_old + n_new, budget)
-    v_new = v_old + n_new
-    first, last = v_old, v_new - 1
+    v_new = v_old + len(w) * (r - 1) - int(degs.sum())
+    _require_room(v_new, budget)
+    w_next = np.roll(w, -1)
+    neighbors = _gaps_last(offsets, disk.graph.neighbors, w, degs, np.roll(w, 1), w_next)
 
     # Creation order fixes ids: for each boundary slot j, the private
-    # vertices of w_j then the vertex shared with the next slot.  The new
-    # boundary is then the plain id range in ccw order.
-    u_ids = []
-    priv_start = []
-    next_id = v_old
-    for k in degs:
-        priv_start.append(next_id)
-        next_id += r - 2 - k
-        u_ids.append(next_id)
-        next_id += 1
+    # vertices of w_j, then u_j, shared with slot j + 1.  The new boundary
+    # is then the plain id range in ccw order.
+    private = r - 2 - degs
+    u = v_old - 1 + np.cumsum(private + 1)
 
-    out = list(rotations)
+    # Old rows keep their order; row w_j grows by the run u_{j-1} .. u_j.
+    run = private + 2
+    extra = np.zeros(v_old, dtype=np.int64)
+    extra[w] = run
+    shift = np.zeros(v_old + 1, dtype=np.int64)
+    np.cumsum(extra, out=shift[1:])
+    head = offsets + shift
+    new_degree = np.full(v_new - v_old, 3, dtype=np.int64)
+    new_degree[u - v_old] = 4
+    out_offsets = np.concatenate([head, head[-1] + np.cumsum(new_degree)])
+    out = np.empty(int(out_offsets[-1]), dtype=np.int32)
 
-    for j in range(t):
-        w = boundary[j]
-        w_prev = boundary[j - 1]
-        w_next = boundary[j + 1] if j + 1 < t else boundary[0]
-        rot = rotations[w]
-        i = rot.index(w_prev)
-        if rot[(i + 1) % len(rot)] != w_next:
-            raise MalformedDiskError(
-                f"boundary vertex {w}: outer gap is not between {w_prev} and {w_next}"
-            )
-        u_prev = u_ids[j - 1]
-        grown = rot[: i + 1]
-        grown.append(u_prev)
-        grown.extend(range(priv_start[j], u_ids[j]))
-        grown.append(u_ids[j])
-        grown.extend(rot[i + 1 :])
-        out[w] = grown
+    low = int(w.min())  # rows before the first boundary vertex do not move
+    cut = int(offsets[low])
+    out[:cut] = neighbors[:cut]
+    moved = np.arange(cut, len(neighbors))
+    out[moved + np.repeat(shift[low:-1], np.diff(offsets[low:]))] = neighbors[cut:]
 
-    append = out.append
-    for j in range(t):
-        w = boundary[j]
-        w_next = boundary[j + 1] if j + 1 < t else boundary[0]
-        u_j = u_ids[j]
-        for x in range(priv_start[j], u_j):
-            append([x + 1, w, x - 1 if x > first else last])
-        append([u_j + 1 if u_j < last else first, w_next, w, u_j - 1 if u_j > first else last])
+    run_start = head[w + 1] - run
+    slots = _ranges(run_start, run)
+    out[slots] = slots + np.repeat(u - private - 1 - run_start, run)
+    out[run_start[0]] = v_new - 1  # the run of w_0 starts at u_{t-1}
 
-    assert len(out) == v_new
+    # New rows: successor on the new cycle, the boundary vertices the new
+    # vertex hangs from, predecessor on the new cycle.
+    ids = np.arange(v_old, v_new)
+    row = out_offsets[v_old:-1]
+    out[row] = np.roll(ids, -1)
+    out[out_offsets[v_old + 1 :] - 1] = np.roll(ids, 1)
+    out[row + 1] = np.repeat(w, private + 1)
+    shared = row[u - v_old]
+    out[shared + 1] = w_next
+    out[shared + 2] = w
+
     return CombinatorialDisk(
-        RotationGraph(out), r, tuple(range(v_old, v_new)), disk.layer_index + 1
+        RotationGraph.from_arrays(out_offsets, out),
+        r,
+        tuple(range(v_old, v_new)),
+        disk.layer_index + 1,
     )
+
+
+def _require_room(needed: int, budget: int) -> None:
+    """Refuse a disk past the budget or past the int32 id range, before allocating."""
+    if needed > budget:
+        raise BudgetExceededError(needed, budget)
+    if needed > MAX_VERTICES:
+        raise BudgetExceededError(needed, MAX_VERTICES)
+
+
+def _gaps_last(offsets, neighbors, w, degs, w_prev, w_next) -> np.ndarray:
+    """Neighbors with each boundary row listing w_next first and w_prev last.
+
+    Rows already in that form are kept; a row whose gap (w_prev, w_next)
+    sits elsewhere is rotated, which keeps the rotation system.  Raises
+    MalformedDiskError if a boundary row has no such gap at all.
+    """
+    start = offsets[w]
+    fits = degs >= 2
+    fits[fits] = (neighbors[start[fits]] == w_next[fits]) & (
+        neighbors[start[fits] + degs[fits] - 1] == w_prev[fits]
+    )
+    if fits.all():
+        return neighbors
+
+    off = np.flatnonzero(~fits)
+    lengths = degs[off]
+    slots = _ranges(start[off], lengths)
+    owner = np.repeat(np.arange(off.size), lengths)
+    row_start, row_len = start[off][owner], lengths[owner]
+    pos = slots - row_start
+    gap = (neighbors[slots] == w_prev[off][owner]) & (
+        neighbors[row_start + (pos + 1) % row_len] == w_next[off][owner]
+    )
+    found = np.bincount(owner[gap], minlength=off.size)
+    if (found != 1).any():
+        j = off[np.argmax(found != 1)]
+        raise MalformedDiskError(
+            f"boundary vertex {w[j]}: no outer gap between {w_prev[j]} and {w_next[j]}"
+        )
+    turn = np.zeros(off.size, dtype=np.int64)
+    turn[owner[gap]] = pos[gap] + 1
+    rotated = neighbors.copy()
+    rotated[slots] = neighbors[row_start + (pos + turn[owner]) % row_len]
+    return rotated
 
 
 def grow(
@@ -272,19 +413,15 @@ def layer_census(prev: CombinatorialDisk, new: CombinatorialDisk) -> LayerCensus
         new.boundary
     ) != prev.graph.vertex_count:
         raise ValueError("census requires consecutive disks of one expansion")
-    rotations = new.graph.rotations
-    a = b = 0
-    for w in new.boundary:
-        k = len(rotations[w])
-        if k == 3:
-            a += 1
-        elif k == 4:
-            b += 1
-        else:
-            raise CensusContradiction(
-                f"new boundary vertex {w} has degree {k}, expected 3 or 4"
-            )
-    return LayerCensus(a, b)
+    w, degs = _boundary_degrees(new)
+    odd = np.flatnonzero((degs != 3) & (degs != 4))
+    if odd.size:
+        j = odd[0]
+        raise CensusContradiction(
+            f"new boundary vertex {w[j]} has degree {degs[j]}, expected 3 or 4"
+        )
+    a = int(np.count_nonzero(degs == 3))
+    return LayerCensus(a, len(degs) - a)
 
 
 def delta_counts(before: DiskCounts, after: DiskCounts) -> DeltaCounts:
@@ -302,87 +439,104 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
     """
     if disk.is_degenerate:
         return DiskCounts(1, 0, 0, 1)
-    rotations = disk.graph.rotations
-    nv = len(rotations)
-    total, nxt, off = _next_edge_permutation(rotations)
-    outer = _outer_orbit_slots(rotations, disk.boundary, nxt, off)
-
-    is_outer = np.zeros(total, dtype=bool)
-    is_outer[outer] = True
-    inner = np.flatnonzero(~is_outer)
-    n1 = nxt[inner]
-    n2 = nxt[n1]
-    n3 = nxt[n2]
-    bad = (n3 != inner) | (n1 == inner) | (n2 == inner)
-    if bad.any():
-        slot = int(inner[int(np.argmax(bad))])
-        raise MalformedDiskError(f"interior face through edge slot {slot} is not a triangle")
-
-    t = len(disk.boundary)
-    e = total // 2
-    f = (total - t) // 3
-    return DiskCounts(nv, e, f, nv - t)
-
-
-def _next_edge_permutation(rotations: list[list[int]]):
-    """Build the directed-edge tables and the left-face successor permutation.
-
-    Directed edges are numbered by their slot in the concatenated rotation
-    lists.  next(u -> v) = (v, neighbor before u in the rotation at v),
-    which walks each face counterclockwise (outer face clockwise).
-    """
-    nv = len(rotations)
-    deg = np.fromiter(map(len, rotations), dtype=np.int64, count=nv)
-    total = int(deg.sum())
-    if total % 2:
-        raise MalformedDiskError("odd number of directed edges; adjacency is asymmetric")
-    off = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
-    nbr = np.fromiter(chain.from_iterable(rotations), dtype=np.int64, count=total)
-    if total and (nbr.min() < 0 or nbr.max() >= nv):
+    graph = disk.graph
+    nv = graph.vertex_count
+    nbr = graph.neighbors
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= nv):
         raise MalformedDiskError("neighbor id out of range")
-    src = np.repeat(np.arange(nv, dtype=np.int64), deg)
-
-    lo = np.minimum(src, nbr)
-    hi = np.maximum(src, nbr)
-    if (lo == hi).any():
+    src = graph.slot_sources()
+    if (src == nbr).any():
         raise MalformedDiskError("loop edge")
-    key = lo * nv + hi
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
-    even, odd = order[0::2], order[1::2]
-    if not np.array_equal(key_sorted[0::2], key_sorted[1::2]):
-        raise MalformedDiskError("adjacency is not symmetric")
-    if key_sorted[0::2].size > 1 and (key_sorted[0::2][1:] == key_sorted[0::2][:-1]).any():
-        raise MalformedDiskError("duplicate edge")
-    if (src[even] == src[odd]).any():
+    order, keys = _sorted_edge_keys(src, nbr, nv)
+    del src
+    if (keys[1:] == keys[:-1]).any():
         raise MalformedDiskError("repeated neighbor entry")
-    rev = np.empty(total, dtype=np.int64)
-    rev[even] = odd
-    rev[odd] = even
+    if not _pairs_reversed(keys):
+        raise MalformedDiskError("adjacency is not symmetric")
 
-    pos_in_dst = rev - off[nbr]
-    nxt = off[nbr] + (pos_in_dst - 1) % deg[nbr]
-    return total, nxt, off
+    w, _ = _boundary_degrees(disk)
+    _require_simple_cycle(w, nv)
+    w_next = np.roll(w, -1)
+    outer = _find_slots(order, keys, w_next, w, nv)
+    missing = np.flatnonzero(outer < 0)
+    if missing.size:
+        j = missing[0]
+        raise MalformedDiskError(f"boundary edge ({w[j]}, {w_next[j]}) is missing")
+    del keys
+    _check_faces(graph.offsets, order, outer)
+
+    total, t = len(order), len(w)
+    return DiskCounts(nv, total // 2, (total - t) // 3, nv - t)
 
 
-def _outer_orbit_slots(rotations, boundary, nxt, off):
-    """Locate the outer face and confirm it is exactly the reversed boundary."""
-    t = len(boundary)
-    off_list = off.tolist()
-    slots = np.empty(t, dtype=np.int64)
-    for j in range(t):
-        w = boundary[j]
-        u = boundary[j + 1] if j + 1 < t else boundary[0]
-        try:
-            slots[j] = off_list[u] + rotations[u].index(w)
-        except ValueError:
-            raise MalformedDiskError(f"boundary edge ({w}, {u}) is missing") from None
-    if len(set(boundary)) != t or t < 3:
-        raise MalformedDiskError("boundary is not a simple cycle")
-    if not np.array_equal(nxt[slots], np.roll(slots, 1)):
+def _sorted_edge_keys(src: np.ndarray, dst: np.ndarray, nv: int):
+    """Sort directed edges so that the two directions of an edge are adjacent.
+
+    The key of u -> v is 2 * (lo * nv + hi) + (u > v) with lo, hi the
+    smaller and larger end, so an edge sorts as lo -> hi, then hi -> lo.
+    Returns the slot order and the sorted keys.
+    """
+    key = _edge_keys(src, dst, nv)
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
+
+
+def _edge_keys(src: np.ndarray, dst: np.ndarray, nv: int) -> np.ndarray:
+    key = np.minimum(src, dst).astype(np.int64)
+    key *= nv
+    key += np.maximum(src, dst)
+    key *= 2
+    key += src > dst
+    return key
+
+
+def _pairs_reversed(keys: np.ndarray) -> bool:
+    """Sorted keys without repeats pair up as (lo -> hi, hi -> lo) edges."""
+    return (
+        keys.size % 2 == 0
+        and not (keys[0::2] & 1).any()
+        and np.array_equal(keys[1::2], keys[0::2] + 1)
+    )
+
+
+def _find_slots(order, keys, src, dst, nv) -> np.ndarray:
+    """Slot of each directed edge src -> dst, or -1 where there is none."""
+    if not keys.size:
+        return np.full(len(src), -1, dtype=np.int64)
+    wanted = _edge_keys(src, dst, nv)
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[pos] == wanted, order[pos], -1)
+
+
+def _check_faces(offsets: np.ndarray, order: np.ndarray, outer: np.ndarray) -> None:
+    """Confirm one outer face along ``outer`` and triangles everywhere else.
+
+    ``order`` pairs each directed edge with its reverse (positions 2i and
+    2i + 1).  next(u -> v) is the slot before the reverse v -> u in the
+    row of v, cyclically; ``outer`` holds the slots of the reversed
+    boundary edges w_j+1 -> w_j.
+    """
+    total = len(order)
+    before = np.arange(-1, total - 1)
+    rows = np.diff(offsets) > 0
+    before[offsets[:-1][rows]] = offsets[1:][rows] - 1
+    nxt = np.empty(total, dtype=np.int64)
+    first, second = order[0::2], order[1::2]
+    nxt[first] = before[second]
+    nxt[second] = before[first]
+    del before
+
+    if not np.array_equal(nxt[outer], np.roll(outer, 1)):
         raise MalformedDiskError("outer face does not trace the boundary")
-    return slots
+    # next has order exactly 3 on every other slot: next^3 = id, next != id
+    slot = np.arange(total)
+    bad = nxt[nxt[nxt]] != slot
+    bad |= nxt == slot
+    bad[outer] = False
+    if bad.any():
+        raise MalformedDiskError(
+            f"interior face through edge slot {int(np.argmax(bad))} is not a triangle"
+        )
 
 
 @dataclass(frozen=True)
@@ -399,75 +553,82 @@ def validate_disk(disk: CombinatorialDisk) -> list[Violation]:
     Covers id ranges, loops, duplicate entries, adjacency symmetry,
     boundary cycle shape, interior degrees (= r), boundary degree bounds,
     and the face structure (one outer face of length t, all others
-    triangles).
+    triangles).  Each broken kind is reported once, naming its first
+    offender.
     """
     out: list[Violation] = []
-    rotations = disk.graph.rotations
-    nv = len(rotations)
+    graph = disk.graph
+    nv = graph.vertex_count
+    offsets, nbr = graph.offsets, graph.neighbors
     r = disk.ambient_degree
+    degree = np.diff(offsets)
+    src = graph.slot_sources()
 
-    neighbor_sets: list[set[int]] = []
-    clean = True
-    for v, rot in enumerate(rotations):
-        seen = set(rot)
-        neighbor_sets.append(seen)
-        if any(not isinstance(u, int) or u < 0 or u >= nv for u in rot):
-            out.append(Violation("id-range", f"vertex {v} lists an out-of-range neighbor"))
-            clean = False
-            continue
-        if v in seen:
-            out.append(Violation("loop", f"vertex {v} lists itself"))
-            clean = False
-        if len(seen) != len(rot):
-            out.append(Violation("duplicate-neighbor", f"vertex {v} repeats a neighbor"))
-            clean = False
-    if clean:
-        for v, rot in enumerate(rotations):
-            for u in rot:
-                if v not in neighbor_sets[u]:
-                    out.append(
-                        Violation("symmetry", f"edge ({v}, {u}) has no reverse entry")
-                    )
-                    clean = False
+    out_of_range = (nbr < 0) | (nbr >= nv)
+    if out_of_range.any():
+        out.append(Violation(
+            "id-range", f"vertex {src[out_of_range][0]} lists an out-of-range neighbor"
+        ))
+        bad_row = np.zeros(nv, dtype=bool)
+        bad_row[src[out_of_range]] = True
+        keep = ~bad_row[src]
+        src, nbr = src[keep], nbr[keep]
+    loops = src[src == nbr]
+    if loops.size:
+        out.append(Violation("loop", f"vertex {loops[0]} lists itself"))
+    order, keys = _sorted_edge_keys(src, nbr, nv)
+    repeated = src[order[1:][keys[1:] == keys[:-1]]]
+    if repeated.size:
+        out.append(Violation("duplicate-neighbor", f"vertex {repeated.min()} repeats a neighbor"))
+    clean = not out
+    if clean and not _pairs_reversed(keys):
+        reverse = keys ^ 1
+        pos = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+        slot = order[keys[pos] != reverse].min()
+        out.append(
+            Violation("symmetry", f"edge ({src[slot]}, {nbr[slot]}) has no reverse entry")
+        )
+        clean = False
 
-    boundary = disk.boundary
     if disk.is_degenerate:
-        if nv != 1 or rotations[0]:
+        if nv != 1 or degree[0]:
             out.append(
                 Violation("degenerate", "empty boundary is only valid for a single bare vertex")
             )
         return out
 
-    t = len(boundary)
-    on_boundary = set(boundary)
-    if len(on_boundary) != t or t < 3:
-        out.append(Violation("boundary-cycle", "boundary vertices are not distinct or t < 3"))
+    try:
+        w, _ = _boundary_degrees(disk)
+        _require_simple_cycle(w, nv)
+    except MalformedDiskError as exc:
+        out.append(Violation("boundary-cycle", str(exc)))
         return out
-    if any(w < 0 or w >= nv for w in boundary):
-        out.append(Violation("boundary-cycle", "boundary vertex id out of range"))
-        return out
-    for j in range(t):
-        w, u = boundary[j], boundary[(j + 1) % t]
-        if clean and u not in neighbor_sets[w]:
-            out.append(Violation("boundary-cycle", f"boundary edge ({w}, {u}) is missing"))
+    w_next = np.roll(w, -1)
+    outer = _find_slots(order, keys, w_next, w, nv) if clean else None
+    if clean and (outer < 0).any():
+        j = np.argmax(outer < 0)
+        out.append(Violation("boundary-cycle", f"boundary edge ({w[j]}, {w_next[j]}) is missing"))
+        clean = False
 
     bound = convexity_bound(r)
-    for v in range(nv):
-        k = len(rotations[v])
-        if v in on_boundary:
-            if not 2 <= k <= bound:
-                out.append(
-                    Violation(
-                        "boundary-degree",
-                        f"boundary vertex {v} has degree {k}, outside [2, {bound}]",
-                    )
-                )
-        elif k != r:
-            out.append(Violation("interior-degree", f"interior vertex {v} has degree {k} != {r}"))
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[w] = True
+    sharp = np.flatnonzero(on_boundary & ((degree < 2) | (degree > bound)))
+    if sharp.size:
+        v = sharp[0]
+        out.append(Violation(
+            "boundary-degree", f"boundary vertex {v} has degree {degree[v]}, outside [2, {bound}]"
+        ))
+    wrong = np.flatnonzero(~on_boundary & (degree != r))
+    if wrong.size:
+        v = wrong[0]
+        out.append(Violation(
+            "interior-degree", f"interior vertex {v} has degree {degree[v]} != {r}"
+        ))
 
-    if clean and not any(v.kind == "boundary-cycle" for v in out):
+    if clean:
         try:
-            count_explicit(disk)
+            _check_faces(offsets, order, outer)
         except MalformedDiskError as exc:
             out.append(Violation("face-structure", str(exc)))
     return out
@@ -479,7 +640,7 @@ def disk_to_json_obj(disk: CombinatorialDisk) -> dict:
         "r": disk.ambient_degree,
         "layer": disk.layer_index,
         "boundary": list(disk.boundary),
-        "rotation": [list(rot) for rot in disk.graph.rotations],
+        "rotation": disk.graph.rotations,
     }
 
 
@@ -497,15 +658,12 @@ def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
         raise MalformedDiskError("'boundary' and 'rotation' must be arrays")
     if not all(isinstance(rot, list) for rot in rotation):
         raise MalformedDiskError("rotation rows must be arrays of integers")
-    # Whole-array passes that run in C cost less than a Python check per row.
-    ids = list(chain.from_iterable(rotation))
-    if set(map(type, ids)) - {int}:
-        raise MalformedDiskError("rotation rows must be arrays of integers")
-    nv = len(rotation)
-    if ids and (min(ids) < 0 or max(ids) >= nv):
+    graph = RotationGraph(rotation)
+    nv = graph.vertex_count
+    ids = graph.neighbors
+    if ids.size and (ids.min() < 0 or ids.max() >= nv):
         raise MalformedDiskError(f"rotation rows list a vertex id outside [0, {nv})")
-    rotations = [list(rot) for rot in rotation]
     if any(type(w) is not int or not 0 <= w < nv for w in boundary):
         raise MalformedDiskError(f"boundary must contain vertex ids in [0, {nv})")
     _require_degree(r)
-    return CombinatorialDisk(RotationGraph(rotations), r, tuple(boundary), layer)
+    return CombinatorialDisk(graph, r, tuple(boundary), layer)

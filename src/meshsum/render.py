@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mesh import CombinatorialDisk
 
 CANVAS = 1000.0
@@ -36,33 +38,26 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> list[int]:
     boundary.  Works for any disk built by repeated expansion; anything
     else raises LayoutError.
     """
-    rotations = disk.graph.rotations
-    nv = len(rotations)
-    ring = [-1] * nv
-    current = list(dict.fromkeys(disk.boundary))
-    if not current:
+    nv = disk.graph.vertex_count
+    src, dst = disk.graph.slot_sources(), disk.graph.neighbors
+    if dst.size and (dst.min() < 0 or dst.max() >= nv):
+        raise LayoutError("a rotation lists a vertex outside the disk")
+    ring = np.full(nv, -1, dtype=np.int64)
+    current = np.fromiter(disk.boundary, dtype=np.int64, count=len(disk.boundary))
+    if not current.size:
         raise LayoutError("disk has no boundary to peel from")
     depth = 0
-    seen = 0
-    while current:
-        for w in current:
-            if not 0 <= w < nv or ring[w] != -1:
-                raise LayoutError("boundary peeling revisited a vertex")
-            ring[w] = depth
-            seen += 1
-        inner: list[int] = []
-        mark = set()
-        for w in current:
-            for u in rotations[w]:
-                if ring[u] == -1 and u not in mark:
-                    mark.add(u)
-                    inner.append(u)
-        current = inner
+    while current.size:
+        if current.min() < 0 or current.max() >= nv or (ring[current] != -1).any():
+            raise LayoutError("boundary peeling revisited a vertex")
+        ring[current] = depth
+        reached = np.zeros(nv, dtype=bool)
+        reached[dst[ring[src] == depth]] = True
+        current = np.flatnonzero(reached & (ring == -1))
         depth += 1
-    if seen != nv:
+    if (ring == -1).any():
         raise LayoutError("disk is not connected to its boundary")
-    top = depth - 1
-    return [top - k for k in ring]
+    return (depth - 1 - ring).tolist()
 
 
 def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
@@ -119,11 +114,11 @@ def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
     pos = layout.positions
     if len(pos) != disk.graph.vertex_count:
         raise LayoutError("layout does not cover every vertex of the disk")
-    rotations = disk.graph.rotations
-
-    edges = sorted(
-        (v, u) for v, rot in enumerate(rotations) for u in rot if v < u
-    )
+    src, dst = disk.graph.slot_sources(), disk.graph.neighbors
+    forward = src < dst
+    src, dst = src[forward], dst[forward]
+    order = np.lexsort((dst, src))
+    edges = zip(src[order].tolist(), dst[order].tolist())
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" '

@@ -1,4 +1,4 @@
-"""Shared helpers: an independent face tracer and seed generators."""
+"""Shared helpers: slow list-based references, seed generators and test disks."""
 
 from __future__ import annotations
 
@@ -50,6 +50,164 @@ def pentagon_fan(r: int) -> CombinatorialDisk:
         [0, 4],
     ]
     return CombinatorialDisk(RotationGraph(rotations), r, (0, 1, 2, 3, 4, 5), 0)
+
+
+def reference_expand(disk: CombinatorialDisk) -> CombinatorialDisk:
+    """One growth layer on plain lists: the pre-array expansion, kept as is.
+
+    Walks the boundary, finds each outer gap with ``list.index`` and
+    splices the new ids in; new rows are appended in creation order.
+    """
+    r = disk.ambient_degree
+    if disk.is_degenerate:
+        rim = list(range(1, r + 1))
+        rows = [rim] + [[i + 1 if i < r else 1, 0, i - 1 if i > 1 else r] for i in rim]
+        return CombinatorialDisk(RotationGraph(rows), r, tuple(rim), disk.layer_index + 1)
+
+    rotations = disk.graph.rotations
+    boundary = disk.boundary
+    t = len(boundary)
+    degs = [len(rotations[w]) for w in boundary]
+    assert max(degs) <= 1 + r // 2, "disk is not convex"
+    v_old = len(rotations)
+    v_new = v_old + t + t * (r - 2) - sum(degs)
+    first, last = v_old, v_new - 1
+
+    u_ids = []
+    priv_start = []
+    next_id = v_old
+    for k in degs:
+        priv_start.append(next_id)
+        next_id += r - 2 - k
+        u_ids.append(next_id)
+        next_id += 1
+
+    out = list(rotations)
+    for j in range(t):
+        w = boundary[j]
+        w_prev = boundary[j - 1]
+        w_next = boundary[j + 1] if j + 1 < t else boundary[0]
+        rot = rotations[w]
+        i = rot.index(w_prev)
+        assert rot[(i + 1) % len(rot)] == w_next, "outer gap is not between w_prev and w_next"
+        grown = rot[: i + 1]
+        grown.append(u_ids[j - 1])
+        grown.extend(range(priv_start[j], u_ids[j]))
+        grown.append(u_ids[j])
+        grown.extend(rot[i + 1 :])
+        out[w] = grown
+
+    for j in range(t):
+        w = boundary[j]
+        w_next = boundary[j + 1] if j + 1 < t else boundary[0]
+        u_j = u_ids[j]
+        for x in range(priv_start[j], u_j):
+            out.append([x + 1, w, x - 1 if x > first else last])
+        out.append([u_j + 1 if u_j < last else first, w_next, w, u_j - 1 if u_j > first else last])
+
+    assert len(out) == v_new
+    return CombinatorialDisk(
+        RotationGraph(out), r, tuple(range(v_old, v_new)), disk.layer_index + 1
+    )
+
+
+def reference_validate_kinds(disk: CombinatorialDisk) -> set[str]:
+    """Kinds of broken invariants, found with sets and loops.
+
+    The pre-array validate_disk rule for rule; the face structure is
+    traced with dicts as in reference_face_lengths: the orbit through
+    w_1 -> w_0 must be exactly the reversed boundary and every other
+    orbit a triangle.
+    """
+    kinds: set[str] = set()
+    rotations = disk.graph.rotations
+    nv = len(rotations)
+    r = disk.ambient_degree
+
+    neighbor_sets: list[set[int]] = []
+    clean = True
+    for v, rot in enumerate(rotations):
+        seen = set(rot)
+        neighbor_sets.append(seen)
+        if any(u < 0 or u >= nv for u in rot):
+            kinds.add("id-range")
+            clean = False
+            continue
+        if v in seen:
+            kinds.add("loop")
+            clean = False
+        if len(seen) != len(rot):
+            kinds.add("duplicate-neighbor")
+            clean = False
+    if clean:
+        for v, rot in enumerate(rotations):
+            for u in rot:
+                if v not in neighbor_sets[u]:
+                    kinds.add("symmetry")
+                    clean = False
+
+    boundary = disk.boundary
+    if disk.is_degenerate:
+        if nv != 1 or rotations[0]:
+            kinds.add("degenerate")
+        return kinds
+
+    t = len(boundary)
+    on_boundary = set(boundary)
+    if len(on_boundary) != t or t < 3 or any(w < 0 or w >= nv for w in boundary):
+        kinds.add("boundary-cycle")
+        return kinds
+    edges_present = True
+    for j in range(t):
+        w, u = boundary[j], boundary[(j + 1) % t]
+        if clean and u not in neighbor_sets[w]:
+            kinds.add("boundary-cycle")
+            edges_present = False
+
+    bound = 1 + r // 2
+    for v in range(nv):
+        k = len(rotations[v])
+        if v in on_boundary:
+            if not 2 <= k <= bound:
+                kinds.add("boundary-degree")
+        elif k != r:
+            kinds.add("interior-degree")
+
+    if clean and edges_present and not _reference_faces_ok(rotations, boundary):
+        kinds.add("face-structure")
+    return kinds
+
+
+def _reference_faces_ok(rotations: list[list[int]], boundary: tuple[int, ...]) -> bool:
+    position = {
+        (v, u): i for v, rot in enumerate(rotations) for i, u in enumerate(rot)
+    }
+
+    def next_edge(edge):
+        a, b = edge
+        rot_b = rotations[b]
+        return (b, rot_b[(position[(b, a)] - 1) % len(rot_b)])
+
+    t = len(boundary)
+    reversed_boundary = {(boundary[(j + 1) % t], boundary[j]) for j in range(t)}
+    edge = (boundary[1], boundary[0])
+    outer = set()
+    while edge not in outer:
+        outer.add(edge)
+        edge = next_edge(edge)
+    if edge != (boundary[1], boundary[0]) or outer != reversed_boundary:
+        return False
+    for start in position:
+        if start in outer:
+            continue
+        edge, steps = start, 0
+        while True:
+            edge, steps = next_edge(edge), steps + 1
+            if edge == start or steps > 3:
+                break
+        if steps != 3:
+            return False
+    return True
 
 
 @st.composite

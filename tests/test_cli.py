@@ -135,15 +135,22 @@ def test_render_rejects_bad_input(capsys, tmp_path):
     not_disk.write_text('{"r": 7}')
     code, _, err = run_cli(capsys, "render", str(not_disk))
     assert code == 2
-    for rotation in ("[[1, 5], [2, 0], [0, 1]]", "[[1, -1], [2, 0], [0, 1]]",
-                     "[[true, 2], [2, 0], [0, 1]]"):
+    for rotation, boundary, kind in (
+        ("[[1, 5], [2, 0], [0, 1]]", "[0, 1, 2]", ""),
+        ("[[1, -1], [2, 0], [0, 1]]", "[0, 1, 2]", ""),
+        ("[[true, 2], [2, 0], [0, 1]]", "[0, 1, 2]", ""),
+        ("[[1, 2], [2], [0, 1]]", "[0, 1, 2]", "symmetry"),
+        ("[[1, 2, 1], [2, 0], [0, 1]]", "[0, 1, 2]", "duplicate-neighbor"),
+        ("[[1, 3], [2, 0], [3, 1], [0, 2]]", "[0, 1, 2, 3]", "face-structure"),
+    ):
         bad_disk = tmp_path / "baddisk.json"
         bad_disk.write_text(
-            f'{{"r": 7, "layer": 0, "boundary": [0, 1, 2], "rotation": {rotation}}}'
+            f'{{"r": 7, "layer": 0, "boundary": {boundary}, "rotation": {rotation}}}'
         )
         code, _, err = run_cli(capsys, "render", str(bad_disk))
         assert code == 2
         assert "error:" in err
+        assert kind in err
         assert not (tmp_path / "baddisk.svg").exists()
 
 

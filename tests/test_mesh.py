@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshsum import mesh
 from meshsum import (
     BoundaryProfile,
     BudgetExceededError,
@@ -31,7 +32,12 @@ from meshsum import (
     seed_vertex,
     validate_disk,
 )
-from support import pentagon_fan, reference_face_lengths
+from support import (
+    pentagon_fan,
+    reference_expand,
+    reference_face_lengths,
+    reference_validate_kinds,
+)
 
 
 def test_seed_face_shape():
@@ -272,3 +278,155 @@ def test_every_small_disk_is_valid(r, kind, layers):
     assert 3 * counts.f + profile.t == 2 * counts.e
     assert profile.d + r * counts.s == 2 * counts.e
     assert is_convex(disk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.sampled_from([*range(7, 14), 50, 1000]),
+    kind=st.sampled_from(["face", "vertex"]),
+    layers=st.integers(min_value=1, max_value=3),
+)
+def test_expand_matches_reference(r, kind, layers):
+    disk = seed_face(r) if kind == "face" else seed_vertex(r)
+    for _ in range(layers if r <= 13 else 1):
+        expected = reference_expand(disk)
+        disk = expand(disk)
+        assert disk.graph.rotations == expected.graph.rotations
+        assert disk.boundary == expected.boundary
+        assert disk.layer_index == expected.layer_index
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), r=st.integers(min_value=7, max_value=10))
+def test_expand_of_relabelled_disk_matches_reference(data, r):
+    disk = grow(seed_vertex(r), data.draw(st.integers(min_value=1, max_value=2)))
+    nv = disk.graph.vertex_count
+    perm = data.draw(st.permutations(range(nv)))
+    rows: list[list[int]] = [[] for _ in range(nv)]
+    for v, rot in enumerate(disk.graph.rotations):
+        rows[perm[v]] = [perm[u] for u in rot]
+    relabelled = CombinatorialDisk(
+        RotationGraph(rows), r, tuple(perm[w] for w in disk.boundary), disk.layer_index
+    )
+    grown = expand(relabelled)
+    assert grown.graph.rotations == reference_expand(relabelled).graph.rotations
+    assert validate_disk(grown) == []
+    assert count_explicit(grown) == count_explicit(expand(disk))
+
+
+SMALL_DISKS = (
+    seed_vertex(7),
+    seed_face(7),
+    expand(seed_vertex(7)),
+    expand(seed_face(8)),
+    grow(seed_vertex(9), 2),
+    pentagon_fan(8),
+)
+
+
+@st.composite
+def corrupted_disks(draw):
+    base = draw(st.sampled_from(SMALL_DISKS))
+    rows = [list(rot) for rot in base.graph.rotations]
+    boundary = base.boundary
+    nv = len(rows)
+    for op in draw(st.lists(st.sampled_from(
+        ["drop", "duplicate", "loop", "swap", "reverse", "out-of-range", "cut-boundary"]
+    ), min_size=1, max_size=3)):
+        v = draw(st.integers(min_value=0, max_value=nv - 1))
+        row = rows[v]
+        if op == "drop" and row:
+            del row[draw(st.integers(min_value=0, max_value=len(row) - 1))]
+        elif op == "duplicate" and row:
+            entry = row[draw(st.integers(min_value=0, max_value=len(row) - 1))]
+            row.insert(draw(st.integers(min_value=0, max_value=len(row))), entry)
+        elif op == "loop":
+            row.insert(draw(st.integers(min_value=0, max_value=len(row))), v)
+        elif op == "swap":
+            other = draw(st.integers(min_value=0, max_value=nv - 1))
+            rows[v], rows[other] = rows[other], rows[v]
+        elif op == "reverse":
+            boundary = tuple(reversed(boundary))
+        elif op == "cut-boundary" and boundary:
+            skip = draw(st.integers(min_value=0, max_value=len(boundary) - 1))
+            boundary = boundary[:skip] + boundary[skip + 1 :]
+        elif op == "out-of-range" and row:
+            bad = draw(st.sampled_from([nv, nv + 3, -1, -5]))
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = bad
+    return CombinatorialDisk(RotationGraph(rows), base.ambient_degree, boundary, base.layer_index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disk=corrupted_disks())
+def test_validate_matches_reference(disk):
+    assert {v.kind for v in validate_disk(disk)} == reference_validate_kinds(disk)
+
+
+def test_validate_reports_each_kind_with_its_first_offender():
+    rows = [list(rot) for rot in grow(seed_face(7), 2).graph.rotations]
+    rows[20].append(20)
+    rows[30].append(30)
+    rows[25].append(10**6)
+    disk = CombinatorialDisk(RotationGraph(rows), 7, grow(seed_face(7), 2).boundary, 2)
+    found = validate_disk(disk)
+    assert [(v.kind, v.detail) for v in found[:2]] == [
+        ("id-range", "vertex 25 lists an out-of-range neighbor"),
+        ("loop", "vertex 20 lists itself"),
+    ]
+
+
+def test_bad_boundary_ids_raise_malformed():
+    triangle = CombinatorialDisk(seed_face(7).graph, 7, (0, 1, 5), 0)
+    for fn in (count_explicit, expand, boundary_profile, is_convex):
+        with pytest.raises(MalformedDiskError):
+            fn(triangle)
+    assert {v.kind for v in validate_disk(triangle)} == {"boundary-cycle"}
+
+
+def test_expand_rejects_a_boundary_without_outer_gap():
+    square = CombinatorialDisk(
+        RotationGraph([[1, 3], [2, 0], [3, 1], [0, 2]]), 7, (0, 1, 2), 0
+    )
+    with pytest.raises(MalformedDiskError):
+        expand(square)
+    with pytest.raises(MalformedDiskError):
+        expand(CombinatorialDisk(seed_face(7).graph, 7, (0, 1, 2, 1), 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shifts=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6))
+def test_expand_turns_shifted_boundary_rows(shifts):
+    fan = pentagon_fan(8)
+    rows = [rot[k % len(rot):] + rot[: k % len(rot)] for rot, k in zip(fan.graph.rotations, shifts)]
+    shifted = CombinatorialDisk(RotationGraph(rows), 8, fan.boundary, 0)
+    assert validate_disk(shifted) == []
+    assert count_explicit(shifted) == count_explicit(fan)
+    assert expand(shifted).graph == expand(fan).graph
+    assert shifted.graph.rotations == rows
+
+
+def test_expand_turns_a_shifted_row_of_a_grown_disk():
+    disk = expand(seed_face(7))
+    rows = disk.graph.rotations
+    w = disk.boundary[4]
+    rows[w] = rows[w][1:] + rows[w][:1]
+    shifted = CombinatorialDisk(RotationGraph(rows), 7, disk.boundary, 1)
+    assert expand(shifted).graph.rotations == expand(disk).graph.rotations
+    assert validate_disk(expand(shifted)) == []
+
+
+def test_vertex_ids_never_wrap():
+    with pytest.raises(MalformedDiskError):
+        RotationGraph([[1, 2**31], [0], [0]])
+    with pytest.raises(MalformedDiskError):
+        RotationGraph([[1, 2**70], [0], [0]])
+
+
+def test_id_range_caps_the_budget(monkeypatch):
+    monkeypatch.setattr(mesh, "MAX_VERTICES", 14)
+    with pytest.raises(BudgetExceededError) as err:
+        expand(seed_face(7), budget=10**12)
+    assert (err.value.needed, err.value.budget) == (15, 14)
+    monkeypatch.setattr(mesh, "MAX_VERTICES", 7)
+    with pytest.raises(BudgetExceededError):
+        expand(seed_vertex(7), budget=10**12)
