@@ -434,39 +434,15 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
 
     Faces are counted as orbits of the next-edge permutation; the outer
     face is identified with the (reversed) boundary cycle and excluded.
-    Raises MalformedDiskError if the orbit structure is not one outer
-    face plus triangles.
+    Raises MalformedDiskError("<kind>: <detail>") naming the first
+    violation that validate_disk reports, so it raises for exactly the
+    disks that validate_disk rejects.
     """
-    if disk.is_degenerate:
-        return DiskCounts(1, 0, 0, 1)
-    graph = disk.graph
-    nv = graph.vertex_count
-    nbr = graph.neighbors
-    if nbr.size and (nbr.min() < 0 or nbr.max() >= nv):
-        raise MalformedDiskError("neighbor id out of range")
-    src = graph.slot_sources()
-    if (src == nbr).any():
-        raise MalformedDiskError("loop edge")
-    order, keys = _sorted_edge_keys(src, nbr, nv)
-    del src
-    if (keys[1:] == keys[:-1]).any():
-        raise MalformedDiskError("repeated neighbor entry")
-    if not _pairs_reversed(keys):
-        raise MalformedDiskError("adjacency is not symmetric")
-
-    w, _ = _boundary_degrees(disk)
-    _require_simple_cycle(w, nv)
-    w_next = np.roll(w, -1)
-    outer = _find_slots(order, keys, w_next, w, nv)
-    missing = np.flatnonzero(outer < 0)
-    if missing.size:
-        j = missing[0]
-        raise MalformedDiskError(f"boundary edge ({w[j]}, {w_next[j]}) is missing")
-    del keys
-    _check_faces(graph.offsets, order, outer)
-
-    total, t = len(order), len(w)
-    return DiskCounts(nv, total // 2, (total - t) // 3, nv - t)
+    counts, violations = _inspect(disk)
+    if violations:
+        first = violations[0]
+        raise MalformedDiskError(f"{first.kind}: {first.detail}")
+    return counts
 
 
 def _sorted_edge_keys(src: np.ndarray, dst: np.ndarray, nv: int):
@@ -508,8 +484,8 @@ def _find_slots(order, keys, src, dst, nv) -> np.ndarray:
     return np.where(keys[pos] == wanted, order[pos], -1)
 
 
-def _check_faces(offsets: np.ndarray, order: np.ndarray, outer: np.ndarray) -> None:
-    """Confirm one outer face along ``outer`` and triangles everywhere else.
+def _check_faces(offsets: np.ndarray, order: np.ndarray, outer: np.ndarray) -> str | None:
+    """What breaks "one outer face along ``outer``, triangles elsewhere", or None.
 
     ``order`` pairs each directed edge with its reverse (positions 2i and
     2i + 1).  next(u -> v) is the slot before the reverse v -> u in the
@@ -527,16 +503,15 @@ def _check_faces(offsets: np.ndarray, order: np.ndarray, outer: np.ndarray) -> N
     del before
 
     if not np.array_equal(nxt[outer], np.roll(outer, 1)):
-        raise MalformedDiskError("outer face does not trace the boundary")
+        return "outer face does not trace the boundary"
     # next has order exactly 3 on every other slot: next^3 = id, next != id
     slot = np.arange(total)
     bad = nxt[nxt[nxt]] != slot
     bad |= nxt == slot
     bad[outer] = False
     if bad.any():
-        raise MalformedDiskError(
-            f"interior face through edge slot {int(np.argmax(bad))} is not a triangle"
-        )
+        return f"interior face through edge slot {int(np.argmax(bad))} is not a triangle"
+    return None
 
 
 @dataclass(frozen=True)
@@ -556,16 +531,23 @@ def validate_disk(disk: CombinatorialDisk) -> list[Violation]:
     triangles).  Each broken kind is reported once, naming its first
     offender.
     """
+    return _inspect(disk)[1]
+
+
+def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation]]:
+    """The one measurement pass: the violations, and the counts if there are none.
+
+    An offender is looked up only after a cheap whole-array test failed,
+    and the sort keys are dropped before the face trace.
+    """
     out: list[Violation] = []
     graph = disk.graph
     nv = graph.vertex_count
     offsets, nbr = graph.offsets, graph.neighbors
-    r = disk.ambient_degree
-    degree = np.diff(offsets)
     src = graph.slot_sources()
 
-    out_of_range = (nbr < 0) | (nbr >= nv)
-    if out_of_range.any():
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= nv):
+        out_of_range = (nbr < 0) | (nbr >= nv)
         out.append(Violation(
             "id-range", f"vertex {src[out_of_range][0]} lists an out-of-range neighbor"
         ))
@@ -573,12 +555,11 @@ def validate_disk(disk: CombinatorialDisk) -> list[Violation]:
         bad_row[src[out_of_range]] = True
         keep = ~bad_row[src]
         src, nbr = src[keep], nbr[keep]
-    loops = src[src == nbr]
-    if loops.size:
-        out.append(Violation("loop", f"vertex {loops[0]} lists itself"))
+    if (src == nbr).any():
+        out.append(Violation("loop", f"vertex {src[src == nbr][0]} lists itself"))
     order, keys = _sorted_edge_keys(src, nbr, nv)
-    repeated = src[order[1:][keys[1:] == keys[:-1]]]
-    if repeated.size:
+    if (keys[1:] == keys[:-1]).any():
+        repeated = src[order[1:][keys[1:] == keys[:-1]]]
         out.append(Violation("duplicate-neighbor", f"vertex {repeated.min()} repeats a neighbor"))
     clean = not out
     if clean and not _pairs_reversed(keys):
@@ -589,49 +570,57 @@ def validate_disk(disk: CombinatorialDisk) -> list[Violation]:
             Violation("symmetry", f"edge ({src[slot]}, {nbr[slot]}) has no reverse entry")
         )
         clean = False
+    del src
 
     if disk.is_degenerate:
-        if nv != 1 or degree[0]:
+        if nv != 1 or offsets[1]:
             out.append(
                 Violation("degenerate", "empty boundary is only valid for a single bare vertex")
             )
-        return out
+        return (None if out else DiskCounts(1, 0, 0, 1)), out
 
     try:
-        w, _ = _boundary_degrees(disk)
+        w, degs = _boundary_degrees(disk)
         _require_simple_cycle(w, nv)
     except MalformedDiskError as exc:
         out.append(Violation("boundary-cycle", str(exc)))
-        return out
-    w_next = np.roll(w, -1)
-    outer = _find_slots(order, keys, w_next, w, nv) if clean else None
-    if clean and (outer < 0).any():
-        j = np.argmax(outer < 0)
-        out.append(Violation("boundary-cycle", f"boundary edge ({w[j]}, {w_next[j]}) is missing"))
-        clean = False
+        return None, out
+    if clean:
+        w_next = np.roll(w, -1)
+        outer = _find_slots(order, keys, w_next, w, nv)
+        if (outer < 0).any():
+            j = np.argmax(outer < 0)
+            out.append(
+                Violation("boundary-cycle", f"boundary edge ({w[j]}, {w_next[j]}) is missing")
+            )
+            clean = False
+    del keys
 
+    r = disk.ambient_degree
     bound = convexity_bound(r)
-    on_boundary = np.zeros(nv, dtype=bool)
-    on_boundary[w] = True
-    sharp = np.flatnonzero(on_boundary & ((degree < 2) | (degree > bound)))
-    if sharp.size:
-        v = sharp[0]
+    sharp = (degs < 2) | (degs > bound)
+    if sharp.any():
+        j = np.argmin(np.where(sharp, w, nv))
         out.append(Violation(
-            "boundary-degree", f"boundary vertex {v} has degree {degree[v]}, outside [2, {bound}]"
+            "boundary-degree", f"boundary vertex {w[j]} has degree {degs[j]}, outside [2, {bound}]"
         ))
-    wrong = np.flatnonzero(~on_boundary & (degree != r))
-    if wrong.size:
-        v = wrong[0]
+    wrong = np.diff(offsets) != r
+    wrong[w] = False
+    if wrong.any():
+        v = np.argmax(wrong)
         out.append(Violation(
-            "interior-degree", f"interior vertex {v} has degree {degree[v]} != {r}"
+            "interior-degree", f"interior vertex {v} has degree {np.diff(offsets)[v]} != {r}"
         ))
+    del degs, sharp, wrong
 
     if clean:
-        try:
-            _check_faces(offsets, order, outer)
-        except MalformedDiskError as exc:
-            out.append(Violation("face-structure", str(exc)))
-    return out
+        problem = _check_faces(offsets, order, outer)
+        if problem:
+            out.append(Violation("face-structure", problem))
+    if out:
+        return None, out
+    total, t = len(order), len(w)
+    return DiskCounts(nv, total // 2, (total - t) // 3, nv - t), out
 
 
 def disk_to_json_obj(disk: CombinatorialDisk) -> dict:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from meshsum import cli
+from meshsum import cli, mesh
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report
 
@@ -262,6 +263,52 @@ def test_verify_fault_injection_fails(capsys, mode):
     report = json.loads(out)
     assert report["all_pass"] is False
     assert report["violations"]
+
+
+def _corrupt(grown: mesh.CombinatorialDisk, how: str) -> mesh.CombinatorialDisk:
+    if how == "drop":  # vertex 0 forgets one neighbor, which still lists it
+        rows = grown.graph.rotations
+        del rows[0][0]
+        return mesh.CombinatorialDisk(mesh.RotationGraph(rows), 7, grown.boundary, 2)
+    return mesh.CombinatorialDisk(grown.graph, 8, grown.boundary, 2)  # ambient degree off by one
+
+
+@pytest.mark.parametrize("how, kind", [("drop", "symmetry"), ("ambient", "interior-degree")])
+def test_verify_reports_a_malformed_disk(capsys, monkeypatch, how, kind):
+    expand = mesh.expand
+
+    def corrupting_expand(disk, budget=mesh.DEFAULT_VERTEX_BUDGET):
+        grown = expand(disk, budget)
+        # layer 2 of the r = 7 face seed: only that seed's layer 1 has 12 boundary vertices
+        if (grown.ambient_degree, grown.layer_index, len(disk.boundary)) == (7, 2, 12):
+            return _corrupt(grown, how)
+        return grown
+
+    monkeypatch.setattr(mesh, "expand", corrupting_expand)
+    code, out, _ = run_cli(capsys, "verify", "-r", "7:8", "-n", "3", "--trials", "5", "--json")
+    assert code == 1
+    report = json.loads(out)
+    [violation] = report["violations"]
+    assert violation.startswith(f"disk-invariants: r=7 seed=face layer=2: {kind}: ")
+    # the face seed stops at layer 2; its layers 0-1, the vertex seed and r = 8 still run
+    assert report["checks"]["disk-invariants"] == {"pass": 14, "fail": 1}
+    by_degree = {entry["r"]: entry["checks"] for entry in report["per_degree"]}
+    assert by_degree[7]["sum-routes-agree"] == {"pass": 5, "fail": 0}
+    assert all(c["fail"] == 0 for c in by_degree[8].values())
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before 3.10.7"
+)
+def test_predict_past_the_digit_limit_exits_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, _, err = run_cli(capsys, "predict", "-r", "1000", "-n", "300")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_report_json_round_trips_bytes(capsys):

@@ -359,7 +359,23 @@ def corrupted_disks(draw):
 @settings(max_examples=300, deadline=None)
 @given(disk=corrupted_disks())
 def test_validate_matches_reference(disk):
-    assert {v.kind for v in validate_disk(disk)} == reference_validate_kinds(disk)
+    kinds = reference_validate_kinds(disk)
+    assert {v.kind for v in validate_disk(disk)} == kinds
+    if kinds:
+        with pytest.raises(MalformedDiskError):
+            count_explicit(disk)
+    else:
+        counts = count_explicit(disk)
+        t = len(disk.boundary)
+        faces = [3] * counts.f + ([t] if t else [])
+        assert reference_face_lengths(disk.graph.rotations) == sorted(faces)
+        assert sum(faces) == 2 * counts.e
+        assert (counts.v, counts.s) == (disk.graph.vertex_count, counts.v - t)
+
+
+def test_count_explicit_rejects_an_empty_graph():
+    with pytest.raises(MalformedDiskError, match="^degenerate: "):
+        count_explicit(CombinatorialDisk(RotationGraph([]), 7, (), 0))
 
 
 def test_validate_reports_each_kind_with_its_first_offender():
