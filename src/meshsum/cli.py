@@ -37,7 +37,7 @@ _INPUT_ERRORS = (ValueError, OSError)
 MAX_SHOWN_VIOLATIONS = 20
 
 
-def _parse_degrees(text: str) -> list[int]:
+def _parse_degrees(text: str) -> range:
     """'7' or '7:12' (inclusive)."""
     lo, sep, hi = text.partition(":")
     try:
@@ -49,7 +49,7 @@ def _parse_degrees(text: str) -> list[int]:
         raise ValueError(f"degree must be an integer or lo:hi range, got {text!r}") from None
     if last < first:
         raise ValueError(f"empty degree range {text!r}")
-    return list(range(first, last + 1))
+    return range(first, last + 1)
 
 
 def _single_degree(text: str) -> int:

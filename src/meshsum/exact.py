@@ -47,4 +47,6 @@ def rational_from_json(obj: dict) -> Fraction:
         raise ValueError(f"not a rational object: {obj!r}")
     num = int_from_json(obj["num"])
     den = int_from_json(obj["den"])
+    if den == 0:
+        raise ValueError(f"rational denominator is zero: {obj!r}")
     return Fraction(num, den)

@@ -71,6 +71,29 @@ class CensusContradiction(RuntimeError):
     """A freshly added boundary vertex has degree outside {3, 4}."""
 
 
+def _id_array(ids) -> np.ndarray:
+    """Vertex ids as a read-only int32 array: the one type-and-width check.
+
+    Ids must be integers (booleans are not) that fit in 32 bits, else
+    MalformedDiskError.  A read-only int32 array passes through uncopied.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype == np.int32 and not ids.flags.writeable:
+        return ids
+    ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, ids))):
+        raise MalformedDiskError("vertex ids must be integers")
+    too_wide = MalformedDiskError("a vertex id does not fit in 32 bits")
+    try:
+        flat = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise too_wide from None
+    if flat.size and (flat.min() < -MAX_VERTICES or flat.max() > MAX_VERTICES):
+        raise too_wide
+    out = flat.astype(np.int32)
+    out.flags.writeable = False
+    return out
+
+
 class RotationGraph:
     """Undirected graph as counterclockwise rotations in CSR form.
 
@@ -86,20 +109,7 @@ class RotationGraph:
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        ids = list(chain.from_iterable(rows))
-        if any(
-            kind is bool or not issubclass(kind, (int, np.integer))
-            for kind in set(map(type, ids))
-        ):
-            raise MalformedDiskError("rotation rows must be arrays of integers")
-        too_wide = MalformedDiskError("a vertex id does not fit in 32 bits")
-        try:
-            flat = np.array(ids, dtype=np.int64)
-        except OverflowError:
-            raise too_wide from None
-        if flat.size and (flat.min() < -MAX_VERTICES or flat.max() > MAX_VERTICES):
-            raise too_wide
-        self._init(offsets, flat.astype(np.int32))
+        self._init(offsets, _id_array(chain.from_iterable(rows)))
 
     @classmethod
     def from_arrays(cls, offsets: np.ndarray, neighbors: np.ndarray) -> RotationGraph:
@@ -141,22 +151,34 @@ class RotationGraph:
         return f"RotationGraph(vertices={self.vertex_count}, slots={self.neighbors.size})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CombinatorialDisk:
     """A grown disk: rotation graph, ambient degree, ccw boundary cycle.
 
-    The degenerate seed (one vertex, no boundary) is flagged by an empty
-    boundary.
+    The boundary is stored as a read-only int32 array; an empty boundary
+    flags the degenerate seed (one vertex, no faces).
     """
 
     graph: RotationGraph
     ambient_degree: int
-    boundary: tuple[int, ...]
+    boundary: np.ndarray
     layer_index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "boundary", _id_array(self.boundary))
 
     @property
     def is_degenerate(self) -> bool:
-        return not self.boundary
+        return not self.boundary.size
+
+    def __eq__(self, other):
+        if not isinstance(other, CombinatorialDisk):
+            return NotImplemented
+        return (self.graph, self.ambient_degree, self.layer_index) == (
+            other.graph, other.ambient_degree, other.layer_index
+        ) and np.array_equal(self.boundary, other.boundary)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -165,7 +187,6 @@ class BoundaryProfile:
 
     t: int
     d: int
-    degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -222,10 +243,11 @@ def seed_vertex(r: int) -> CombinatorialDisk:
 def _fan(r: int, layer_index: int) -> CombinatorialDisk:
     """All r triangles around one vertex: the first layer of seed_vertex."""
     rim = np.arange(1, r + 1, dtype=np.int32)
+    rim.flags.writeable = False
     spokes = np.stack([np.roll(rim, -1), np.zeros_like(rim), np.roll(rim, 1)], axis=1)
     offsets = np.concatenate([[0], r + 3 * np.arange(r + 1)])
     graph = RotationGraph.from_arrays(offsets, np.concatenate([rim, spokes.ravel()]))
-    return CombinatorialDisk(graph, r, tuple(range(1, r + 1)), layer_index)
+    return CombinatorialDisk(graph, r, rim, layer_index)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -235,14 +257,13 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
-def _boundary_degrees(disk: CombinatorialDisk) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary ids as an array and their degrees, in boundary order."""
+def _boundary_degrees(disk: CombinatorialDisk) -> np.ndarray:
+    """Degrees of the boundary vertices, in boundary order."""
     nv = disk.graph.vertex_count
-    w = np.fromiter(disk.boundary, dtype=np.int64, count=len(disk.boundary))
+    w = disk.boundary
     if w.size and (w.min() < 0 or w.max() >= nv):
         raise MalformedDiskError(f"boundary vertex id outside [0, {nv})")
-    offsets = disk.graph.offsets
-    return w, offsets[w + 1] - offsets[w]
+    return disk.graph.offsets[w + 1] - disk.graph.offsets[w]
 
 
 def _require_simple_cycle(w: np.ndarray, nv: int) -> None:
@@ -257,16 +278,14 @@ def is_convex(disk: CombinatorialDisk) -> bool:
     if disk.is_degenerate:
         raise ValueError("degenerate disk has no boundary to test")
     bound = convexity_bound(disk.ambient_degree)
-    _, degs = _boundary_degrees(disk)
-    return bool((degs <= bound).all())
+    return bool((_boundary_degrees(disk) <= bound).all())
 
 
 def boundary_profile(disk: CombinatorialDisk) -> BoundaryProfile:
     """Boundary length and degree sum, in boundary order."""
     if disk.is_degenerate:
         raise ValueError("degenerate disk has no boundary profile")
-    _, degs = _boundary_degrees(disk)
-    return BoundaryProfile(len(degs), int(degs.sum()), tuple(degs.tolist()))
+    return BoundaryProfile(len(disk.boundary), int(_boundary_degrees(disk).sum()))
 
 
 def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> CombinatorialDisk:
@@ -284,7 +303,7 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
 
     offsets = disk.graph.offsets
     v_old = disk.graph.vertex_count
-    w, degs = _boundary_degrees(disk)
+    w, degs = disk.boundary, _boundary_degrees(disk)
     _require_simple_cycle(w, v_old)
     bound = convexity_bound(r)
     over = np.flatnonzero(degs > bound)
@@ -330,7 +349,8 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
 
     # New rows: successor on the new cycle, the boundary vertices the new
     # vertex hangs from, predecessor on the new cycle.
-    ids = np.arange(v_old, v_new)
+    ids = np.arange(v_old, v_new, dtype=np.int32)
+    ids.flags.writeable = False
     row = out_offsets[v_old:-1]
     out[row] = np.roll(ids, -1)
     out[out_offsets[v_old + 1 :] - 1] = np.roll(ids, 1)
@@ -340,10 +360,7 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
     out[shared + 2] = w
 
     return CombinatorialDisk(
-        RotationGraph.from_arrays(out_offsets, out),
-        r,
-        tuple(range(v_old, v_new)),
-        disk.layer_index + 1,
+        RotationGraph.from_arrays(out_offsets, out), r, ids, disk.layer_index + 1
     )
 
 
@@ -413,7 +430,7 @@ def layer_census(prev: CombinatorialDisk, new: CombinatorialDisk) -> LayerCensus
         new.boundary
     ) != prev.graph.vertex_count:
         raise ValueError("census requires consecutive disks of one expansion")
-    w, degs = _boundary_degrees(new)
+    w, degs = new.boundary, _boundary_degrees(new)
     odd = np.flatnonzero((degs != 3) & (degs != 4))
     if odd.size:
         j = odd[0]
@@ -579,8 +596,9 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
             )
         return (None if out else DiskCounts(1, 0, 0, 1)), out
 
+    w = disk.boundary
     try:
-        w, degs = _boundary_degrees(disk)
+        degs = _boundary_degrees(disk)
         _require_simple_cycle(w, nv)
     except MalformedDiskError as exc:
         out.append(Violation("boundary-cycle", str(exc)))
@@ -628,7 +646,7 @@ def disk_to_json_obj(disk: CombinatorialDisk) -> dict:
     return {
         "r": disk.ambient_degree,
         "layer": disk.layer_index,
-        "boundary": list(disk.boundary),
+        "boundary": disk.boundary.tolist(),
         "rotation": disk.graph.rotations,
     }
 
@@ -647,12 +665,10 @@ def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
         raise MalformedDiskError("'boundary' and 'rotation' must be arrays")
     if not all(isinstance(rot, list) for rot in rotation):
         raise MalformedDiskError("rotation rows must be arrays of integers")
-    graph = RotationGraph(rotation)
-    nv = graph.vertex_count
-    ids = graph.neighbors
-    if ids.size and (ids.min() < 0 or ids.max() >= nv):
-        raise MalformedDiskError(f"rotation rows list a vertex id outside [0, {nv})")
-    if any(type(w) is not int or not 0 <= w < nv for w in boundary):
-        raise MalformedDiskError(f"boundary must contain vertex ids in [0, {nv})")
+    disk = CombinatorialDisk(RotationGraph(rotation), r, boundary, layer)
+    nv = disk.graph.vertex_count
+    for ids in (disk.graph.neighbors, disk.boundary):
+        if ids.size and (ids.min() < 0 or ids.max() >= nv):
+            raise MalformedDiskError(f"rotation or boundary lists a vertex id outside [0, {nv})")
     _require_degree(r)
-    return CombinatorialDisk(graph, r, tuple(boundary), layer)
+    return disk

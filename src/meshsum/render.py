@@ -30,7 +30,7 @@ class DiskLayout:
     ring: tuple[int, ...]
 
 
-def _rings_by_peeling(disk: CombinatorialDisk) -> list[int]:
+def _rings_by_peeling(disk: CombinatorialDisk) -> np.ndarray:
     """Recover per-vertex layers by peeling boundaries inward.
 
     Every vertex of the current outermost ring was created by one
@@ -43,9 +43,7 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> list[int]:
     if dst.size and (dst.min() < 0 or dst.max() >= nv):
         raise LayoutError("a rotation lists a vertex outside the disk")
     ring = np.full(nv, -1, dtype=np.int64)
-    current = np.fromiter(disk.boundary, dtype=np.int64, count=len(disk.boundary))
-    if not current.size:
-        raise LayoutError("disk has no boundary to peel from")
+    current = disk.boundary
     depth = 0
     while current.size:
         if current.min() < 0 or current.max() >= nv or (ring[current] != -1).any():
@@ -57,7 +55,7 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> list[int]:
         depth += 1
     if (ring == -1).any():
         raise LayoutError("disk is not connected to its boundary")
-    return (depth - 1 - ring).tolist()
+    return depth - 1 - ring
 
 
 def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
@@ -68,43 +66,24 @@ def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     ring 1.  Each ring must be a contiguous id range, which holds for
     every disk produced by expansion.
     """
-    nv = disk.graph.vertex_count
     if disk.is_degenerate:
         c = CANVAS / 2
         return DiskLayout(((c, c),), (0,))
 
     layers = _rings_by_peeling(disk)
-    groups: dict[int, list[int]] = {}
-    for v, k in enumerate(layers):
-        groups.setdefault(k, []).append(v)
-    labels = sorted(groups)
-    start = 0
-    for k in labels:
-        members = groups[k]
-        if members != list(range(start, start + len(members))):
-            raise LayoutError("layers are not contiguous id ranges; no growth provenance")
-        start += len(members)
-
-    shift = 0 if len(groups[labels[0]]) == 1 else 1
-    ring_of = {k: i + shift for i, k in enumerate(labels)}
-    max_ring = ring_of[labels[-1]]
-    spacing = CANVAS / (2 * max(max_ring, 1) + 2)
+    if (np.diff(layers) < 0).any():
+        raise LayoutError("layers are not contiguous id ranges; no growth provenance")
+    sizes = np.bincount(layers).tolist()
+    shift = 0 if sizes[0] == 1 else 1
+    spacing = CANVAS / (2 * max(len(sizes) - 1 + shift, 1) + 2)
     center = CANVAS / 2
 
-    positions: list[tuple[float, float]] = [(0.0, 0.0)] * nv
-    ring = [0] * nv
-    for k in labels:
-        members = groups[k]
-        radius = ring_of[k] * spacing
-        step = 2 * math.pi / len(members)
-        for idx, v in enumerate(members):
-            angle = idx * step
-            positions[v] = (
-                center + radius * math.cos(angle),
-                center + radius * math.sin(angle),
-            )
-            ring[v] = ring_of[k]
-    return DiskLayout(tuple(positions), tuple(ring))
+    positions: list[tuple[float, float]] = []
+    for k, size in enumerate(sizes):
+        radius, step = (k + shift) * spacing, 2 * math.pi / size
+        for a in (idx * step for idx in range(size)):
+            positions.append((center + radius * math.cos(a), center + radius * math.sin(a)))
+    return DiskLayout(tuple(positions), tuple((layers + shift).tolist()))
 
 
 def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:

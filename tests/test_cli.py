@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -234,6 +235,19 @@ def test_verify_rejects_degrees_outside_range(capsys):
         assert code == 2
         assert "error:" in err
         assert "all checks passed" not in out
+
+
+def test_verify_rejects_a_wide_degree_span_without_building_it(capsys):
+    # a list of this span takes about 70 MB; the bounds check needs none of it
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "-r", "7:2000000", "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "7..1000" in err
+    assert peak < 2**20
 
 
 def test_verify_says_how_many_violations_it_left_out(capsys, monkeypatch):

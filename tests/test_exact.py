@@ -42,7 +42,13 @@ def test_rational_json_form():
     assert rational_from_json(obj) == Fraction(-3, 2)
     # normalizes denormalized input on the way in
     assert rational_from_json({"num": "2", "den": "-4"}) == Fraction(-1, 2)
-    for bad in ({"num": "1"}, {"num": "1", "den": "0.5"}, ["1", "2"], {"n": "1", "d": "2"}):
+    for bad in (
+        {"num": "1"},
+        {"num": "1", "den": "0.5"},
+        ["1", "2"],
+        {"n": "1", "d": "2"},
+        {"num": "1", "den": "0"},
+    ):
         with pytest.raises(ValueError):
             rational_from_json(bad)
 
