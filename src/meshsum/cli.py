@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import __version__
-from .growth import SeedDescriptor
 from .mesh import (
     DEFAULT_VERTEX_BUDGET,
+    CensusContradiction,
     MalformedDiskError,
     disk_from_json_obj,
     disk_to_json_obj,
@@ -57,20 +57,6 @@ def _single_degree(text: str) -> int:
     if len(degrees) != 1:
         raise ValueError("this command takes a single degree, not a range")
     return degrees[0]
-
-
-def _parse_seed_descriptor(text: str, r: int) -> SeedDescriptor:
-    """'face', 'vertex' or an explicit t:d boundary profile."""
-    if text in ("face", "vertex"):
-        return seed_descriptor_for(text, r)
-    t_text, sep, d_text = text.partition(":")
-    if not sep:
-        raise ValueError(f"seed must be 'vertex', 'face', or t:d, got {text!r}")
-    try:
-        t, d = int(t_text), int(d_text)
-    except ValueError:
-        raise ValueError(f"seed t:d must be integers, got {text!r}") from None
-    return SeedDescriptor(r, t, d)
 
 
 def _resolve_budget(args) -> int:
@@ -135,12 +121,12 @@ def _rat(obj: dict) -> str:
 
 def cmd_grow(args) -> int:
     r = _single_degree(args.degree)
-    if args.seed not in ("vertex", "face"):
-        raise ValueError(
-            "explicit growth supports only the canonical seeds 'vertex' and 'face'"
-        )
     budget = _resolve_budget(args)
-    report, disk = growth_report(r, args.seed, args.layers, budget)
+    try:
+        report, disk = growth_report(r, args.seed, args.layers, budget)
+    except (MalformedDiskError, CensusContradiction) as exc:  # a layer failed measurement
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.emit_disk:
         _write_text(args.emit_disk, canonical_json(disk_to_json_obj(disk)))
     _emit(args, report, _layer_table(report))
@@ -149,7 +135,7 @@ def cmd_grow(args) -> int:
 
 def cmd_predict(args) -> int:
     r = _single_degree(args.degree)
-    seed = _parse_seed_descriptor(args.seed, r)
+    seed = seed_descriptor_for(args.seed, r)
     report = prediction_report(seed, args.layers)
     rows = ["    n            a            b           dv           de           df"]
     for rec in report["layers_predicted"]:
@@ -167,7 +153,7 @@ def cmd_sum(args) -> int:
     if args.seed is not None:
         if len(degrees) != 1:
             raise ValueError("--seed needs a single degree, not a range")
-        seed = _parse_seed_descriptor(args.seed, degrees[0])
+        seed = seed_descriptor_for(args.seed, degrees[0])
     report = invariants_report(degrees, seed)
     rows = []
     for entry in report["degrees"]:

@@ -30,6 +30,10 @@ boundary neighbors, predecessor] on the new cycle.  A boundary row whose
 gap sits elsewhere is rotated into this form first, which leaves the
 rotation system unchanged.
 
+The one layer pipeline is ``measured_layers``: it expands a canonical seed
+under the vertex budget and yields each layer with its counts, boundary
+profile and census.  The grow and verify commands only compare and record.
+
 Face counts are measured, never assumed: faces are orbits of the
 next-edge permutation next(u -> v) = (v, predecessor of u in the rotation
 at v) (Mohar & Thomassen, Graphs on Surfaces, 2001), so every count here
@@ -39,6 +43,7 @@ predictions it is later checked against.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -460,6 +465,48 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
         first = violations[0]
         raise MalformedDiskError(f"{first.kind}: {first.detail}")
     return counts
+
+
+@dataclass(frozen=True, eq=False)
+class MeasuredLayer:
+    """One grown layer and its measurements (no profile for a bare vertex, no census at 0)."""
+
+    layer: int
+    disk: CombinatorialDisk
+    counts: DiskCounts
+    profile: BoundaryProfile | None
+    census: LayerCensus | None
+
+
+def measured_layers(
+    r: int, seed_kind: str, n_layers: int, budget: int = DEFAULT_VERTEX_BUDGET
+) -> Iterator[MeasuredLayer]:
+    """Layers 0..n_layers of a canonical seed, each counted, profiled and censused.
+
+    Stops quietly before the first expansion past ``budget``.  A layer that
+    fails measurement re-raises its MalformedDiskError or
+    CensusContradiction with "r=<r> seed=<kind> layer=<k>: " in front.
+    Only the current disk and its predecessor are kept alive.
+    """
+    seeds = {"face": seed_face, "vertex": seed_vertex}
+    if seed_kind not in seeds:
+        raise ValueError(f"only the canonical seeds face and vertex can grow, got {seed_kind!r}")
+    disk = seeds[seed_kind](r)
+    prev = None
+    for layer in range(n_layers + 1):
+        if layer:
+            prev = disk  # drop the older disk before building the next one
+            try:
+                disk = expand(prev, budget)
+            except BudgetExceededError:
+                return
+        try:
+            counts = count_explicit(disk)
+            profile = None if disk.is_degenerate else boundary_profile(disk)
+            census = None if prev is None else layer_census(prev, disk)
+        except (MalformedDiskError, CensusContradiction) as exc:
+            raise type(exc)(f"r={r} seed={seed_kind} layer={layer}: {exc}") from None
+        yield MeasuredLayer(layer, disk, counts, profile, census)
 
 
 def _sorted_edge_keys(src: np.ndarray, dst: np.ndarray, nv: int):

@@ -9,11 +9,12 @@ parse, re-serialize, same bytes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from . import mesh
 from .exact import int_to_json, rational_to_json
 from .growth import LayerPrediction, SeedDescriptor, counts_from_boundary, predict_layers
-from .mesh import CombinatorialDisk, DiskCounts
+from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts
 from .summation import (
     MeshInvariants,
     euler_formula_check,
@@ -38,6 +39,10 @@ def counts_to_json_obj(counts: DiskCounts) -> dict:
     }
 
 
+def profile_to_json_obj(profile: BoundaryProfile | SeedDescriptor) -> dict:
+    return {"t": int_to_json(profile.t), "d": int_to_json(profile.d)}
+
+
 def prediction_to_json_obj(pred: LayerPrediction) -> dict:
     return {
         "n": pred.n,
@@ -60,13 +65,21 @@ def invariants_to_json_obj(r: int, inv: MeshInvariants) -> dict:
     }
 
 
-def seed_descriptor_for(seed_kind: str, r: int) -> SeedDescriptor:
-    """Profile of the first nondegenerate disk of a canonical seed."""
-    if seed_kind == "face":
+def seed_descriptor_for(text: str, r: int) -> SeedDescriptor:
+    """'face' or 'vertex' (the profile of a canonical seed's first
+    nondegenerate disk) or an explicit t:d boundary profile."""
+    if text == "face":
         return SeedDescriptor(r, 3, 6)
-    if seed_kind == "vertex":
+    if text == "vertex":
         return SeedDescriptor(r, r, 3 * r)
-    raise ValueError(f"unknown seed kind {seed_kind!r}")
+    t_text, sep, d_text = text.partition(":")
+    if not sep:
+        raise ValueError(f"seed must be 'vertex', 'face', or t:d, got {text!r}")
+    try:
+        t, d = int(t_text), int(d_text)
+    except ValueError:
+        raise ValueError(f"seed t:d must be integers, got {text!r}") from None
+    return SeedDescriptor(r, t, d)
 
 
 def growth_report(
@@ -81,61 +94,49 @@ def growth_report(
     the budget rules out are reported from the analytic side alone with a
     null match flag.  The analytic base for the vertex seed is its first
     expansion (the fan), so explicit layer k matches analytic layer k-1.
-    Only the current disk and its predecessor are kept alive.
     """
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
-    disk = mesh.seed_face(r) if seed_kind == "face" else mesh.seed_vertex(r)
+    layers = mesh.measured_layers(r, seed_kind, n_layers, budget)
+    first = next(layers)  # checks the seed kind before anything else
     base_layer = 0 if seed_kind == "face" else 1
     descriptor = seed_descriptor_for(seed_kind, r)
 
-    analytic_depth = n_layers - base_layer
-    predictions = predict_layers(descriptor, analytic_depth) if analytic_depth >= 1 else []
-    base_counts = counts_to_json_obj(counts_from_boundary(descriptor))
+    # predicted[k] is what explicit layer k is checked against
+    base = {"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}
+    predicted = [None] * base_layer + [base]
+    if n_layers > base_layer:
+        predicted += map(prediction_to_json_obj, predict_layers(descriptor, n_layers - base_layer))
+
+    def record(k: int) -> dict:
+        return {"layer": k, "explicit": None, "census": None, "predicted": predicted[k],
+                "match": None, "census_match": None}
+
     records = []
     all_match = True
-    truncated = False
-    for k in range(n_layers + 1):
-        rec: dict = {"layer": k, "explicit": None, "census": None, "predicted": None,
-                     "match": None, "census_match": None}
-        n = k - base_layer
-        if n == 0:
-            rec["predicted"] = {"n": None, "cum": base_counts}
-        elif n >= 1:
-            rec["predicted"] = prediction_to_json_obj(predictions[n - 1])
-
-        if k >= 1 and not truncated:
-            prev = disk
-            try:
-                disk = mesh.expand(prev, budget)
-            except mesh.BudgetExceededError:
-                truncated = True
-        if not truncated:
-            measured = counts_to_json_obj(mesh.count_explicit(disk))
-            entry = dict(measured)
-            if not disk.is_degenerate:
-                profile = mesh.boundary_profile(disk)
-                entry["t"] = int_to_json(profile.t)
-                entry["d"] = int_to_json(profile.d)
-            rec["explicit"] = entry
-            if k >= 1:
-                census = mesh.layer_census(prev, disk)
-                rec["census"] = {"a": int_to_json(census.a), "b": int_to_json(census.b)}
-            if rec["predicted"] is not None:
-                rec["match"] = rec["predicted"]["cum"] == measured
-                all_match = all_match and rec["match"]
-            if n >= 1 and rec["census"] is not None:
-                rec["census_match"] = (
-                    rec["census"]["a"] == rec["predicted"]["a"]
-                    and rec["census"]["b"] == rec["predicted"]["b"]
-                )
-                all_match = all_match and rec["census_match"]
+    for measured in chain([first], layers):
+        rec = record(measured.layer)
+        counts = counts_to_json_obj(measured.counts)
+        rec["explicit"] = dict(counts)
+        if measured.profile is not None:
+            rec["explicit"].update(profile_to_json_obj(measured.profile))
+        census, pred = measured.census, rec["predicted"]
+        if census is not None:
+            rec["census"] = {"a": int_to_json(census.a), "b": int_to_json(census.b)}
+        if pred is not None:
+            rec["match"] = pred["cum"] == counts
+            all_match = all_match and rec["match"]
+        if measured.layer > base_layer:  # an analytic layer n >= 1, so both censuses exist
+            rec["census_match"] = rec["census"] == {"a": pred["a"], "b": pred["b"]}
+            all_match = all_match and rec["census_match"]
         records.append(rec)
+    truncated = measured.layer < n_layers
+    records += [record(k) for k in range(measured.layer + 1, n_layers + 1)]
 
     closed = mesh_invariants(r)
     from_seed = mesh_invariants_from_seed(descriptor)
     inv_obj = invariants_to_json_obj(r, closed)
-    inv_obj["seed_descriptor"] = {"t": int_to_json(descriptor.t), "d": int_to_json(descriptor.d)}
+    inv_obj["seed_descriptor"] = profile_to_json_obj(descriptor)
     inv_obj["seed_match"] = from_seed == closed
     all_match = all_match and inv_obj["seed_match"]
 
@@ -148,7 +149,7 @@ def growth_report(
         "truncated_at_budget": truncated,
         "all_match": all_match,
     }
-    return report, disk
+    return report, measured.disk
 
 
 def invariants_report(degrees: list[int], seed: SeedDescriptor | None = None) -> dict:
@@ -164,10 +165,7 @@ def invariants_report(degrees: list[int], seed: SeedDescriptor | None = None) ->
         entry = invariants_to_json_obj(r, closed)
         if seed is not None and seed.r == r:
             via_seed = mesh_invariants_from_seed(seed)
-            entry["seed_descriptor"] = {
-                "t": int_to_json(seed.t),
-                "d": int_to_json(seed.d),
-            }
+            entry["seed_descriptor"] = profile_to_json_obj(seed)
             entry["via_seed"] = {
                 "vM": rational_to_json(via_seed.v),
                 "eM": rational_to_json(via_seed.e),
@@ -190,11 +188,7 @@ def prediction_report(seed: SeedDescriptor, n_layers: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "prediction-report",
-        "config": {
-            "r": seed.r,
-            "seed": {"t": int_to_json(seed.t), "d": int_to_json(seed.d)},
-            "layers": n_layers,
-        },
+        "config": {"r": seed.r, "seed": profile_to_json_obj(seed), "layers": n_layers},
         "base": counts_to_json_obj(counts_from_boundary(seed)),
         "layers_predicted": layers,
     }

@@ -1,11 +1,12 @@
 """Cross-verification battery: explicit growth against every closed form.
 
 Each degree gets an independent, deterministically seeded run; degrees
-are verified one after another in sorted order.  Each disk is measured
-by one count_explicit call, which also checks every disk invariant; a
-malformed disk fails the disk-invariants check and ends its seed's
-layers.  Counts and boundary profile are carried into the next layer's
-delta and census checks.  Fault injection deliberately corrupts one
+are verified one after another in sorted order.  The explicit layers
+come from mesh.measured_layers, whose count_explicit call also checks
+every disk invariant; a malformed disk fails the disk-invariants check
+and a census contradiction fails census-degrees, and either ends its
+seed's layers.  Counts and boundary profile are carried into the next
+layer's delta and census checks.  Fault injection deliberately corrupts one
 comparison to prove the harness can fail.
 """
 
@@ -21,6 +22,7 @@ from .growth import (
     census_step,
     counts_from_boundary,
     deltas_from_census,
+    initial_census,
     platonic_counts,
     predict_layers,
     second_order_step,
@@ -57,93 +59,59 @@ class _Tally:
 
 
 def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tally, fault):
-    disk = mesh.seed_face(r) if seed_kind == "face" else mesh.seed_vertex(r)
     closed_inv = mesh_invariants(r)
-    prev = counts = profile = None
-    census_pred = None
-    where = f"r={r} seed={seed_kind}"
+    counts = profile = census_pred = None
+    try:  # a layer that fails measurement ends this seed's layers
+        for measured in mesh.measured_layers(r, seed_kind, layers, budget):
+            prev_counts, prev_profile = counts, profile
+            counts, profile, census = measured.counts, measured.profile, measured.census
+            tag = f"r={r} seed={seed_kind} layer={measured.layer}"
+            tally.record("disk-invariants", True)
+            tally.record("euler-layer", counts.v - counts.e + counts.f == 1, f"{tag}: v-e+f != 1")
 
-    for layer in range(layers + 1):
-        if layer > 0:
-            try:
-                prev, disk = disk, mesh.expand(disk, budget)
-            except mesh.BudgetExceededError:
-                break
-        prev_counts, prev_profile = counts, profile
-        tag = f"{where} layer={layer}"
-        try:
-            counts = mesh.count_explicit(disk)
-        except mesh.MalformedDiskError as exc:
-            tally.record("disk-invariants", False, f"{tag}: {exc}")
-            break
-        tally.record("disk-invariants", True)
-        profile = None if disk.is_degenerate else mesh.boundary_profile(disk)
-        tally.record(
-            "euler-layer", counts.v - counts.e + counts.f == 1, f"{tag}: v-e+f != 1"
-        )
+            if profile is None:
+                continue
 
-        if profile is None:
-            continue
+            descriptor = SeedDescriptor(r, profile.t, profile.d)
+            for name, ok, detail in (
+                ("handshake", profile.d + r * counts.s == 2 * counts.e, "d + r*s != 2e"),
+                ("triangulation", 3 * counts.f + profile.t == 2 * counts.e, "3f + t != 2e"),
+                ("convexity", mesh.is_convex(measured.disk), "boundary degree too high"),
+                ("closed-form-counts", counts_from_boundary(descriptor) == counts,
+                 "boundary profile does not reproduce measured counts"),
+                ("seed-independence", mesh_invariants_from_seed(descriptor) == closed_inv,
+                 "invariants depend on the seed profile"),
+            ):
+                tally.record(name, ok, f"{tag}: {detail}")
 
-        tally.record(
-            "handshake",
-            profile.d + r * counts.s == 2 * counts.e,
-            f"{tag}: d + r*s != 2e",
-        )
-        tally.record(
-            "triangulation",
-            3 * counts.f + profile.t == 2 * counts.e,
-            f"{tag}: 3f + t != 2e",
-        )
-        tally.record(
-            "convexity",
-            mesh.is_convex(disk),
-            f"{tag}: boundary degree too high",
-        )
-
-        descriptor = SeedDescriptor(r, profile.t, profile.d)
-        tally.record(
-            "closed-form-counts",
-            counts_from_boundary(descriptor) == counts,
-            f"{tag}: boundary profile does not reproduce measured counts",
-        )
-        tally.record(
-            "seed-independence",
-            mesh_invariants_from_seed(descriptor) == closed_inv,
-            f"{tag}: invariants depend on the seed profile",
-        )
-
-        if prev is None:
-            continue
-        try:
-            census = mesh.layer_census(prev, disk)
-        except mesh.CensusContradiction as exc:
-            tally.record("census-degrees", False, f"{tag}: {exc}")
-            continue
-        tally.record("census-degrees", True)
-        tally.record(
-            "delta-linear-map",
-            deltas_from_census(census) == mesh.delta_counts(prev_counts, counts),
-            f"{tag}: measured deltas disagree with the census map",
-        )
-        if prev_profile is None:
-            census_pred = None
-            continue
-        expected_a = prev_profile.t * (r - 2) - prev_profile.d
-        expected_b = prev_profile.t
-        a = census.a + (1 if fault == "census" and layer == 1 else 0)
-        tally.record(
-            "census-formulas",
-            a == expected_a and census.b == expected_b,
-            f"{tag}: census ({a}, {census.b}) != predicted ({expected_a}, {expected_b})",
-        )
-        if census_pred is not None:
+            if census is None:
+                continue
+            tally.record("census-degrees", True)
             tally.record(
-                "census-recursion",
-                census == census_pred,
-                f"{tag}: census disagrees with the linear recursion",
+                "delta-linear-map",
+                deltas_from_census(census) == mesh.delta_counts(prev_counts, counts),
+                f"{tag}: measured deltas disagree with the census map",
             )
-        census_pred = census_step(r, census)
+            if prev_profile is None:
+                continue
+            expected = initial_census(SeedDescriptor(r, prev_profile.t, prev_profile.d))
+            a = census.a + (1 if fault == "census" and measured.layer == 1 else 0)
+            tally.record(
+                "census-formulas",
+                a == expected.a and census.b == expected.b,
+                f"{tag}: census ({a}, {census.b}) != predicted ({expected.a}, {expected.b})",
+            )
+            if census_pred is not None:
+                tally.record(
+                    "census-recursion",
+                    census == census_pred,
+                    f"{tag}: census disagrees with the linear recursion",
+                )
+            census_pred = census_step(r, census)
+    except mesh.MalformedDiskError as exc:
+        tally.record("disk-invariants", False, str(exc))
+    except mesh.CensusContradiction as exc:
+        tally.record("census-degrees", False, str(exc))
 
 
 def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):

@@ -311,6 +311,58 @@ def test_verify_reports_a_malformed_disk(capsys, monkeypatch, how, kind):
     assert all(c["fail"] == 0 for c in by_degree[8].values())
 
 
+CONTRADICTION = "new boundary vertex 30 has degree 5, expected 3 or 4"
+
+
+def _fail_face_layer_2(monkeypatch, how: str) -> None:
+    """Make layer 2 of the r = 7 face seed fail measurement: a census
+    contradiction, or a disk corrupted as ``_corrupt`` does it."""
+    census, expand = mesh.layer_census, mesh.expand
+
+    def contradicting_census(prev, new):
+        if (new.ambient_degree, new.layer_index, len(prev.boundary)) == (7, 2, 12):
+            raise mesh.CensusContradiction(CONTRADICTION)
+        return census(prev, new)
+
+    def corrupting_expand(disk, budget=mesh.DEFAULT_VERTEX_BUDGET):
+        grown = expand(disk, budget)
+        if (grown.ambient_degree, grown.layer_index, len(disk.boundary)) == (7, 2, 12):
+            return _corrupt(grown, how)
+        return grown
+
+    if how == "census":
+        monkeypatch.setattr(mesh, "layer_census", contradicting_census)
+    else:
+        monkeypatch.setattr(mesh, "expand", corrupting_expand)
+
+
+def test_verify_reports_a_census_contradiction_once(capsys, monkeypatch):
+    _fail_face_layer_2(monkeypatch, "census")
+    code, out, _ = run_cli(capsys, "verify", "-r", "7", "-n", "4", "--trials", "1", "--json")
+    assert code == 1
+    report = json.loads(out)
+    # the face seed stops at layer 2, so no stale census-recursion check follows
+    assert report["violations"] == [f"census-degrees: r=7 seed=face layer=2: {CONTRADICTION}"]
+    assert report["checks"]["census-degrees"] == {"pass": 5, "fail": 1}
+    assert report["checks"]["census-recursion"] == {"pass": 2, "fail": 0}
+
+
+@pytest.mark.parametrize(
+    "how, detail",
+    [("drop", "symmetry: edge (1, 0) has no reverse entry"), ("census", CONTRADICTION)],
+)
+def test_grow_exits_1_when_a_layer_fails_measurement(capsys, monkeypatch, tmp_path, how, detail):
+    _fail_face_layer_2(monkeypatch, how)
+    report, disk = tmp_path / "report.json", tmp_path / "disk.json"
+    code, out, err = run_cli(
+        capsys, "grow", "-r", "7", "-n", "4", "-o", str(report), "--emit-disk", str(disk)
+    )
+    assert code == 1
+    assert err == f"error: r=7 seed=face layer=2: {detail}\n"
+    assert out == ""
+    assert not report.exists() and not disk.exists()
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before 3.10.7"
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from meshsum import (
     grow,
     is_convex,
     layer_census,
+    measured_layers,
     seed_face,
     seed_vertex,
     validate_disk,
@@ -451,3 +453,56 @@ def test_id_range_caps_the_budget(monkeypatch):
     monkeypatch.setattr(mesh, "MAX_VERTICES", 7)
     with pytest.raises(BudgetExceededError):
         expand(seed_vertex(7), budget=10**12)
+
+
+@pytest.mark.parametrize("n_layers, budget", [(3, mesh.DEFAULT_VERTEX_BUDGET), (12, 3000)])
+@pytest.mark.parametrize("kind", ["face", "vertex"])
+@pytest.mark.parametrize("r", [7, 8, 9])
+def test_measured_layers_match_direct_measurement(r, kind, n_layers, budget):
+    layers = list(measured_layers(r, kind, n_layers, budget))
+    assert [m.layer for m in layers] == list(range(len(layers)))
+    prev, disk = None, seed_face(r) if kind == "face" else seed_vertex(r)
+    for m in layers:
+        if m.layer:
+            prev, disk = disk, expand(disk, budget)
+        assert m.disk == disk
+        assert m.counts == count_explicit(disk)
+        assert m.profile == (None if disk.is_degenerate else boundary_profile(disk))
+        assert m.census == (None if prev is None else layer_census(prev, disk))
+    truncated = len(layers) <= n_layers
+    assert truncated == (budget == 3000)
+    if truncated:  # stopped quietly where the next layer would pass the budget
+        with pytest.raises(BudgetExceededError):
+            expand(disk, budget)
+
+
+def test_measured_layers_reject_other_seeds():
+    for kind in ("3:6", "Face", ""):
+        with pytest.raises(ValueError, match="canonical seeds"):
+            next(measured_layers(7, kind, 2))
+
+
+def test_measured_layers_name_the_failing_layer(monkeypatch):
+    def contradiction(prev, new):
+        raise CensusContradiction("new boundary vertex 3 has degree 5, expected 3 or 4")
+
+    monkeypatch.setattr(mesh, "layer_census", contradiction)
+    layers = measured_layers(8, "vertex", 3)
+    assert next(layers).layer == 0
+    with pytest.raises(CensusContradiction, match=r"^r=8 seed=vertex layer=1: new boundary"):
+        next(layers)
+
+
+def test_measured_layers_keep_two_disks_alive(monkeypatch):
+    refs, alive_at_expand = [], []
+    real_expand = mesh.expand
+
+    def tracking_expand(disk, budget=mesh.DEFAULT_VERTEX_BUDGET):
+        alive_at_expand.append(sum(ref() is not None for ref in refs))
+        return real_expand(disk, budget)
+
+    monkeypatch.setattr(mesh, "expand", tracking_expand)
+    for measured in measured_layers(7, "face", 4):
+        refs.append(weakref.ref(measured.disk))
+    # only the disk being expanded is alive when the next one is built
+    assert alive_at_expand == [1, 1, 1, 1]
