@@ -12,8 +12,11 @@ import argparse
 import json
 import os
 import sys
+from typing import TextIO
 
 from . import __version__
+from .exact import int_to_json
+from .growth import check_layer_count
 from .mesh import (
     DEFAULT_VERTEX_BUDGET,
     CensusContradiction,
@@ -25,7 +28,9 @@ from .mesh import (
 from .render import emit_svg, layout_disk
 from .report import (
     canonical_json,
+    exact_predictions,
     growth_report,
+    invariants_entry,
     invariants_report,
     prediction_report,
     seed_descriptor_for,
@@ -78,15 +83,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit(args, report: dict, human: str) -> None:
-    payload = canonical_json(report)
+def _emit_stream(args, write_json, write_table):
+    """Call ``write_json`` on -o's file or, with --json, on stdout, else
+    ``write_table`` on stdout; returns what the writer returned."""
     if args.output:
-        _write_text(args.output, payload)
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            result = write_json(fh)
         print(f"wrote {args.output}")
-    elif args.json:
-        sys.stdout.write(payload)
-    else:
-        print(human)
+        return result
+    return (write_json if args.json else write_table)(sys.stdout)
+
+
+def _emit(args, report: dict, human: str) -> None:
+    _emit_stream(
+        args, lambda out: out.write(canonical_json(report)), lambda out: print(human, file=out)
+    )
 
 
 def _layer_table(report: dict) -> str:
@@ -127,24 +138,45 @@ def cmd_grow(args) -> int:
     except (MalformedDiskError, CensusContradiction) as exc:  # a layer failed measurement
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # the report first: a report that cannot be written leaves no disk behind
+    _emit(args, report, _layer_table(report))
     if args.emit_disk:
         _write_text(args.emit_disk, canonical_json(disk_to_json_obj(disk)))
-    _emit(args, report, _layer_table(report))
     return 0 if report["all_match"] else 1
+
+
+def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
+    out.write("    n            a            b           dv           de           df\n")
+    for p in exact_predictions(seed, n_layers):
+        cells = (p.census.a, p.census.b, p.deltas.dv, p.deltas.de, p.deltas.df)
+        out.write(f"{p.n:>5}" + "".join(f"{int_to_json(x):>13}" for x in cells) + "\n")
 
 
 def cmd_predict(args) -> int:
     r = _single_degree(args.degree)
     seed = seed_descriptor_for(args.seed, r)
-    report = prediction_report(seed, args.layers)
-    rows = ["    n            a            b           dv           de           df"]
-    for rec in report["layers_predicted"]:
-        rows.append(
-            f"{rec['n']:>5}{rec['a']:>13}{rec['b']:>13}"
-            f"{rec['dv']:>13}{rec['de']:>13}{rec['df']:>13}"
-        )
-    _emit(args, report, "\n".join(rows))
+    check_layer_count(args.layers)  # before -o creates its file
+    _emit_stream(
+        args,
+        lambda out: prediction_report(seed, args.layers, out),
+        lambda out: _prediction_table(seed, args.layers, out),
+    )
     return 0
+
+
+def _sum_table(degrees, seed, out: TextIO) -> bool:
+    all_match = True
+    for r in degrees:
+        entry = invariants_entry(r, seed)
+        line = (
+            f"r={entry['r']}: vM={_rat(entry['vM'])} eM={_rat(entry['eM'])} "
+            f"fM={_rat(entry['fM'])} euler={'ok' if entry['euler_check'] else 'BROKEN'}"
+        )
+        if "seed_match" in entry:
+            line += f" seed={'ok' if entry['seed_match'] else 'MISMATCH'}"
+            all_match = all_match and entry["seed_match"]
+        out.write(line + "\n")
+    return all_match
 
 
 def cmd_sum(args) -> int:
@@ -154,18 +186,12 @@ def cmd_sum(args) -> int:
         if len(degrees) != 1:
             raise ValueError("--seed needs a single degree, not a range")
         seed = seed_descriptor_for(args.seed, degrees[0])
-    report = invariants_report(degrees, seed)
-    rows = []
-    for entry in report["degrees"]:
-        line = (
-            f"r={entry['r']}: vM={_rat(entry['vM'])} eM={_rat(entry['eM'])} "
-            f"fM={_rat(entry['fM'])} euler={'ok' if entry['euler_check'] else 'BROKEN'}"
-        )
-        if "seed_match" in entry:
-            line += f" seed={'ok' if entry['seed_match'] else 'MISMATCH'}"
-        rows.append(line)
-    _emit(args, report, "\n".join(rows))
-    return 0 if report["all_match"] else 1
+    all_match = _emit_stream(
+        args,
+        lambda out: invariants_report(degrees, seed, out),
+        lambda out: _sum_table(degrees, seed, out),
+    )
+    return 0 if all_match else 1
 
 
 def cmd_verify(args) -> int:

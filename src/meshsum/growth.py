@@ -116,10 +116,15 @@ class LayerPrediction:
     cumulative: DiskCounts
 
 
-def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:
-    """Predict layers 1..n_max of repeated expansion from ``seed``."""
+def check_layer_count(n_max: int) -> None:
+    """Reject a prediction depth outside 1..MAX_PREDICT_LAYERS."""
     if not 1 <= n_max <= MAX_PREDICT_LAYERS:
         raise ValueError(f"n_max must be in [1, {MAX_PREDICT_LAYERS}], got {n_max}")
+
+
+def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:
+    """Predict layers 1..n_max of repeated expansion from ``seed``."""
+    check_layer_count(n_max)
     base = counts_from_boundary(seed)
     census = initial_census(seed)
     v, e, f = base.v, base.e, base.f

@@ -1,20 +1,34 @@
-"""Growth and invariants reports with a canonical JSON form.
+"""Growth, prediction and invariants reports with a canonical JSON form.
 
-Reports are plain dicts, serialized with sorted keys, two-space indent,
-and a trailing newline.  Exact counts are decimal strings and rationals
-are {"num", "den"} objects, so a report round-trips byte for byte:
-parse, re-serialize, same bytes.
+Reports are serialized with sorted keys, two-space indent, and a trailing
+newline.  Exact counts are decimal strings and rationals are {"num",
+"den"} objects, so a report round-trips byte for byte: parse,
+re-serialize, same bytes.  Growth reports are built as dicts; prediction
+and invariants reports are written to a stream one list entry at a time,
+in exactly the bytes ``canonical_json`` would give the whole dict.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections.abc import Iterable, Iterator, Sequence
+from decimal import Decimal, localcontext
+from itertools import chain, islice
+from typing import TextIO
 
 from . import mesh
-from .exact import int_to_json, rational_to_json
-from .growth import LayerPrediction, SeedDescriptor, counts_from_boundary, predict_layers
-from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts
+from .exact import EXACT, int_to_json, rational_to_json
+from .growth import (
+    LayerPrediction,
+    SeedDescriptor,
+    census_step,
+    check_layer_count,
+    counts_from_boundary,
+    deltas_from_census,
+    initial_census,
+    predict_layers,
+)
+from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts, LayerCensus
 from .summation import (
     MeshInvariants,
     euler_formula_check,
@@ -28,6 +42,32 @@ SCHEMA_VERSION = "meshsum/1"
 def canonical_json(obj) -> str:
     """The one serialization used everywhere bytes must be reproducible."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_ENTRIES = "@entries@"
+
+
+def _write_canonical(out: TextIO, report: dict, key: str, entries: Iterable[str]) -> None:
+    """Write ``canonical_json`` of ``report`` with ``report[key]`` a list
+    whose entries arrive one at a time, each already in its canonical JSON
+    at the list's depth (``key`` is a top-level key).  Only one entry is
+    held at a time.
+    """
+    entries = iter(entries)
+    first = next(entries, None)
+    if first is None:
+        out.write(canonical_json({**report, key: []}))
+        return
+    head, tail = canonical_json({**report, key: [_ENTRIES]}).split(f'    "{_ENTRIES}"')
+    out.write(head + first)
+    for text in entries:
+        out.write(",\n" + text)
+    out.write(tail)
+
+
+def _nested_entry(obj: dict) -> str:
+    """Canonical JSON of an entry of a top-level list."""
+    return "    " + canonical_json(obj)[:-1].replace("\n", "\n    ")
 
 
 def counts_to_json_obj(counts: DiskCounts) -> dict:
@@ -94,6 +134,8 @@ def growth_report(
     the budget rules out are reported from the analytic side alone with a
     null match flag.  The analytic base for the vertex seed is its first
     expansion (the fan), so explicit layer k matches analytic layer k-1.
+    Built layers are checked against ``predict_layers``; the analytic-only
+    layers come from ``exact_predictions``, so no digit limit applies.
     """
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
@@ -101,12 +143,23 @@ def growth_report(
     first = next(layers)  # checks the seed kind before anything else
     base_layer = 0 if seed_kind == "face" else 1
     descriptor = seed_descriptor_for(seed_kind, r)
+    n_analytic = n_layers - base_layer
+    if n_analytic > 0:
+        check_layer_count(n_analytic)  # before growing anything
+
+    built = []  # each layer's measurements; the disks are not kept
+    for measured in chain([first], layers):
+        built.append((measured.layer, measured.counts, measured.profile, measured.census))
+    n_checked = max(measured.layer - base_layer, 0)
 
     # predicted[k] is what explicit layer k is checked against
-    base = {"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}
-    predicted = [None] * base_layer + [base]
-    if n_layers > base_layer:
-        predicted += map(prediction_to_json_obj, predict_layers(descriptor, n_layers - base_layer))
+    predicted = [None] * base_layer
+    predicted.append({"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))})
+    if n_checked:
+        predicted += map(prediction_to_json_obj, predict_layers(descriptor, n_checked))
+    if n_analytic > n_checked:
+        analytic_only = islice(exact_predictions(descriptor, n_analytic), n_checked, None)
+        predicted += map(prediction_to_json_obj, analytic_only)
 
     def record(k: int) -> dict:
         return {"layer": k, "explicit": None, "census": None, "predicted": predicted[k],
@@ -114,19 +167,19 @@ def growth_report(
 
     records = []
     all_match = True
-    for measured in chain([first], layers):
-        rec = record(measured.layer)
-        counts = counts_to_json_obj(measured.counts)
+    for k, counts, profile, census in built:
+        rec = record(k)
+        counts = counts_to_json_obj(counts)
         rec["explicit"] = dict(counts)
-        if measured.profile is not None:
-            rec["explicit"].update(profile_to_json_obj(measured.profile))
-        census, pred = measured.census, rec["predicted"]
+        if profile is not None:
+            rec["explicit"].update(profile_to_json_obj(profile))
+        pred = rec["predicted"]
         if census is not None:
             rec["census"] = {"a": int_to_json(census.a), "b": int_to_json(census.b)}
         if pred is not None:
             rec["match"] = pred["cum"] == counts
             all_match = all_match and rec["match"]
-        if measured.layer > base_layer:  # an analytic layer n >= 1, so both censuses exist
+        if k > base_layer:  # an analytic layer n >= 1, so both censuses exist
             rec["census_match"] = rec["census"] == {"a": pred["a"], "b": pred["b"]}
             all_match = all_match and rec["census_match"]
         records.append(rec)
@@ -152,43 +205,94 @@ def growth_report(
     return report, measured.disk
 
 
-def invariants_report(degrees: list[int], seed: SeedDescriptor | None = None) -> dict:
-    """Closed-form invariants per degree, optionally checked against a seed.
+def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
+    """Closed-form invariants of degree r; at the seed's degree also the
+    seed-routed values and an exact equality flag, ``seed_match``."""
+    closed = mesh_invariants(r)
+    entry = invariants_to_json_obj(r, closed)
+    if seed is not None and seed.r == r:
+        via_seed = mesh_invariants_from_seed(seed)
+        entry["seed_descriptor"] = profile_to_json_obj(seed)
+        entry["via_seed"] = {
+            "vM": rational_to_json(via_seed.v),
+            "eM": rational_to_json(via_seed.e),
+            "fM": rational_to_json(via_seed.f),
+        }
+        entry["seed_match"] = via_seed == closed
+    return entry
 
-    With a custom seed descriptor the report carries both routes and an
-    exact equality flag (the seed's degree must be in ``degrees``).
+
+def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: TextIO) -> bool:
+    """Write ``invariants_entry`` of every degree as canonical JSON, one
+    entry at a time; returns ``all_match``.
+
+    ``all_match`` sorts before the entries, so it is settled first: only
+    the seed's own degree can fail it.
     """
-    entries = []
-    all_match = True
-    for r in degrees:
-        closed = mesh_invariants(r)
-        entry = invariants_to_json_obj(r, closed)
-        if seed is not None and seed.r == r:
-            via_seed = mesh_invariants_from_seed(seed)
-            entry["seed_descriptor"] = profile_to_json_obj(seed)
-            entry["via_seed"] = {
-                "vM": rational_to_json(via_seed.v),
-                "eM": rational_to_json(via_seed.e),
-                "fM": rational_to_json(via_seed.f),
-            }
-            entry["seed_match"] = via_seed == closed
-            all_match = all_match and entry["seed_match"]
-        entries.append(entry)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "invariants-report",
-        "degrees": entries,
-        "all_match": all_match,
-    }
+    all_match = (
+        seed is None or seed.r not in degrees or invariants_entry(seed.r, seed)["seed_match"]
+    )
+    head = {"schema_version": SCHEMA_VERSION, "kind": "invariants-report", "all_match": all_match}
+    entries = (_nested_entry(invariants_entry(r, seed)) for r in degrees)
+    _write_canonical(out, head, "degrees", entries)
+    return all_match
 
 
-def prediction_report(seed: SeedDescriptor, n_layers: int) -> dict:
-    """Pure analytic layer table for an arbitrary valid seed."""
-    layers = [prediction_to_json_obj(p) for p in predict_layers(seed, n_layers)]
-    return {
+def exact_predictions(seed: SeedDescriptor, n_layers: int) -> Iterator[LayerPrediction]:
+    """Layers 1..n_layers as ``predict_layers`` gives them, one at a time,
+    with every value an exact ``Decimal`` for linear-time decimal output.
+
+    ``census_step`` and ``deltas_from_census`` run unchanged on Decimals
+    inside an ``EXACT`` context, so any rounding would raise.
+    """
+    check_layer_count(n_layers)
+    base, first = counts_from_boundary(seed), initial_census(seed)
+    v, e, f = Decimal(base.v), Decimal(base.e), Decimal(base.f)
+    census = LayerCensus(Decimal(first.a), Decimal(first.b))
+    for n in range(1, n_layers + 1):
+        # no yield inside the block: a suspended localcontext leaks into the caller
+        with localcontext(EXACT):
+            deltas = deltas_from_census(census)
+            v, e, f = v + deltas.dv, e + deltas.de, f + deltas.df
+            cumulative = DiskCounts(v, e, f, v - census.a - census.b)
+            layer = LayerPrediction(n, census, deltas, cumulative)
+            census = census_step(seed.r, census)
+        yield layer
+
+
+# One "layers_predicted" entry exactly as canonical_json lays it out.
+_PREDICTED_LAYER = """\
+    {
+      "a": "%s",
+      "b": "%s",
+      "cum": {
+        "e": "%s",
+        "f": "%s",
+        "s": "%s",
+        "v": "%s"
+      },
+      "de": "%s",
+      "df": "%s",
+      "dv": "%s",
+      "n": %d
+    }"""
+
+
+def _predicted_layer(p: LayerPrediction) -> str:
+    census, deltas, cum = p.census, p.deltas, p.cumulative
+    values = (census.a, census.b, cum.e, cum.f, cum.s, cum.v, deltas.de, deltas.df, deltas.dv)
+    return _PREDICTED_LAYER % (*map(int_to_json, values), p.n)
+
+
+def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
+    """Write the pure analytic layer table for an arbitrary valid seed as
+    canonical JSON, one layer at a time."""
+    layers = exact_predictions(seed, n_layers)
+    first = next(layers)  # checks n_layers before anything is written
+    head = {
         "schema_version": SCHEMA_VERSION,
         "kind": "prediction-report",
         "config": {"r": seed.r, "seed": profile_to_json_obj(seed), "layers": n_layers},
         "base": counts_to_json_obj(counts_from_boundary(seed)),
-        "layers_predicted": layers,
     }
+    _write_canonical(out, head, "layers_predicted", map(_predicted_layer, chain([first], layers)))

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+
 from hypothesis import strategies as st
 
-from meshsum import CombinatorialDisk, RotationGraph, SeedDescriptor
+from meshsum import (
+    CombinatorialDisk,
+    RotationGraph,
+    SeedDescriptor,
+    counts_from_boundary,
+    predict_layers,
+)
+from meshsum.report import canonical_json
 
 
 def reference_face_lengths(rotations: list[list[int]]) -> list[int]:
@@ -222,3 +231,55 @@ def valid_seeds(draw, max_r: int = 30, max_t: int = 40):
     t = draw(st.integers(min_value=3, max_value=max_t))
     s = draw(st.integers(min_value=0, max_value=(2 * t - 6) // (r - 6)))
     return SeedDescriptor(r, t, 4 * t - 6 - s * (r - 6))
+
+
+def reference_prediction_json(seed: SeedDescriptor, n: int) -> str:
+    """The prediction report as it was built before it was streamed: a dict
+    of ``predict_layers``' ints, each through ``str``, then ``canonical_json``.
+
+    Quadratic in the digit count.  The interpreter's integer digit limit is
+    lifted while it runs and restored afterwards.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        base = counts_from_boundary(seed)
+        layers = [
+            {
+                "n": p.n,
+                "a": str(p.census.a),
+                "b": str(p.census.b),
+                "dv": str(p.deltas.dv),
+                "de": str(p.deltas.de),
+                "df": str(p.deltas.df),
+                "cum": {k: str(getattr(p.cumulative, k)) for k in "vefs"},
+            }
+            for p in predict_layers(seed, n)
+        ]
+        return canonical_json(
+            {
+                "schema_version": "meshsum/1",
+                "kind": "prediction-report",
+                "config": {"r": seed.r, "seed": {"t": str(seed.t), "d": str(seed.d)}, "layers": n},
+                "base": {k: str(getattr(base, k)) for k in "vefs"},
+                "layers_predicted": layers,
+            }
+        )
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def cli_seeds(draw, r: int) -> tuple[str, SeedDescriptor]:
+    """A predict --seed text for degree r and the descriptor it names: face,
+    vertex, or the t:d profile of either after one or two more expansions
+    (each expansion maps (t, d) to (a + b, 3a + 4b), a = t(r-2) - d, b = t)."""
+    kind = draw(st.sampled_from(["face", "vertex"]))
+    t, d = (3, 6) if kind == "face" else (r, 3 * r)
+    grown = draw(st.integers(min_value=0, max_value=2))
+    for _ in range(grown):
+        a, b = t * (r - 2) - d, t
+        t, d = a + b, 3 * a + 4 * b
+    return (f"{t}:{d}" if grown else kind), SeedDescriptor(r, t, d)

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshsum import cli, mesh
+from meshsum import SeedDescriptor, cli, mesh
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report
+from support import cli_seeds, reference_prediction_json
 
 
 def run_cli(capsys, *argv):
@@ -363,18 +370,96 @@ def test_grow_exits_1_when_a_layer_fails_measurement(capsys, monkeypatch, tmp_pa
     assert not report.exists() and not disk.exists()
 
 
-@pytest.mark.skipif(
+@contextlib.contextmanager
+def _int_max_str_digits(limit: int):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before 3.10.7"
 )
-def test_predict_past_the_digit_limit_exits_2(capsys):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        code, _, err = run_cli(capsys, "predict", "-r", "1000", "-n", "300")
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert code == 2
-    assert err.startswith("error:")
+
+
+@needs_digit_limit
+def test_predict_past_the_digit_limit_matches_the_reference(capsys):
+    # the last layers' counts have about 900 digits
+    with _int_max_str_digits(640):
+        code, out, err = run_cli(capsys, "predict", "-r", "1000", "-n", "300", "--json")
+        assert (code, err) == (0, "")
+        assert out == reference_prediction_json(SeedDescriptor(1000, 3, 6), 300)
+        assert sys.get_int_max_str_digits() == 640
+
+
+@needs_digit_limit
+def test_grow_past_the_digit_limit_predicts_every_layer(capsys):
+    # the budget stops r = 1000 at its face seed; layers 1..300 are analytic only
+    with _int_max_str_digits(640):
+        code, out, err = run_cli(
+            capsys, "grow", "-r", "1000", "-n", "300", "--budget", "2000", "--json"
+        )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["truncated_at_budget"] is True
+    expected = json.loads(reference_prediction_json(SeedDescriptor(1000, 3, 6), 300))
+    assert [rec["predicted"] for rec in report["layers"][1:]] == expected["layers_predicted"]
+
+
+@given(
+    st.integers(min_value=7, max_value=1000).flatmap(
+        lambda r: st.tuples(cli_seeds(r), st.integers(min_value=1, max_value=300))
+    ),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_streamed_predict_report_matches_the_reference(case, to_file):
+    (text, seed), n = case
+    argv = ["predict", "-r", str(seed.r), "--seed", text, "-n", str(n)]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        path = os.path.join(tmp, "report.json")
+        assert main(argv + (["-o", path] if to_file else ["--json"])) == 0
+        if to_file:
+            with open(path, encoding="utf-8", newline="") as fh:
+                written = fh.read()
+            assert out.getvalue() == f"wrote {path}\n"
+        else:
+            written = out.getvalue()
+    assert written == reference_prediction_json(seed, n)
+
+
+def test_predict_rejects_a_bad_layer_count_before_opening_the_output(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    for n in ("0", "10001"):
+        code, out, err = run_cli(capsys, "predict", "-r", "7", "-n", n, "-o", str(report))
+        assert code == 2 and out == "" and "n_max must be in [1, 10000]" in err
+        assert not report.exists()
+
+
+def test_grow_writes_no_disk_when_the_report_cannot_be_written(capsys, tmp_path):
+    disk = tmp_path / "d.json"
+    code, out, err = run_cli(
+        capsys, "grow", "-r", "7", "-n", "2", "--emit-disk", str(disk),
+        "-o", str(tmp_path / "nodir" / "r.json"),
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not disk.exists()
+
+
+def test_sum_streams_a_wide_degree_span():
+    # built as one dict before its first byte was written, this report peaked at about 70 MiB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["sum", "-r", "7:20000", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
 
 
 def test_report_json_round_trips_bytes(capsys):

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshsum import predict_layers
 from meshsum.exact import (
+    EXACT,
     int_from_json,
     int_to_json,
     rational_from_json,
     rational_to_json,
 )
+from meshsum.report import exact_predictions
+from support import valid_seeds
 
 
 def test_big_integer_arithmetic_is_exact():
@@ -34,6 +40,45 @@ def test_int_json_strict():
         int_to_json(1.5)
     with pytest.raises(TypeError):
         int_to_json(True)
+
+
+def test_int_json_takes_a_decimal_only_with_exponent_0():
+    assert int_to_json(Decimal(-12)) == "-12"
+    assert int_to_json(Decimal("0")) == int_to_json(Decimal("-0")) == "0"
+    for bad in ("1E+1", "10E-1", "1.5", "0.000", "0E+2", "NaN", "sNaN", "Infinity", "-Infinity"):
+        with pytest.raises(TypeError):
+            int_to_json(Decimal(bad))
+
+
+def test_exact_context_raises_instead_of_rounding():
+    big = Decimal(7) ** 5 * 10**40 + 1
+    assert EXACT.multiply(big, big) == Decimal(int(big) ** 2)
+    for signal, op in (
+        (decimal.Inexact, lambda: Decimal("1.5").to_integral_exact(context=EXACT)),
+        (decimal.InvalidOperation, lambda: EXACT.subtract(Decimal("Inf"), Decimal("Inf"))),
+    ):
+        with pytest.raises(signal):
+            op()
+
+
+@given(valid_seeds(max_r=1000), st.integers(min_value=1, max_value=60))
+@settings(max_examples=60)
+def test_exact_predictions_equal_predict_layers_and_leave_the_context_alone(seed, n):
+    caller = decimal.getcontext()
+    layers = []
+    for layer in exact_predictions(seed, n):
+        assert decimal.getcontext() is caller  # no context leaks out of the generator
+        layers.append(layer)
+    for exact, reference in zip(layers, predict_layers(seed, n), strict=True):
+        assert exact.n == reference.n
+        for got, want in (
+            (exact.census, reference.census),
+            (exact.deltas, reference.deltas),
+            (exact.cumulative, reference.cumulative),
+        ):
+            values = vars(got).values()
+            assert all(type(x) is Decimal for x in values)
+            assert [int(x) for x in values] == list(vars(want).values())
 
 
 def test_rational_json_form():
@@ -72,6 +117,7 @@ def test_rational_json_round_trip(a, b):
 @given(st.integers(min_value=-(10**60), max_value=10**60))
 def test_int_json_round_trip(n):
     assert int_from_json(int_to_json(n)) == n
+    assert int_to_json(Decimal(n)) == int_to_json(n)
 
 
 @given(

@@ -1,8 +1,11 @@
 """Report, disk and SVG bytes pinned by sha256.
 
-The digests were recorded before grow and verify read their explicit
-layers from ``mesh.measured_layers``, so any drift in a canonical report,
-a human table, an emitted disk or its drawing fails here.
+The grow and verify digests were recorded before grow and verify read
+their explicit layers from ``mesh.measured_layers``, and the predict and
+sum digests before those reports were streamed, so any drift in a
+canonical report, a human table, an emitted disk or its drawing fails
+here.  ``predict -r 9 --seed 5:12`` is not a valid seed (its v count is
+17/3) and pins the empty output of that exit 2.
 """
 
 from __future__ import annotations
@@ -41,6 +44,24 @@ GOLDEN = {
     ),
     "verify -r 7:9 -n 3 --inject-fault invariants": (
         1, "9078753c4fff2a4275f48380780c9142659212dd517dbfcd7ccae7237cea91b0", None, None
+    ),
+    "predict -r 9 --seed 5:12 -n 100 --json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", None, None
+    ),
+    "predict -r 9 --seed 5:14 -n 100 --json": (
+        0, "371f9bb7af474835f63a90ba516afc39949adf5f22c5231ed0f85c9979732aa9", None, None
+    ),
+    "predict -r 7 --seed 3:6 -n 5": (
+        0, "102cc279534f33ed204f510207c31bf4a1a56a764cb6c9ef382df96c83c62597", None, None
+    ),
+    "sum -r 7:12 --json": (
+        0, "b50e1abe9afb1fdcc8ee06abcab0e2050488f273d599e60cb77ea0f066d8b319", None, None
+    ),
+    "sum -r 7 --seed 3:6 --json": (
+        0, "6ef426b2d50fef4bb090b29e3f5c6c2e696adc9740d4bd02b57c12ab55dbf690", None, None
+    ),
+    "sum -r 7:12": (
+        0, "8ae03243a216f0603f1cc20b609a0dbdefd1741ff96f9789e75bc26cb7a060b3", None, None
     ),
 }
 
