@@ -22,12 +22,12 @@ from .mesh import (
     CensusContradiction,
     MalformedDiskError,
     disk_from_json_obj,
-    disk_to_json_obj,
     validate_disk,
 )
 from .render import emit_svg, layout_disk
 from .report import (
     canonical_json,
+    disk_json,
     exact_predictions,
     growth_report,
     invariants_entry,
@@ -76,6 +76,16 @@ def _resolve_budget(args) -> int:
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     return budget
+
+
+def _require_distinct(kept: str, written: str) -> None:
+    """Refuse, before anything is written, to write ``written`` over ``kept``
+    (the same path after symlinks, or a hard link to it)."""
+    exist = os.path.exists(kept) and os.path.exists(written)
+    if os.path.realpath(kept) == os.path.realpath(written) or (
+        exist and os.path.samefile(kept, written)
+    ):
+        raise ValueError(f"{written!r} would overwrite {kept!r}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -133,6 +143,8 @@ def _rat(obj: dict) -> str:
 def cmd_grow(args) -> int:
     r = _single_degree(args.degree)
     budget = _resolve_budget(args)
+    if args.emit_disk and args.output:
+        _require_distinct(args.output, args.emit_disk)
     try:
         report, disk = growth_report(r, args.seed, args.layers, budget)
     except (MalformedDiskError, CensusContradiction) as exc:  # a layer failed measurement
@@ -141,7 +153,7 @@ def cmd_grow(args) -> int:
     # the report first: a report that cannot be written leaves no disk behind
     _emit(args, report, _layer_table(report))
     if args.emit_disk:
-        _write_text(args.emit_disk, canonical_json(disk_to_json_obj(disk)))
+        _write_text(args.emit_disk, disk_json(disk))
     return 0 if report["all_match"] else 1
 
 
@@ -219,6 +231,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    out = args.output or (os.path.splitext(args.input)[0] + ".svg")
+    _require_distinct(args.input, out)
     with open(args.input, encoding="utf-8") as fh:
         disk = disk_from_json_obj(json.load(fh))
     violations = validate_disk(disk)
@@ -227,7 +241,6 @@ def cmd_render(args) -> int:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise MalformedDiskError(f"malformed disk: {first.kind}: {first.detail}{more}")
     svg = emit_svg(disk, layout_disk(disk))
-    out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _write_text(out, svg)
     print(f"wrote {out}")
     return 0

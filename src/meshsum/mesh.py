@@ -12,7 +12,8 @@ int64 array ``offsets`` of length nv + 1 and an int32 array ``neighbors``
 of length 2e, so that ``neighbors[offsets[v]:offsets[v + 1]]`` is the
 rotation at v.  Every function here works on these two arrays with
 whole-array numpy operations; ``RotationGraph.rotations`` is a derived
-list-of-lists copy for tests, disk JSON and drawing.
+list-of-lists copy for tests.  Disk JSON (``report.disk_json``) and
+drawing (``render.emit_svg``) read the arrays directly.
 
 Expansion attaches every face of the ambient mesh that shares a vertex
 with the current disk.  Each boundary edge (w_j, w_j+1) contributes one
@@ -688,18 +689,10 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
     return DiskCounts(nv, total // 2, (total - t) // 3, nv - t), out
 
 
-def disk_to_json_obj(disk: CombinatorialDisk) -> dict:
-    """Portable disk form: {"r", "layer", "boundary", "rotation"}."""
-    return {
-        "r": disk.ambient_degree,
-        "layer": disk.layer_index,
-        "boundary": disk.boundary.tolist(),
-        "rotation": disk.graph.rotations,
-    }
-
-
 def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
-    """Parse the portable form; ids must be integers (not booleans) in [0, len(rotation))."""
+    """Parse the portable form {"r", "layer", "boundary", "rotation"} that
+    ``report.disk_json`` writes; ids must be integers (not booleans) in
+    [0, len(rotation))."""
     if not isinstance(obj, dict):
         raise MalformedDiskError("disk JSON must be an object")
     missing = {"r", "layer", "boundary", "rotation"} - set(obj)

@@ -8,6 +8,7 @@ two decimals so the byte stream never depends on float formatting quirks.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -97,19 +98,19 @@ def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
     forward = src < dst
     src, dst = src[forward], dst[forward]
     order = np.lexsort((dst, src))
-    edges = zip(src[order].tolist(), dst[order].tolist())
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    xy = [(f"{x:.2f}", f"{y:.2f}") for x, y in pos]
+    # an edge v -> u is head[v] + tail[u]: each coordinate is formatted once
+    head = [f'<line x1="{x}" y1="{y}" x2="' for x, y in xy]
+    tail = [f'{x}" y2="{y}" stroke="#556" stroke-width="1"/>\n' for x, y in xy]
+    out = io.StringIO()
+    out.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" '
-        f'height="{CANVAS:.0f}" viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">',
-    ]
-    for v, u in edges:
-        (x1, y1), (x2, y2) = pos[v], pos[u]
-        out.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            'stroke="#556" stroke-width="1"/>'
-        )
-    for v, (x, y) in enumerate(pos):
-        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#223"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        f'height="{CANVAS:.0f}" viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">\n'
+    )
+    out.writelines(
+        head[v] + tail[u] for v, u in zip(src[order].tolist(), dst[order].tolist())
+    )
+    out.writelines(f'<circle cx="{x}" cy="{y}" r="3" fill="#223"/>\n' for x, y in xy)
+    out.write("</svg>\n")
+    return out.getvalue()

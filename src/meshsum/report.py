@@ -1,11 +1,12 @@
-"""Growth, prediction and invariants reports with a canonical JSON form.
+"""Growth, prediction and invariants reports and disk JSON, in a canonical JSON form.
 
 Reports are serialized with sorted keys, two-space indent, and a trailing
 newline.  Exact counts are decimal strings and rationals are {"num",
 "den"} objects, so a report round-trips byte for byte: parse,
 re-serialize, same bytes.  Growth reports are built as dicts; prediction
 and invariants reports are written to a stream one list entry at a time,
-in exactly the bytes ``canonical_json`` would give the whole dict.
+and disk JSON straight from a disk's arrays, in exactly the bytes
+``canonical_json`` would give the whole dict.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def disk_json(disk: CombinatorialDisk) -> str:
+    """``canonical_json`` of the portable disk form {"boundary", "layer", "r",
+    "rotation"}, written straight from the CSR arrays: each vertex id's
+    decimal string is made once and looked up per slot."""
+    graph = disk.graph
+    nv, ids, bounds = graph.vertex_count, graph.neighbors, graph.offsets.tolist()
+    in_range = not ids.size or (ids.min() >= 0 and ids.max() < nv)
+    slots = list(map(list(map(str, range(nv))).__getitem__ if in_range else str, ids.tolist()))
+    rows = [
+        "[\n      " + ",\n      ".join(slots[a:b]) + "\n    ]" if a < b else "[]"
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    boundary, rotation = (
+        "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        for items in (list(map(str, disk.boundary.tolist())), rows)
+    )
+    return '{\n  "boundary": %s,\n  "layer": %d,\n  "r": %d,\n  "rotation": %s\n}\n' % (
+        boundary, disk.layer_index, disk.ambient_degree, rotation
+    )
+
+
 _ENTRIES = "@entries@"
 
 
@@ -63,11 +85,6 @@ def _write_canonical(out: TextIO, report: dict, key: str, entries: Iterable[str]
     for text in entries:
         out.write(",\n" + text)
     out.write(tail)
-
-
-def _nested_entry(obj: dict) -> str:
-    """Canonical JSON of an entry of a top-level list."""
-    return "    " + canonical_json(obj)[:-1].replace("\n", "\n    ")
 
 
 def counts_to_json_obj(counts: DiskCounts) -> dict:
@@ -222,6 +239,47 @@ def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
     return entry
 
 
+_JSON_BOOL = {True: "true", False: "false"}
+# One "degrees" entry exactly as canonical_json lays it out.  At the seed's
+# degree the two %s after "r" and "vM" hold _SEED_FIELDS and _VIA_SEED.
+_INVARIANTS_ENTRY = """\
+    {
+      "eM": %s,
+      "euler_check": %s,
+      "fM": %s,
+      "r": %d,%s
+      "vM": %s%s
+    }"""
+_SEED_FIELDS = """
+      "seed_descriptor": {
+        "d": "%s",
+        "t": "%s"
+      },
+      "seed_match": %s,"""
+_VIA_SEED = """,
+      "via_seed": {
+        "eM": %s,
+        "fM": %s,
+        "vM": %s
+      }"""
+
+
+def _rational(q: dict, indent: str) -> str:
+    return f'{{\n{indent}  "den": "{q["den"]}",\n{indent}  "num": "{q["num"]}"\n{indent}}}'
+
+
+def _invariants_json(entry: dict) -> str:
+    """An ``invariants_entry`` as ``_INVARIANTS_ENTRY`` lays it out."""
+    seed_fields = via_seed = ""
+    if "seed_match" in entry:
+        seed, via = entry["seed_descriptor"], entry["via_seed"]
+        seed_fields = _SEED_FIELDS % (seed["d"], seed["t"], _JSON_BOOL[entry["seed_match"]])
+        via_seed = _VIA_SEED % tuple(_rational(via[k], " " * 8) for k in ("eM", "fM", "vM"))
+    eM, fM, vM = (_rational(entry[k], " " * 6) for k in ("eM", "fM", "vM"))
+    euler = _JSON_BOOL[entry["euler_check"]]
+    return _INVARIANTS_ENTRY % (eM, euler, fM, entry["r"], seed_fields, vM, via_seed)
+
+
 def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: TextIO) -> bool:
     """Write ``invariants_entry`` of every degree as canonical JSON, one
     entry at a time; returns ``all_match``.
@@ -233,7 +291,7 @@ def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: 
         seed is None or seed.r not in degrees or invariants_entry(seed.r, seed)["seed_match"]
     )
     head = {"schema_version": SCHEMA_VERSION, "kind": "invariants-report", "all_match": all_match}
-    entries = (_nested_entry(invariants_entry(r, seed)) for r in degrees)
+    entries = (_invariants_json(invariants_entry(r, seed)) for r in degrees)
     _write_canonical(out, head, "degrees", entries)
     return all_match
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 from hypothesis import strategies as st
 
 from meshsum import (
@@ -13,6 +14,7 @@ from meshsum import (
     counts_from_boundary,
     predict_layers,
 )
+from meshsum.render import CANVAS, DiskLayout
 from meshsum.report import canonical_json
 
 
@@ -283,3 +285,46 @@ def cli_seeds(draw, r: int) -> tuple[str, SeedDescriptor]:
         a, b = t * (r - 2) - d, t
         t, d = a + b, 3 * a + 4 * b
     return (f"{t}:{d}" if grown else kind), SeedDescriptor(r, t, d)
+
+
+def reference_disk_to_json_obj(disk: CombinatorialDisk) -> dict:
+    """Portable disk form: {"r", "layer", "boundary", "rotation"}, built
+    from ``RotationGraph.rotations``."""
+    return {
+        "r": disk.ambient_degree,
+        "layer": disk.layer_index,
+        "boundary": disk.boundary.tolist(),
+        "rotation": disk.graph.rotations,
+    }
+
+
+def reference_disk_json(disk: CombinatorialDisk) -> str:
+    """The disk JSON as it was written before ``report.disk_json``: the
+    portable dict through ``canonical_json``."""
+    return canonical_json(reference_disk_to_json_obj(disk))
+
+
+def reference_emit_svg(disk: CombinatorialDisk, layout: DiskLayout) -> str:
+    """The SVG as it was drawn before ``render.emit_svg`` formatted each
+    vertex once: one f-string per edge and per vertex, joined at the end."""
+    pos = layout.positions
+    src, dst = disk.graph.slot_sources(), disk.graph.neighbors
+    forward = src < dst
+    src, dst = src[forward], dst[forward]
+    order = np.lexsort((dst, src))
+    edges = zip(src[order].tolist(), dst[order].tolist())
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS:.0f}" '
+        f'height="{CANVAS:.0f}" viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">',
+    ]
+    for v, u in edges:
+        (x1, y1), (x2, y2) = pos[v], pos[u]
+        out.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            'stroke="#556" stroke-width="1"/>'
+        )
+    for v, (x, y) in enumerate(pos):
+        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#223"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

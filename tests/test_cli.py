@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsum import SeedDescriptor, cli, mesh
+from meshsum import SeedDescriptor, cli, mesh, mesh_invariants
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report
 from support import cli_seeds, reference_prediction_json
@@ -161,6 +161,30 @@ def test_render_rejects_bad_input(capsys, tmp_path):
         assert "error:" in err
         assert kind in err
         assert not (tmp_path / "baddisk.svg").exists()
+
+
+def test_render_refuses_to_overwrite_its_input(capsys, tmp_path):
+    disk = tmp_path / "d.svg"  # disk JSON under the name render would write
+    assert run_cli(capsys, "grow", "-r", "7", "-n", "2", "--emit-disk", str(disk))[0] == 0
+    before = disk.read_bytes()
+    link, hard = tmp_path / "link.json", tmp_path / "hard.json"
+    link.symlink_to(disk)
+    os.link(disk, hard)
+    for target in (None, disk, link, hard):
+        argv = [str(disk)] + (["-o", str(target)] if target else [])
+        code, out, err = run_cli(capsys, "render", *argv)
+        assert code == 2 and out == "" and "would overwrite" in err
+        assert disk.read_bytes() == before
+    assert run_cli(capsys, "render", str(disk), "-o", str(tmp_path / "d.out.svg"))[0] == 0
+
+
+def test_grow_refuses_one_path_for_report_and_disk(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    code, out, err = run_cli(
+        capsys, "grow", "-r", "7", "-n", "2", "--emit-disk", str(path), "-o", str(path)
+    )
+    assert code == 2 and out == "" and "would overwrite" in err
+    assert not path.exists()
 
 
 def test_sum_range_and_seed(capsys):
@@ -465,8 +489,19 @@ def test_sum_streams_a_wide_degree_span():
 def test_report_json_round_trips_bytes(capsys):
     _, out, _ = run_cli(capsys, "verify", "-r", "7", "-n", "2", "--trials", "5", "--json")
     assert out == canonical_json(json.loads(out))
-    _, out, _ = run_cli(capsys, "sum", "-r", "7:9", "--json")
+    for argv in (["-r", "7:300"], ["-r", "1000", "--seed", "vertex"], ["-r", "9", "--seed", "5:14"]):
+        _, out, _ = run_cli(capsys, "sum", *argv, "--json")
+        assert out == canonical_json(json.loads(out))
+
+
+def test_sum_writes_a_seed_mismatch_canonically(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "meshsum.report.mesh_invariants_from_seed", lambda seed: mesh_invariants(8)
+    )
+    code, out, _ = run_cli(capsys, "sum", "-r", "7", "--seed", "3:6", "--json")
+    assert code == 1
     assert out == canonical_json(json.loads(out))
+    assert json.loads(out)["degrees"][0]["seed_match"] is False
 
 
 def test_version_and_usage(capsys):

@@ -1,11 +1,14 @@
 """Report, disk and SVG bytes pinned by sha256.
 
 The grow and verify digests were recorded before grow and verify read
-their explicit layers from ``mesh.measured_layers``, and the predict and
-sum digests before those reports were streamed, so any drift in a
-canonical report, a human table, an emitted disk or its drawing fails
-here.  ``predict -r 9 --seed 5:12`` is not a valid seed (its v count is
-17/3) and pins the empty output of that exit 2.
+their explicit layers from ``mesh.measured_layers``; the predict and sum
+digests before those reports were streamed; the disk and SVG digests
+before disk JSON was written from the CSR arrays and each vertex's
+coordinates were formatted once.  The vertex-seed drawing pins a disk
+with a centre vertex.  So any drift in a canonical report, a human
+table, an emitted disk or its drawing fails here.  ``predict -r 9 --seed
+5:12`` is not a valid seed (its v count is 17/3) and pins the empty
+output of that exit 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ GOLDEN = {
         0,
         "e7544b5e118b342719a78128ac5a934444e5eb7b6d642ea6fe1f32d090fd8125",
         "d935f1f6fbab21a61a172e2da567e66165c3b04a27f70a2c2e9b6ddad0c5991c",
-        None,
+        "bed20449e39239e7af8feb0200dfb89b4de4123490e5bf936e3d0af5d29fde69",
     ),
     "grow -r 8 --seed face -n 12 --budget 5000 --json": (
         0, "024edb554afee55cb268c75f4570f5abde240a04674148179fdd3a6b0c297ce8", None, None

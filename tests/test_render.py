@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsum import (
     CombinatorialDisk,
@@ -12,14 +15,16 @@ from meshsum import (
     RotationGraph,
     count_explicit,
     disk_from_json_obj,
-    disk_to_json_obj,
     emit_svg,
     expand,
     grow,
     layout_disk,
+    measured_layers,
     seed_face,
     seed_vertex,
 )
+from meshsum.report import disk_json
+from support import reference_disk_json, reference_disk_to_json_obj, reference_emit_svg
 
 CIRCLE = re.compile(r"<circle ")
 LINE = re.compile(r"<line ")
@@ -102,7 +107,7 @@ def test_layout_from_json_matches_provenance_layout():
     for ring in (2, 3):
         disk = expand(disk)
         expected += [ring] * len(disk.boundary)
-    loaded = disk_from_json_obj(json.loads(json.dumps(disk_to_json_obj(disk))))
+    loaded = disk_from_json_obj(json.loads(json.dumps(reference_disk_to_json_obj(disk))))
     assert layout_disk(loaded) == layout_disk(disk)
     assert list(layout_disk(loaded).ring) == expected
     assert emit_svg(loaded) == emit_svg(disk)
@@ -130,3 +135,52 @@ def test_svg_header_and_canvas():
     assert svg.startswith('<?xml version="1.0"')
     assert 'viewBox="0 0 1000 1000"' in svg
     assert svg.endswith("</svg>\n")
+
+
+def _assert_same(got: str, want: str) -> None:
+    # a bare ``got == want`` would have pytest diff two megabyte texts on failure
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(got))
+        around = slice(max(i - 60, 0), i + 60)
+        pytest.fail(f"texts differ at offset {i}: {got[around]!r} != {want[around]!r}")
+
+
+def _check_writers(disk: CombinatorialDisk) -> str:
+    text = disk_json(disk)
+    _assert_same(text, reference_disk_json(disk))
+    layout = layout_disk(disk)
+    _assert_same(emit_svg(disk, layout), reference_emit_svg(disk, layout))
+    return text
+
+
+@given(
+    r=st.one_of(st.integers(min_value=7, max_value=20), st.just(1000)),
+    kind=st.sampled_from(["face", "vertex"]),
+    layer=st.integers(min_value=0, max_value=8),
+    shift_seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_disk_json_and_svg_match_the_references(r, kind, layer, shift_seed):
+    # the last layer up to ``layer`` under the budget: at r = 1000 that is layer 0 or 1
+    *_, measured = measured_layers(r, kind, layer, budget=3000)
+    text = _check_writers(measured.disk)
+    _assert_same(disk_json(disk_from_json_obj(json.loads(text))), text)
+    # the same rotation system with each row read from another start
+    rng = random.Random(shift_seed)
+    obj = json.loads(text)
+    turned = []
+    for row in obj["rotation"]:
+        k = rng.randrange(len(row) + 1)
+        turned.append(row[k:] + row[:k])
+    obj["rotation"] = turned
+    _check_writers(disk_from_json_obj(obj))
+
+
+@pytest.mark.parametrize(
+    "rows, boundary",
+    [([], ()), ([[1, 5], [2, 0], [0, 1]], (0, 1, 2)), ([[1, -1], [2, 0], [0, 1]], (0, 1, 2))],
+)
+def test_disk_json_matches_the_reference_on_disks_not_grown(rows, boundary):
+    # no rows at all, and ids outside [0, nv) that no grown or loaded disk has
+    disk = CombinatorialDisk(RotationGraph(rows), 7, boundary, 0)
+    assert disk_json(disk) == reference_disk_json(disk)
