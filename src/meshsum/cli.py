@@ -12,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from typing import TextIO
 
 from . import __version__
 from .exact import int_to_json
-from .growth import check_layer_count
+from .growth import check_layer_count, layer_predictions
 from .mesh import (
     DEFAULT_VERTEX_BUDGET,
     CensusContradiction,
@@ -28,12 +29,12 @@ from .render import emit_svg, layout_disk
 from .report import (
     canonical_json,
     disk_json,
-    exact_predictions,
     growth_report,
     invariants_entry,
     invariants_report,
     prediction_report,
     seed_descriptor_for,
+    write_growth_report,
 )
 from .verify import FAULT_MODES, run_verification
 
@@ -104,14 +105,9 @@ def _emit_stream(args, write_json, write_table):
     return (write_json if args.json else write_table)(sys.stdout)
 
 
-def _emit(args, report: dict, human: str) -> None:
-    _emit_stream(
-        args, lambda out: out.write(canonical_json(report)), lambda out: print(human, file=out)
-    )
-
-
-def _layer_table(report: dict) -> str:
-    rows = ["layer        v          e          f          s  census(a,b)    match"]
+def _layer_table(report: dict, out: TextIO) -> None:
+    """Write a ``growth_report`` report as a table, reading its layers once."""
+    out.write("layer        v          e          f          s  census(a,b)    match\n")
     for rec in report["layers"]:
         ex, pred = rec["explicit"], rec["predicted"]
         source = ex if ex is not None else (pred["cum"] if pred else None)
@@ -123,17 +119,16 @@ def _layer_table(report: dict) -> str:
             match_txt = "analytic" if ex is None else "-"
         else:
             match_txt = "ok" if rec["match"] else "MISMATCH"
-        rows.append(
+        out.write(
             f"{rec['layer']:>5}{source['v']:>11}{source['e']:>11}"
-            f"{source['f']:>11}{source['s']:>11}  {census_txt:<13}{match_txt:>9}"
+            f"{source['f']:>11}{source['s']:>11}  {census_txt:<13}{match_txt:>9}\n"
         )
     inv = report["invariants"]
-    rows.append(
+    out.write(
         f"invariants r={inv['r']}: vM={_rat(inv['vM'])} eM={_rat(inv['eM'])} "
         f"fM={_rat(inv['fM'])} euler={'ok' if inv['euler_check'] else 'BROKEN'} "
-        f"seed={'ok' if inv['seed_match'] else 'MISMATCH'}"
+        f"seed={'ok' if inv['seed_match'] else 'MISMATCH'}\n"
     )
-    return "\n".join(rows)
 
 
 def _rat(obj: dict) -> str:
@@ -151,7 +146,9 @@ def cmd_grow(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # the report first: a report that cannot be written leaves no disk behind
-    _emit(args, report, _layer_table(report))
+    _emit_stream(
+        args, lambda out: write_growth_report(report, out), lambda out: _layer_table(report, out)
+    )
     if args.emit_disk:
         _write_text(args.emit_disk, disk_json(disk))
     return 0 if report["all_match"] else 1
@@ -159,7 +156,7 @@ def cmd_grow(args) -> int:
 
 def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
     out.write("    n            a            b           dv           de           df\n")
-    for p in exact_predictions(seed, n_layers):
+    for p in layer_predictions(seed, n_layers, Decimal):
         cells = (p.census.a, p.census.b, p.deltas.dv, p.deltas.de, p.deltas.df)
         out.write(f"{p.n:>5}" + "".join(f"{int_to_json(x):>13}" for x in cells) + "\n")
 
@@ -226,7 +223,11 @@ def cmd_verify(args) -> int:
     if len(violations) > MAX_SHOWN_VIOLATIONS:
         rows.append(f"… and {len(violations) - MAX_SHOWN_VIOLATIONS} more")
     rows.append("all checks passed" if report["all_pass"] else "FAILURES detected")
-    _emit(args, report, "\n".join(rows))
+    _emit_stream(
+        args,
+        lambda out: out.write(canonical_json(report)),
+        lambda out: print("\n".join(rows), file=out),
+    )
     return 0 if report["all_pass"] else 1
 
 
@@ -255,10 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output=True):
-        if output:
-            p.add_argument("-o", "--output", help="write the JSON report to this file")
-            p.add_argument("--json", action="store_true", help="print JSON instead of a table")
+    def add_common(p):
+        p.add_argument("-o", "--output", help="write the JSON report to this file")
+        p.add_argument("--json", action="store_true", help="print JSON instead of a table")
 
     p = sub.add_parser("grow", help="grow a disk and reconcile with predictions")
     p.add_argument("-r", "--degree", required=True, help="ambient degree (>= 7)")

@@ -14,8 +14,11 @@ x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import localcontext
 
+from .exact import EXACT
 from .mesh import DeltaCounts, DiskCounts, LayerCensus
 
 MAX_PREDICT_LAYERS = 10_000
@@ -122,22 +125,31 @@ def check_layer_count(n_max: int) -> None:
         raise ValueError(f"n_max must be in [1, {MAX_PREDICT_LAYERS}], got {n_max}")
 
 
-def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:
-    """Predict layers 1..n_max of repeated expansion from ``seed``."""
+def layer_predictions(
+    seed: SeedDescriptor, n_max: int, ring: type = int
+) -> Iterator[LayerPrediction]:
+    """Layers 1..n_max of repeated expansion from ``seed``, one at a time,
+    every value of type ``ring``: ``int``, or ``Decimal`` for linear-time
+    decimal output.  The recursion runs inside an ``EXACT`` context, so a
+    ``Decimal`` that would round raises instead."""
     check_layer_count(n_max)
-    base = counts_from_boundary(seed)
-    census = initial_census(seed)
-    v, e, f = base.v, base.e, base.f
-    out = []
+    base, first = counts_from_boundary(seed), initial_census(seed)
+    v, e, f = ring(base.v), ring(base.e), ring(base.f)
+    census = LayerCensus(ring(first.a), ring(first.b))
     for n in range(1, n_max + 1):
-        deltas = deltas_from_census(census)
-        v += deltas.dv
-        e += deltas.de
-        f += deltas.df
-        t_n = census.a + census.b
-        out.append(LayerPrediction(n, census, deltas, DiskCounts(v, e, f, v - t_n)))
-        census = census_step(seed.r, census)
-    return out
+        # no yield inside the block: a suspended localcontext leaks into the caller
+        with localcontext(EXACT):
+            deltas = deltas_from_census(census)
+            v, e, f = v + deltas.dv, e + deltas.de, f + deltas.df
+            cumulative = DiskCounts(v, e, f, v - census.a - census.b)
+            layer = LayerPrediction(n, census, deltas, cumulative)
+            census = census_step(seed.r, census)
+        yield layer
+
+
+def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:
+    """Predict layers 1..n_max of repeated expansion from ``seed``, as ints."""
+    return list(layer_predictions(seed, n_max))
 
 
 def platonic_counts(r: int) -> tuple[int, int, int]:

@@ -3,33 +3,31 @@
 Reports are serialized with sorted keys, two-space indent, and a trailing
 newline.  Exact counts are decimal strings and rationals are {"num",
 "den"} objects, so a report round-trips byte for byte: parse,
-re-serialize, same bytes.  Growth reports are built as dicts; prediction
-and invariants reports are written to a stream one list entry at a time,
-and disk JSON straight from a disk's arrays, in exactly the bytes
-``canonical_json`` would give the whole dict.
+re-serialize, same bytes.  Growth, prediction and invariants reports are
+written to a stream one list entry at a time, and disk JSON straight from
+a disk's arrays, in exactly the bytes ``canonical_json`` would give the
+whole dict.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
-from decimal import Decimal, localcontext
+from collections.abc import Iterable, Sequence
+from decimal import Decimal
 from itertools import chain, islice
 from typing import TextIO
 
 from . import mesh
-from .exact import EXACT, int_to_json, rational_to_json
+from .exact import int_to_json, rational_to_json
 from .growth import (
     LayerPrediction,
     SeedDescriptor,
-    census_step,
     check_layer_count,
     counts_from_boundary,
-    deltas_from_census,
-    initial_census,
+    layer_predictions,
     predict_layers,
 )
-from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts, LayerCensus
+from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts
 from .summation import (
     MeshInvariants,
     euler_formula_check,
@@ -85,6 +83,11 @@ def _write_canonical(out: TextIO, report: dict, key: str, entries: Iterable[str]
     for text in entries:
         out.write(",\n" + text)
     out.write(tail)
+
+
+def _entry_json(entry) -> str:
+    """``canonical_json`` of one entry of a top-level list, at the list's depth."""
+    return "    " + canonical_json(entry)[:-1].replace("\n", "\n    ")
 
 
 def counts_to_json_obj(counts: DiskCounts) -> dict:
@@ -147,12 +150,14 @@ def growth_report(
 ) -> tuple[dict, CombinatorialDisk]:
     """Grow explicitly, predict analytically, and reconcile layer by layer.
 
-    Returns the report dict and the largest disk actually built.  Layers
-    the budget rules out are reported from the analytic side alone with a
-    null match flag.  The analytic base for the vertex seed is its first
-    expansion (the fan), so explicit layer k matches analytic layer k-1.
-    Built layers are checked against ``predict_layers``; the analytic-only
-    layers come from ``exact_predictions``, so no digit limit applies.
+    Returns the report dict and the largest disk actually built.  The
+    report's "layers" is an iterator, to be read once: the built layers'
+    records are held, and the layers the budget rules out follow one at a
+    time from the analytic side alone, with a null match flag.  The
+    analytic base for the vertex seed is its first expansion (the fan), so
+    explicit layer k matches analytic layer k-1.  Built layers are checked
+    against ``predict_layers``' ints; the analytic-only layers are exact
+    ``Decimal``s, so no digit limit applies.
     """
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
@@ -169,28 +174,28 @@ def growth_report(
         built.append((measured.layer, measured.counts, measured.profile, measured.census))
     n_checked = max(measured.layer - base_layer, 0)
 
-    # predicted[k] is what explicit layer k is checked against
+    # what explicit layer k = 0, 1, ... is checked against
     predicted = [None] * base_layer
     predicted.append({"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))})
     if n_checked:
         predicted += map(prediction_to_json_obj, predict_layers(descriptor, n_checked))
+    predicted = iter(predicted)
     if n_analytic > n_checked:
-        analytic_only = islice(exact_predictions(descriptor, n_analytic), n_checked, None)
-        predicted += map(prediction_to_json_obj, analytic_only)
+        analytic_only = islice(layer_predictions(descriptor, n_analytic, Decimal), n_checked, None)
+        predicted = chain(predicted, map(prediction_to_json_obj, analytic_only))
 
-    def record(k: int) -> dict:
-        return {"layer": k, "explicit": None, "census": None, "predicted": predicted[k],
+    def record(k: int, pred: dict | None) -> dict:
+        return {"layer": k, "explicit": None, "census": None, "predicted": pred,
                 "match": None, "census_match": None}
 
     records = []
     all_match = True
-    for k, counts, profile, census in built:
-        rec = record(k)
+    for (k, counts, profile, census), pred in zip(built, predicted):
+        rec = record(k, pred)
         counts = counts_to_json_obj(counts)
         rec["explicit"] = dict(counts)
         if profile is not None:
             rec["explicit"].update(profile_to_json_obj(profile))
-        pred = rec["predicted"]
         if census is not None:
             rec["census"] = {"a": int_to_json(census.a), "b": int_to_json(census.b)}
         if pred is not None:
@@ -201,7 +206,7 @@ def growth_report(
             all_match = all_match and rec["census_match"]
         records.append(rec)
     truncated = measured.layer < n_layers
-    records += [record(k) for k in range(measured.layer + 1, n_layers + 1)]
+    analytic_records = map(record, range(measured.layer + 1, n_layers + 1), predicted)
 
     closed = mesh_invariants(r)
     from_seed = mesh_invariants_from_seed(descriptor)
@@ -214,12 +219,18 @@ def growth_report(
         "schema_version": SCHEMA_VERSION,
         "kind": "growth-report",
         "config": {"r": r, "seed": seed_kind, "n_max": n_layers, "budget": budget},
-        "layers": records,
+        "layers": chain(records, analytic_records),
         "invariants": inv_obj,
         "truncated_at_budget": truncated,
         "all_match": all_match,
     }
     return report, measured.disk
+
+
+def write_growth_report(report: dict, out: TextIO) -> None:
+    """Write a ``growth_report`` report as canonical JSON, reading its
+    layers once, one record at a time."""
+    _write_canonical(out, report, "layers", map(_entry_json, report["layers"]))
 
 
 def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
@@ -239,45 +250,28 @@ def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
     return entry
 
 
-_JSON_BOOL = {True: "true", False: "false"}
-# One "degrees" entry exactly as canonical_json lays it out.  At the seed's
-# degree the two %s after "r" and "vM" hold _SEED_FIELDS and _VIA_SEED.
+# One unseeded "degrees" entry exactly as canonical_json lays it out.
 _INVARIANTS_ENTRY = """\
     {
       "eM": %s,
       "euler_check": %s,
       "fM": %s,
-      "r": %d,%s
-      "vM": %s%s
+      "r": %d,
+      "vM": %s
     }"""
-_SEED_FIELDS = """
-      "seed_descriptor": {
-        "d": "%s",
-        "t": "%s"
-      },
-      "seed_match": %s,"""
-_VIA_SEED = """,
-      "via_seed": {
-        "eM": %s,
-        "fM": %s,
-        "vM": %s
-      }"""
 
 
-def _rational(q: dict, indent: str) -> str:
-    return f'{{\n{indent}  "den": "{q["den"]}",\n{indent}  "num": "{q["num"]}"\n{indent}}}'
+def _rational(q: dict) -> str:
+    return f'{{\n        "den": "{q["den"]}",\n        "num": "{q["num"]}"\n      }}'
 
 
 def _invariants_json(entry: dict) -> str:
-    """An ``invariants_entry`` as ``_INVARIANTS_ENTRY`` lays it out."""
-    seed_fields = via_seed = ""
-    if "seed_match" in entry:
-        seed, via = entry["seed_descriptor"], entry["via_seed"]
-        seed_fields = _SEED_FIELDS % (seed["d"], seed["t"], _JSON_BOOL[entry["seed_match"]])
-        via_seed = _VIA_SEED % tuple(_rational(via[k], " " * 8) for k in ("eM", "fM", "vM"))
-    eM, fM, vM = (_rational(entry[k], " " * 6) for k in ("eM", "fM", "vM"))
-    euler = _JSON_BOOL[entry["euler_check"]]
-    return _INVARIANTS_ENTRY % (eM, euler, fM, entry["r"], seed_fields, vM, via_seed)
+    """An ``invariants_entry`` as ``canonical_json`` lays it out in the list."""
+    if "seed_match" in entry:  # the seed's degree: at most once per report
+        return _entry_json(entry)
+    eM, fM, vM = (_rational(entry[k]) for k in ("eM", "fM", "vM"))
+    euler = "true" if entry["euler_check"] else "false"
+    return _INVARIANTS_ENTRY % (eM, euler, fM, entry["r"], vM)
 
 
 def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: TextIO) -> bool:
@@ -294,28 +288,6 @@ def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: 
     entries = (_invariants_json(invariants_entry(r, seed)) for r in degrees)
     _write_canonical(out, head, "degrees", entries)
     return all_match
-
-
-def exact_predictions(seed: SeedDescriptor, n_layers: int) -> Iterator[LayerPrediction]:
-    """Layers 1..n_layers as ``predict_layers`` gives them, one at a time,
-    with every value an exact ``Decimal`` for linear-time decimal output.
-
-    ``census_step`` and ``deltas_from_census`` run unchanged on Decimals
-    inside an ``EXACT`` context, so any rounding would raise.
-    """
-    check_layer_count(n_layers)
-    base, first = counts_from_boundary(seed), initial_census(seed)
-    v, e, f = Decimal(base.v), Decimal(base.e), Decimal(base.f)
-    census = LayerCensus(Decimal(first.a), Decimal(first.b))
-    for n in range(1, n_layers + 1):
-        # no yield inside the block: a suspended localcontext leaks into the caller
-        with localcontext(EXACT):
-            deltas = deltas_from_census(census)
-            v, e, f = v + deltas.dv, e + deltas.de, f + deltas.df
-            cumulative = DiskCounts(v, e, f, v - census.a - census.b)
-            layer = LayerPrediction(n, census, deltas, cumulative)
-            census = census_step(seed.r, census)
-        yield layer
 
 
 # One "layers_predicted" entry exactly as canonical_json lays it out.
@@ -345,7 +317,7 @@ def _predicted_layer(p: LayerPrediction) -> str:
 def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
     """Write the pure analytic layer table for an arbitrary valid seed as
     canonical JSON, one layer at a time."""
-    layers = exact_predictions(seed, n_layers)
+    layers = layer_predictions(seed, n_layers, Decimal)
     first = next(layers)  # checks n_layers before anything is written
     head = {
         "schema_version": SCHEMA_VERSION,

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalLike
-from .growth import (
-    SeedDescriptor,
-    census_step,
-    counts_from_boundary,
-    deltas_from_census,
-    initial_census,
-)
+from .growth import SeedDescriptor, counts_from_boundary, predict_layers
 
 
 class UndefinedSumError(ValueError):
@@ -133,10 +127,7 @@ def mesh_invariants_from_seed(seed: SeedDescriptor) -> MeshInvariants:
     """
     gamma = seed.r - 4
     base = counts_from_boundary(seed)
-    c1 = initial_census(seed)
-    c2 = census_step(seed.r, c1)
-    d1 = deltas_from_census(c1)
-    d2 = deltas_from_census(c2)
+    d1, d2 = (layer.deltas for layer in predict_layers(seed, 2))
     return MeshInvariants(
         base.v + euler_sum(RecurrenceSeries(gamma, d1.dv, d2.dv)),
         base.e + euler_sum(RecurrenceSeries(gamma, d1.de, d2.de)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsum import predict_layers
+from meshsum import layer_predictions, predict_layers
 from meshsum.exact import (
     EXACT,
     int_from_json,
@@ -16,7 +16,6 @@ from meshsum.exact import (
     rational_from_json,
     rational_to_json,
 )
-from meshsum.report import exact_predictions
 from support import valid_seeds
 
 
@@ -66,7 +65,7 @@ def test_exact_context_raises_instead_of_rounding():
 def test_exact_predictions_equal_predict_layers_and_leave_the_context_alone(seed, n):
     caller = decimal.getcontext()
     layers = []
-    for layer in exact_predictions(seed, n):
+    for layer in layer_predictions(seed, n, Decimal):
         assert decimal.getcontext() is caller  # no context leaks out of the generator
         layers.append(layer)
     for exact, reference in zip(layers, predict_layers(seed, n), strict=True):

@@ -4,7 +4,10 @@ The grow and verify digests were recorded before grow and verify read
 their explicit layers from ``mesh.measured_layers``; the predict and sum
 digests before those reports were streamed; the disk and SVG digests
 before disk JSON was written from the CSR arrays and each vertex's
-coordinates were formatted once.  The vertex-seed drawing pins a disk
+coordinates were formatted once; the two budget-cut vertex-seed grows
+before grow's report was streamed (in the first the fan itself is over
+budget, so the ``{"n": null}`` base record is streamed; the second is a
+table with analytic-only rows).  The vertex-seed drawing pins a disk
 with a centre vertex.  So any drift in a canonical report, a human
 table, an emitted disk or its drawing fails here.  ``predict -r 9 --seed
 5:12`` is not a valid seed (its v count is 17/3) and pins the empty
@@ -35,6 +38,12 @@ GOLDEN = {
     ),
     "grow -r 8 --seed face -n 12 --budget 5000 --json": (
         0, "024edb554afee55cb268c75f4570f5abde240a04674148179fdd3a6b0c297ce8", None, None
+    ),
+    "grow -r 9 --seed vertex -n 3 --budget 5 --json": (
+        0, "6df87fa740147ee48ce23c451184359ddc29f503742627222e7dc9af7bbf8cfa", None, None
+    ),
+    "grow -r 8 --seed vertex -n 6 --budget 100": (
+        0, "2be3067a6615663aa0834caaa92b853e24982dc7e9e199aa97ff42bcb01c2c66", None, None
     ),
     "grow -r 7 -n 5": (
         0, "46295b48ddec2b5982026d6e7f55c2921425dd7a2e8748d0e821992ead83d111", None, None
