@@ -13,7 +13,8 @@ of length 2e, so that ``neighbors[offsets[v]:offsets[v + 1]]`` is the
 rotation at v.  Every function here works on these two arrays with
 whole-array numpy operations; ``RotationGraph.rotations`` is a derived
 list-of-lists copy for tests.  Disk JSON (``report.disk_json``) and
-drawing (``render.emit_svg``) read the arrays directly.
+drawing (``render.emit_svg``) read the arrays directly.  Slot numbers
+(positions in ``neighbors``) are int32 below 2^31 slots, int64 above.
 
 Expansion attaches every face of the ambient mesh that shares a vertex
 with the current disk.  Each boundary edge (w_j, w_j+1) contributes one
@@ -518,8 +519,13 @@ def _sorted_edge_keys(src: np.ndarray, dst: np.ndarray, nv: int):
     Returns the slot order and the sorted keys.
     """
     key = _edge_keys(src, dst, nv)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable").astype(_index_dtype(key.size), copy=False)
     return order, key[order]
+
+
+def _index_dtype(slots: int) -> type:
+    """Width of slot numbers: int32 below 2^31 slots, int64 from there on."""
+    return np.int32 if slots < 2**31 else np.int64
 
 
 def _edge_keys(src: np.ndarray, dst: np.ndarray, nv: int) -> np.ndarray:
@@ -543,7 +549,7 @@ def _pairs_reversed(keys: np.ndarray) -> bool:
 def _find_slots(order, keys, src, dst, nv) -> np.ndarray:
     """Slot of each directed edge src -> dst, or -1 where there is none."""
     if not keys.size:
-        return np.full(len(src), -1, dtype=np.int64)
+        return np.full(len(src), -1, dtype=order.dtype)
     wanted = _edge_keys(src, dst, nv)
     pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
     return np.where(keys[pos] == wanted, order[pos], -1)
@@ -557,20 +563,20 @@ def _check_faces(offsets: np.ndarray, order: np.ndarray, outer: np.ndarray) -> s
     row of v, cyclically; ``outer`` holds the slots of the reversed
     boundary edges w_j+1 -> w_j.
     """
-    total = len(order)
-    before = np.arange(-1, total - 1)
+    total, index = len(order), order.dtype
+    before = np.arange(-1, total - 1, dtype=index)
     rows = np.diff(offsets) > 0
     before[offsets[:-1][rows]] = offsets[1:][rows] - 1
-    nxt = np.empty(total, dtype=np.int64)
-    first, second = order[0::2], order[1::2]
+    nxt = np.empty(total, dtype=index)
+    first, second = order[0::2].copy(), order[1::2].copy()
     nxt[first] = before[second]
     nxt[second] = before[first]
-    del before
+    del before, first, second
 
     if not np.array_equal(nxt[outer], np.roll(outer, 1)):
         return "outer face does not trace the boundary"
     # next has order exactly 3 on every other slot: next^3 = id, next != id
-    slot = np.arange(total)
+    slot = np.arange(total, dtype=index)
     bad = nxt[nxt[nxt]] != slot
     bad |= nxt == slot
     bad[outer] = False

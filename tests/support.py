@@ -12,10 +12,13 @@ from meshsum import (
     RotationGraph,
     SeedDescriptor,
     counts_from_boundary,
+    mesh,
+    platonic_counts,
     predict_layers,
+    verify,
 )
 from meshsum.render import CANVAS, DiskLayout
-from meshsum.report import canonical_json
+from meshsum.report import SCHEMA_VERSION, canonical_json
 
 
 def reference_face_lengths(rotations: list[list[int]]) -> list[int]:
@@ -328,3 +331,50 @@ def reference_emit_svg(disk: CombinatorialDisk, layout: DiskLayout) -> str:
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#223"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def reference_run_verification(
+    degrees, layers=6, budget=mesh.DEFAULT_VERTEX_BUDGET, trials=100, rng_seed=0, fault=None
+) -> dict:
+    """The verify report as it was built before the degrees ran on a pool:
+    ``verify_degree`` for each degree, one after another in sorted order,
+    then the tallies and violations merged in that order."""
+    if fault is not None and fault not in verify.FAULT_MODES:
+        raise ValueError(f"unknown fault mode {fault!r}")
+    if layers < 0 or trials < 0:
+        raise ValueError("layers and trials must be >= 0")
+    degrees = sorted(set(degrees))
+    if not degrees or degrees[0] < mesh.MIN_DEGREE or degrees[-1] > verify.MAX_VERIFY_DEGREE:
+        raise ValueError("no degrees, or a degree outside the range")
+    results = [verify.verify_degree(r, layers, budget, trials, rng_seed, fault) for r in degrees]
+
+    merged: dict[str, dict[str, int]] = {}
+    violations: list[str] = []
+    for res in results:
+        for name, counts in res["checks"].items():
+            slot = merged.setdefault(name, {"pass": 0, "fail": 0})
+            slot["pass"] += counts["pass"]
+            slot["fail"] += counts["fail"]
+        violations.extend(res["violations"])
+
+    pv, pe, pf = platonic_counts(3), platonic_counts(4), platonic_counts(5)
+    platonic_ok = (pv, pe, pf) == ((4, 6, 4), (6, 12, 8), (12, 30, 20))
+    merged["platonic"] = {"pass": int(platonic_ok), "fail": int(not platonic_ok)}
+    if not platonic_ok:
+        violations.append("platonic: closed surfaces disagree with the reference counts")
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "verify-report",
+        "config": {
+            "degrees": degrees,
+            "layers": layers,
+            "budget": budget,
+            "trials": trials,
+            "rng_seed": rng_seed,
+            "fault": fault,
+        },
+        "checks": {name: merged[name] for name in sorted(merged)},
+        "per_degree": results,
+        "violations": violations,
+        "all_pass": all(c["fail"] == 0 for c in merged.values()),
+    }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -506,3 +507,23 @@ def test_measured_layers_keep_two_disks_alive(monkeypatch):
         refs.append(weakref.ref(measured.disk))
     # only the disk being expanded is alive when the next one is built
     assert alive_at_expand == [1, 1, 1, 1]
+
+
+def test_slot_indices_are_int32_below_two_to_the_31_slots():
+    assert mesh._index_dtype(2**31 - 1) is np.int32
+    assert mesh._index_dtype(2**31) is np.int64
+
+
+def test_count_explicit_peaks_under_28_bytes_per_slot():
+    # int64 slot indices peaked at 41.8 bytes per slot; two measurements run at
+    # once in verify, so each must stay well under that
+    disk = grow(seed_face(7), 9)
+    slots = disk.graph.neighbors.size
+    assert slots == 216_150
+    tracemalloc.start()
+    try:
+        count_explicit(disk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * slots
