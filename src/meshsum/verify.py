@@ -1,21 +1,22 @@
 """Cross-verification battery: explicit growth against every closed form.
 
-Each degree gets an independent, deterministically seeded run.  Up to two
-degrees run at once on worker threads (numpy drops the GIL in its sorts
-and gathers), and the tallies are merged in sorted degree order, so the
-report does not depend on which thread finished first.  The explicit layers
-come from mesh.measured_layers, whose count_explicit call also checks
-every disk invariant; a malformed disk fails the disk-invariants check
-and a census contradiction fails census-degrees, and either ends its
-seed's layers.  Counts and boundary profile are carried into the next
-layer's delta and census checks.  Fault injection deliberately corrupts one
-comparison to prove the harness can fail.
+Each degree gets an independent, deterministically seeded run.  The calling
+thread and, for two degrees on two usable CPUs, one helper take degrees
+largest first (numpy drops the GIL in its sorts and gathers); after an error
+or Ctrl-C neither takes another, and the caller waits for the helper's degree
+before it raises.  Tallies merge in sorted degree order.  The explicit layers
+come from mesh.measured_layers, whose count_explicit call also checks every
+disk invariant; a malformed disk fails the disk-invariants check and a census
+contradiction fails census-degrees, and either ends its seed's layers.  Counts
+and boundary profile carry into the next layer's delta and census checks.
+Fault injection corrupts one comparison to prove the harness can fail.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -198,7 +199,7 @@ def run_verification(
     rng_seed: int = 0,
     fault: str | None = None,
 ) -> dict:
-    """Verify the degrees on up to two threads; merge the tallies in sorted order."""
+    """Verify the degrees on this thread and at most one helper; merge in sorted order."""
     if fault is not None and fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {fault!r}; expected one of {FAULT_MODES}")
     if layers < 0 or trials < 0:
@@ -211,16 +212,45 @@ def run_verification(
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("no degrees to verify")
-    from concurrent.futures import ThreadPoolExecutor  # here, so other commands skip the import
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = ThreadPoolExecutor(max_workers=min(2, cpus or 1))
-    try:  # largest degree first; an error or Ctrl-C cancels every degree not yet started
-        futures = [pool.submit(verify_degree, r, layers, budget, trials, rng_seed, fault)
-                   for r in reversed(degrees)]
-        results = [future.result() for future in futures][::-1]
+    todo = reversed(degrees)  # largest degree first
+    lock, helper_done = threading.Lock(), threading.Event()
+    tallies: dict[int, dict] = {}
+    errors: dict[int, Exception] = {}
+    stopped = False
+
+    def take():
+        with lock:
+            return None if stopped else next(todo, None)
+
+    def work():
+        nonlocal stopped
+        for r in iter(take, None):
+            try:
+                tallies[r] = verify_degree(r, layers, budget, trials, rng_seed, fault)
+            except Exception as exc:  # raised below: the largest failing degree's
+                errors[r] = exc
+                stopped = True
+
+    def helper_work():
+        work()
+        helper_done.set()
+
+    helper = threading.Thread(target=helper_work) if min(cpus or 1, len(degrees)) > 1 else None
+    try:
+        if helper is not None:
+            helper.start()
+        work()
+        if helper is not None:  # not join(): Ctrl-C in join() marks a live thread stopped
+            helper_done.wait()
     finally:
-        pool.shutdown(cancel_futures=True)
+        with lock:
+            stopped = True
+        if helper is not None and helper.is_alive():  # a helper not alive yet sees stopped
+            helper.join()
+    if errors:
+        raise errors[max(errors)]
+    results = [tallies[r] for r in degrees]
 
     merged: dict[str, dict[str, int]] = {}
     violations: list[str] = []

@@ -238,6 +238,50 @@ def valid_seeds(draw, max_r: int = 30, max_t: int = 40):
     return SeedDescriptor(r, t, 4 * t - 6 - s * (r - 6))
 
 
+@st.composite
+def convex_disks(draw, degrees=(7, 8, 9, 10, 12, 20), max_moves=16) -> CombinatorialDisk:
+    """Convex disks grown from expand(seed_face(r)) by closing boundary
+    vertices, then relabelled at random with every row turned cyclically.
+
+    Closing w_j (boundary order w_{j-1}, w_j, w_{j+1}) makes it interior:
+    k = r - deg(w_j) new vertices x_1..x_k go, in increasing order, at the
+    end of its row (the outer gap); x_i gets the row [next, w_j, prev]; x_1
+    goes first in the row of w_{j-1} and x_k last in the row of w_{j+1};
+    and x_1..x_k replace w_j on the boundary.  Every face stays a triangle.
+    A move that would push w_{j-1} or w_{j+1} past convexity_bound(r) is
+    skipped.  The relabelling and the turned rows leave the rotation system
+    as it is, but expand must then find each outer gap itself.
+    """
+    r = draw(st.sampled_from(degrees))
+    start = mesh.expand(mesh.seed_face(r))
+    rows, boundary = start.graph.rotations, start.boundary.tolist()
+    bound = mesh.convexity_bound(r)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_moves))):
+        j = draw(st.integers(min_value=0, max_value=len(boundary) - 1))
+        w, prev, nxt = boundary[j], boundary[j - 1], boundary[(j + 1) % len(boundary)]
+        if max(len(rows[prev]), len(rows[nxt])) >= bound:
+            continue
+        xs = list(range(len(rows), len(rows) + r - len(rows[w])))
+        path = [prev, *xs, nxt]
+        rows[w].extend(xs)
+        rows.extend([path[i + 2], w, path[i]] for i in range(len(xs)))
+        rows[prev].insert(0, xs[0])
+        rows[nxt].append(xs[-1])
+        boundary[j : j + 1] = xs
+
+    rng = draw(st.randoms(use_true_random=False))
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    turned: list[list[int]] = [[] for _ in rows]
+    for v, row in enumerate(rows):
+        k = rng.randrange(len(row))
+        turned[perm[v]] = [perm[u] for u in row[k:] + row[:k]]
+    k = rng.randrange(len(boundary))
+    return CombinatorialDisk(
+        RotationGraph(turned), r, [perm[w] for w in boundary[k:] + boundary[:k]], 0
+    )
+
+
 def reference_prediction_json(seed: SeedDescriptor, n: int) -> str:
     """The prediction report as it was built before it was streamed: a dict
     of ``predict_layers``' ints, each through ``str``, then ``canonical_json``.

@@ -17,16 +17,20 @@ from meshsum import (
     expand,
     grow,
     initial_census,
+    is_convex,
     layer_census,
     count_explicit,
+    mesh_invariants,
+    mesh_invariants_from_seed,
     platonic_counts,
     predict_layers,
     second_order_step,
     seed_face,
     seed_vertex,
+    validate_disk,
 )
 from meshsum.growth import MAX_PREDICT_LAYERS
-from support import valid_seeds
+from support import convex_disks, valid_seeds
 
 
 def test_counts_from_boundary_examples():
@@ -178,3 +182,32 @@ def test_boundary_profiles_of_grown_disks_are_valid_seeds():
         profile = boundary_profile(disk)
         descriptor = SeedDescriptor(r, profile.t, profile.d)
         assert counts_from_boundary(descriptor) == count_explicit(disk)
+
+
+def _profile_seed(disk) -> SeedDescriptor:
+    profile = boundary_profile(disk)
+    return SeedDescriptor(disk.ambient_degree, profile.t, profile.d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disk=convex_disks())
+def test_the_oracle_counts_random_convex_disks_as_their_profile_predicts(disk):
+    assert validate_disk(disk) == [] and is_convex(disk)
+    assert count_explicit(disk) == counts_from_boundary(_profile_seed(disk))
+
+
+@settings(max_examples=40, deadline=None)
+@given(disk=convex_disks())
+def test_random_convex_disks_grow_as_predicted(disk):
+    prev = disk
+    for layer in predict_layers(_profile_seed(disk), 2):
+        grown = expand(prev)
+        assert count_explicit(grown) == layer.cumulative
+        assert layer_census(prev, grown) == layer.census
+        prev = grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(disk=convex_disks())
+def test_random_convex_disks_sum_to_the_mesh_invariants(disk):
+    assert mesh_invariants_from_seed(_profile_seed(disk)) == mesh_invariants(disk.ambient_degree)
