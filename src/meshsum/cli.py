@@ -36,6 +36,7 @@ from .report import (
     seed_descriptor_for,
     write_growth_report,
 )
+from .summation import mesh_invariants
 from .verify import FAULT_MODES, run_verification
 
 # Every bad-input error (seed, sum, disk JSON, layout) subclasses ValueError.
@@ -110,9 +111,7 @@ def _layer_table(report: dict, out: TextIO) -> None:
     out.write("layer        v          e          f          s  census(a,b)    match\n")
     for rec in report["layers"]:
         ex, pred = rec["explicit"], rec["predicted"]
-        source = ex if ex is not None else (pred["cum"] if pred else None)
-        if source is None:
-            continue
+        source = ex if ex is not None else pred["cum"]
         census = rec["census"] or (pred if pred and "a" in pred else None)
         census_txt = f"({census['a']},{census['b']})" if census else "-"
         if rec["match"] is None:
@@ -195,6 +194,7 @@ def cmd_sum(args) -> int:
         if len(degrees) != 1:
             raise ValueError("--seed needs a single degree, not a range")
         seed = seed_descriptor_for(args.seed, degrees[0])
+    mesh_invariants(degrees[0])  # rejects a degree below 7 before -o creates its file
     all_match = _emit_stream(
         args,
         lambda out: invariants_report(degrees, seed, out),

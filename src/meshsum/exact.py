@@ -10,9 +10,9 @@ Report output alone also computes in a ``decimal.Decimal`` ring under
 in their number and refuses past ``sys.get_int_max_str_digits()``, while
 ``str`` of an exponent-0 ``Decimal`` is linear and has no limit (the
 technique of CPython 3.12's ``Lib/_pylong.py``).  The one census loop,
-``growth.layer_predictions``, runs in either ring: ``predict`` and
-``grow``'s analytic-only layers read its Decimals, while the verification
-path, ``verify`` and the layers ``grow`` builds, stays ``int``.
+``growth.layer_predictions``, runs in either ring: ``predict`` and every
+layer of ``grow``, built or not, read its Decimals, so ``grow`` checks a
+built layer against the digits it prints, while ``verify`` stays ``int``.
 
 JSON conventions: integers travel as decimal strings, rationals as
 ``{"num": "<decimal>", "den": "<decimal>"}``.  Floats never appear.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from decimal import Decimal
-from itertools import chain, islice
+from itertools import chain
 from typing import TextIO
 
 from . import mesh
@@ -25,7 +25,6 @@ from .growth import (
     check_layer_count,
     counts_from_boundary,
     layer_predictions,
-    predict_layers,
 )
 from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts
 from .summation import (
@@ -155,9 +154,10 @@ def growth_report(
     records are held, and the layers the budget rules out follow one at a
     time from the analytic side alone, with a null match flag.  The
     analytic base for the vertex seed is its first expansion (the fan), so
-    explicit layer k matches analytic layer k-1.  Built layers are checked
-    against ``predict_layers``' ints; the analytic-only layers are exact
-    ``Decimal``s, so no digit limit applies.
+    explicit layer k matches analytic layer k-1.  Every layer, built or
+    not, is predicted by one exact ``Decimal`` stream, the one ``predict``
+    writes: a built layer is checked against the very digits the report
+    prints, and no digit limit applies.
     """
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
@@ -166,23 +166,16 @@ def growth_report(
     base_layer = 0 if seed_kind == "face" else 1
     descriptor = seed_descriptor_for(seed_kind, r)
     n_analytic = n_layers - base_layer
+    analytic = ()
     if n_analytic > 0:
         check_layer_count(n_analytic)  # before growing anything
-
-    built = []  # each layer's measurements; the disks are not kept
-    for measured in chain([first], layers):
-        built.append((measured.layer, measured.counts, measured.profile, measured.census))
-    n_checked = max(measured.layer - base_layer, 0)
-
-    # what explicit layer k = 0, 1, ... is checked against
-    predicted = [None] * base_layer
-    predicted.append({"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))})
-    if n_checked:
-        predicted += map(prediction_to_json_obj, predict_layers(descriptor, n_checked))
-    predicted = iter(predicted)
-    if n_analytic > n_checked:
-        analytic_only = islice(layer_predictions(descriptor, n_analytic, Decimal), n_checked, None)
-        predicted = chain(predicted, map(prediction_to_json_obj, analytic_only))
+        analytic = layer_predictions(descriptor, n_analytic, Decimal)
+    # what layer k = 0, 1, ... is checked against, built or not
+    predicted = chain(
+        [None] * base_layer,
+        [{"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}],
+        map(prediction_to_json_obj, analytic),
+    )
 
     def record(k: int, pred: dict | None) -> dict:
         return {"layer": k, "explicit": None, "census": None, "predicted": pred,
@@ -190,9 +183,10 @@ def growth_report(
 
     records = []
     all_match = True
-    for (k, counts, profile, census), pred in zip(built, predicted):
+    for measured, pred in zip(chain([first], layers), predicted):
+        k, profile, census = measured.layer, measured.profile, measured.census
         rec = record(k, pred)
-        counts = counts_to_json_obj(counts)
+        counts = counts_to_json_obj(measured.counts)
         rec["explicit"] = dict(counts)
         if profile is not None:
             rec["explicit"].update(profile_to_json_obj(profile))
@@ -208,11 +202,8 @@ def growth_report(
     truncated = measured.layer < n_layers
     analytic_records = map(record, range(measured.layer + 1, n_layers + 1), predicted)
 
-    closed = mesh_invariants(r)
-    from_seed = mesh_invariants_from_seed(descriptor)
-    inv_obj = invariants_to_json_obj(r, closed)
-    inv_obj["seed_descriptor"] = profile_to_json_obj(descriptor)
-    inv_obj["seed_match"] = from_seed == closed
+    inv_obj = invariants_entry(r, descriptor)
+    del inv_obj["via_seed"]
     all_match = all_match and inv_obj["seed_match"]
 
     report = {

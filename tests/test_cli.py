@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from meshsum import SeedDescriptor, cli, mesh, mesh_invariants
 from meshsum.cli import main
-from meshsum.report import canonical_json, growth_report
+from meshsum.report import canonical_json, growth_report, seed_descriptor_for
 from support import cli_seeds, reference_prediction_json
 
 
@@ -204,9 +204,13 @@ def test_sum_range_and_seed(capsys):
     assert entry["via_seed"]["eM"] == {"num": "-21", "den": "1"}
 
 
-def test_sum_rejects_bad_domains(capsys):
+def test_sum_rejects_bad_domains(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sum", "-r", "6")
     assert code == 2 and "degree" in err
+    out_file = tmp_path / "s.json"
+    code, out, err = run_cli(capsys, "sum", "-r", "5:9", "-o", str(out_file))
+    assert (code, out) == (2, "") and "degree" in err
+    assert not out_file.exists()
     code, _, err = run_cli(capsys, "sum", "-r", "7", "--seed", "3:7")
     assert code == 2
     code, _, err = run_cli(capsys, "sum", "-r", "7:9", "--seed", "3:6")
@@ -421,17 +425,29 @@ def test_predict_past_the_digit_limit_matches_the_reference(capsys):
 
 
 @needs_digit_limit
-def test_grow_past_the_digit_limit_predicts_every_layer(capsys):
-    # the budget stops r = 1000 at its face seed; layers 1..300 are analytic only
+@pytest.mark.parametrize(
+    "seed, budget, n_built",
+    [("face", 2000, 1), ("face", 10**6, 2), ("vertex", 2000, 2), ("vertex", 10**6, 3)],
+)
+def test_grow_past_the_digit_limit_predicts_every_layer(capsys, seed, budget, n_built):
+    # r = 1000 grows layers 0..n_built-1 under the budget; the rest up to 300 are
+    # analytic only, and the last layers' counts have about 900 digits
     with _int_max_str_digits(640):
         code, out, err = run_cli(
-            capsys, "grow", "-r", "1000", "-n", "300", "--budget", "2000", "--json"
+            capsys, "grow", "-r", "1000", "--seed", seed, "-n", "300",
+            "--budget", str(budget), "--json",
         )
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert report["truncated_at_budget"] is True
-    expected = json.loads(reference_prediction_json(SeedDescriptor(1000, 3, 6), 300))
-    assert [rec["predicted"] for rec in report["layers"][1:]] == expected["layers_predicted"]
+    assert report["truncated_at_budget"] is True and report["all_match"] is True
+    built = [rec["explicit"] is not None for rec in report["layers"]]
+    assert built == [True] * n_built + [False] * (301 - n_built)
+    base_layer = 0 if seed == "face" else 1
+    expected = json.loads(
+        reference_prediction_json(seed_descriptor_for(seed, 1000), 300 - base_layer)
+    )
+    predicted = [rec["predicted"] for rec in report["layers"][base_layer + 1 :]]
+    assert predicted == expected["layers_predicted"]
 
 
 @given(
