@@ -8,10 +8,15 @@ v_M = -6/(r-6), e_M = -3r/(r-6), f_M = -2r/(r-6).
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
 from .growth import (
+    DeltaCounts,
+    DiskCounts,
     InvalidSeedError,
+    LayerCensus,
     LayerPrediction,
     SeedDescriptor,
     census_step,
@@ -23,33 +28,6 @@ from .growth import (
     predict_layers,
     second_order_step,
 )
-from .mesh import (
-    BoundaryProfile,
-    BudgetExceededError,
-    CensusContradiction,
-    CombinatorialDisk,
-    ConvexityError,
-    DeltaCounts,
-    DiskCounts,
-    LayerCensus,
-    MalformedDiskError,
-    MeasuredLayer,
-    RotationGraph,
-    boundary_profile,
-    convexity_bound,
-    count_explicit,
-    delta_counts,
-    disk_from_json_obj,
-    expand,
-    grow,
-    is_convex,
-    layer_census,
-    measured_layers,
-    seed_face,
-    seed_vertex,
-    validate_disk,
-)
-from .render import DiskLayout, LayoutError, emit_svg, layout_disk
 from .summation import (
     MeshInvariants,
     PoleError,
@@ -63,6 +41,29 @@ from .summation import (
     mesh_invariants_from_seed,
     partial_sum,
 )
+
+# The explicit side's names: the first access to one imports its module, and numpy.
+_EXPLICIT = {
+    **dict.fromkeys(
+        "BoundaryProfile BudgetExceededError CensusContradiction CombinatorialDisk "
+        "ConvexityError MalformedDiskError MeasuredLayer RotationGraph boundary_profile "
+        "convexity_bound count_explicit delta_counts disk_from_json_obj expand grow is_convex "
+        "layer_census measured_layers seed_face seed_vertex validate_disk".split(),
+        "mesh",
+    ),
+    **dict.fromkeys("DiskLayout LayoutError emit_svg layout_disk".split(), "render"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPLICIT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPLICIT[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPLICIT})
+
 
 __all__ = [
     "__version__",

@@ -17,16 +17,9 @@ from typing import TextIO
 
 from . import __version__
 from .exact import int_to_json
-from .growth import check_layer_count, layer_predictions
-from .mesh import (
-    DEFAULT_VERTEX_BUDGET,
-    CensusContradiction,
-    MalformedDiskError,
-    disk_from_json_obj,
-    validate_disk,
-)
-from .render import emit_svg, layout_disk
+from .growth import DEFAULT_VERTEX_BUDGET, check_layer_count, layer_predictions
 from .report import (
+    FAULT_MODES,
     canonical_json,
     disk_json,
     growth_report,
@@ -37,7 +30,6 @@ from .report import (
     write_growth_report,
 )
 from .summation import mesh_invariants
-from .verify import FAULT_MODES, run_verification
 
 # Every bad-input error (seed, sum, disk JSON, layout) subclasses ValueError.
 _INPUT_ERRORS = (ValueError, OSError)
@@ -118,10 +110,8 @@ def _layer_table(report: dict, out: TextIO) -> None:
             match_txt = "analytic" if ex is None else "-"
         else:
             match_txt = "ok" if rec["match"] else "MISMATCH"
-        out.write(
-            f"{rec['layer']:>5}{source['v']:>11}{source['e']:>11}"
-            f"{source['f']:>11}{source['s']:>11}  {census_txt:<13}{match_txt:>9}\n"
-        )
+        cells = "".join(f" {source[key]:>10}" for key in "vefs")
+        out.write(f"{rec['layer']:>5}{cells}  {census_txt:<13}{match_txt:>9}\n")
     inv = report["invariants"]
     out.write(
         f"invariants r={inv['r']}: vM={_rat(inv['vM'])} eM={_rat(inv['eM'])} "
@@ -135,6 +125,7 @@ def _rat(obj: dict) -> str:
 
 
 def cmd_grow(args) -> int:
+    from .mesh import CensusContradiction, MalformedDiskError
     r = _single_degree(args.degree)
     budget = _resolve_budget(args)
     if args.emit_disk and args.output:
@@ -157,7 +148,7 @@ def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
     out.write("    n            a            b           dv           de           df\n")
     for p in layer_predictions(seed, n_layers, Decimal):
         cells = (p.census.a, p.census.b, p.deltas.dv, p.deltas.de, p.deltas.df)
-        out.write(f"{p.n:>5}" + "".join(f"{int_to_json(x):>13}" for x in cells) + "\n")
+        out.write(f"{p.n:>5}" + "".join(f" {int_to_json(x):>12}" for x in cells) + "\n")
 
 
 def cmd_predict(args) -> int:
@@ -204,6 +195,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
     degrees = _parse_degrees(args.degree)
     budget = _resolve_budget(args)
     report = run_verification(
@@ -232,6 +224,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .mesh import MalformedDiskError, disk_from_json_obj, validate_disk
+    from .render import emit_svg, layout_disk
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
     with open(args.input, encoding="utf-8") as fh:

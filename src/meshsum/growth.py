@@ -19,9 +19,36 @@ from dataclasses import dataclass
 from decimal import localcontext
 
 from .exact import EXACT
-from .mesh import DeltaCounts, DiskCounts, LayerCensus
 
 MAX_PREDICT_LAYERS = 10_000
+DEFAULT_VERTEX_BUDGET = 1_000_000
+
+
+@dataclass(frozen=True)
+class LayerCensus:
+    """New-layer boundary split: a vertices of degree 3, b of degree 4."""
+
+    a: int
+    b: int
+
+
+@dataclass(frozen=True)
+class DiskCounts:
+    """Exact counts: vertices, edges, interior faces, interior vertices."""
+
+    v: int
+    e: int
+    f: int
+    s: int
+
+
+@dataclass(frozen=True)
+class DeltaCounts:
+    """Counts added by one expansion layer."""
+
+    dv: int
+    de: int
+    df: int
 
 
 class InvalidSeedError(ValueError):

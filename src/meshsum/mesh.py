@@ -51,8 +51,9 @@ from itertools import chain
 
 import numpy as np
 
+from .growth import DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
+
 MIN_DEGREE = 7
-DEFAULT_VERTEX_BUDGET = 1_000_000
 # Vertex ids are stored as int32, so a disk holds at most this many vertices.
 MAX_VERTICES = int(np.iinfo(np.int32).max)
 
@@ -194,33 +195,6 @@ class BoundaryProfile:
 
     t: int
     d: int
-
-
-@dataclass(frozen=True)
-class LayerCensus:
-    """New-layer boundary split: a vertices of degree 3, b of degree 4."""
-
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class DiskCounts:
-    """Exact counts: vertices, edges, interior faces, interior vertices."""
-
-    v: int
-    e: int
-    f: int
-    s: int
-
-
-@dataclass(frozen=True)
-class DeltaCounts:
-    """Counts added by one expansion layer."""
-
-    dv: int
-    de: int
-    df: int
 
 
 def _require_degree(r: int) -> None:

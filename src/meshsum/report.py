@@ -15,18 +15,18 @@ import json
 from collections.abc import Iterable, Sequence
 from decimal import Decimal
 from itertools import chain
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from . import mesh
 from .exact import int_to_json, rational_to_json
 from .growth import (
+    DEFAULT_VERTEX_BUDGET,
+    DiskCounts,
     LayerPrediction,
     SeedDescriptor,
     check_layer_count,
     counts_from_boundary,
     layer_predictions,
 )
-from .mesh import BoundaryProfile, CombinatorialDisk, DiskCounts
 from .summation import (
     MeshInvariants,
     euler_formula_check,
@@ -34,7 +34,11 @@ from .summation import (
     mesh_invariants_from_seed,
 )
 
+if TYPE_CHECKING:
+    from .mesh import BoundaryProfile, CombinatorialDisk
+
 SCHEMA_VERSION = "meshsum/1"
+FAULT_MODES = ("census", "invariants")
 
 
 def canonical_json(obj) -> str:
@@ -145,7 +149,7 @@ def growth_report(
     r: int,
     seed_kind: str,
     n_layers: int,
-    budget: int = mesh.DEFAULT_VERTEX_BUDGET,
+    budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> tuple[dict, CombinatorialDisk]:
     """Grow explicitly, predict analytically, and reconcile layer by layer.
 
@@ -159,9 +163,10 @@ def growth_report(
     writes: a built layer is checked against the very digits the report
     prints, and no digit limit applies.
     """
+    from .mesh import measured_layers
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
-    layers = mesh.measured_layers(r, seed_kind, n_layers, budget)
+    layers = measured_layers(r, seed_kind, n_layers, budget)
     first = next(layers)  # checks the seed kind before anything else
     base_layer = 0 if seed_kind == "face" else 1
     descriptor = seed_descriptor_for(seed_kind, r)

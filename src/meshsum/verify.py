@@ -31,7 +31,7 @@ from .growth import (
     predict_layers,
     second_order_step,
 )
-from .report import SCHEMA_VERSION, seed_descriptor_for
+from .report import FAULT_MODES, SCHEMA_VERSION, seed_descriptor_for
 from .summation import (
     RecurrenceSeries,
     euler_formula_check,
@@ -43,7 +43,6 @@ from .summation import (
     partial_sum,
 )
 
-FAULT_MODES = ("census", "invariants")
 MAX_VERIFY_DEGREE = 1000
 CONVERGENCE_GAP = Fraction(1, 10**12)
 

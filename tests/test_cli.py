@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsum import SeedDescriptor, cli, mesh, mesh_invariants
+from meshsum import SeedDescriptor, mesh, mesh_invariants, verify
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
 from support import cli_seeds, reference_prediction_json
@@ -229,6 +229,20 @@ def test_predict_custom_seed(capsys):
     assert first["cum"]["v"] == "15"
 
 
+@pytest.mark.parametrize(
+    "argv", [["predict", "-r", "7", "-n", "30"], ["grow", "-r", "7", "-n", "30", "--budget", "1000"]]
+)
+def test_table_cells_stay_apart_when_a_count_overflows_its_column(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, *rows = out.splitlines()
+    if argv[0] == "grow":
+        assert rows.pop().startswith("invariants r=7:")
+    assert len(rows) == (31 if argv[0] == "grow" else 30)
+    assert any(cell.isdigit() and len(cell) > 13 for row in rows for cell in row.split())
+    assert all(len(row.split()) == len(header.split()) for row in rows)
+
+
 def test_verify_clean_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "-r", "7:9", "-n", "3", "--trials", "10", "--json")
     assert code == 0
@@ -292,7 +306,7 @@ def test_verify_says_how_many_violations_it_left_out(capsys, monkeypatch):
         "violations": [f"euler-layer: case {i}" for i in range(25)],
         "all_pass": False,
     }
-    monkeypatch.setattr(cli, "run_verification", lambda *args, **kwargs: report)
+    monkeypatch.setattr(verify, "run_verification", lambda *args, **kwargs: report)
     code, out, _ = run_cli(capsys, "verify", "-r", "7")
     assert code == 1
     lines = out.splitlines()

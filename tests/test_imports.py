@@ -1,14 +1,33 @@
-"""Every module-level import in ``src/meshsum`` is used: a stdlib-only
-stand-in for a linter's unused-import rule."""
+"""Import hygiene of ``src/meshsum``, checked with the stdlib alone.
+
+Every module-level import is used (a stand-in for a linter's
+unused-import rule).  The analytic side (``exact``, ``growth``,
+``summation``, ``report``, ``cli`` and the package itself) imports
+neither numpy nor the explicit side's modules at module level, so that
+``predict`` and ``sum`` run without them, and the package's lazy names
+keep its public API whole.
+"""
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "meshsum"
+import meshsum
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "meshsum"
+ANALYTIC = ("exact.py", "growth.py", "summation.py", "report.py", "cli.py", "__init__.py")
+EXPLICIT_MODULES = ("numpy", "meshsum.mesh", "meshsum.render", "meshsum.verify")
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -57,3 +76,106 @@ def test_the_check_finds_an_unused_import():
 def test_every_module_level_import_is_used(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source, exempt_exports=path.name == "__init__.py") == []
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Absolute names of the modules an import statement in meshsum loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    package = "meshsum" if node.level else ""
+    if node.module:
+        return [".".join(filter(None, [package, node.module]))]
+    return [f"{package}.{alias.name}" for alias in node.names]
+
+
+def explicit_imports(source: str) -> list[str]:
+    """'line: module' for each module-level import of numpy or of the
+    explicit side; imports inside a function or an ``if`` do not count."""
+    return [
+        f"{node.lineno}: {name}"
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_modules(node)
+        if any(name == module or name.startswith(module + ".") for module in EXPLICIT_MODULES)
+    ]
+
+
+def test_the_check_finds_an_explicit_import():
+    source = "import numpy as np\nimport numpy.linalg, os\nfrom . import exact, mesh\n"
+    source += "from .render import emit_svg\nfrom .growth import DiskCounts\nfrom numbers import Real\n"
+    source += "if TYPE_CHECKING:\n    from .verify import run_verification\n"
+    source += "def f():\n    from .mesh import expand\n"
+    assert explicit_imports(source) == [
+        "1: numpy", "2: numpy.linalg", "3: meshsum.mesh", "4: meshsum.render"
+    ]
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_the_analytic_side_imports_no_explicit_module(name):
+    path = SRC / name
+    assert explicit_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def _loaded_after(code: str, cwd: Path) -> list[str]:
+    """The explicit modules loaded by a fresh interpreter that ran ``code``
+    with ``main`` imported and stdout discarded."""
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from meshsum.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        textwrap.indent(code, "    "),
+        f"print([m for m in {EXPLICIT_MODULES!r} if m in sys.modules])",
+    ])
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import meshsum",
+        "import meshsum.cli",
+        "assert main(['predict', '-r', '7', '-n', '3', '--json']) == 0",
+        "assert main(['predict', '-r', '9', '--seed', '3:6', '-n', '40', '-o', 'p.json']) == 0",
+        "assert main(['sum', '-r', '7:50']) == 0",
+        "assert main(['sum', '-r', '9', '--seed', 'face']) == 0",
+        "try:\n    main(['--version'])\nexcept SystemExit as exc:\n    assert exc.code == 0",
+    ],
+    ids=["import", "import-cli", "predict-json", "predict-output", "sum-range", "sum-seed",
+         "version"],
+)
+def test_the_analytic_commands_load_no_numpy(code, tmp_path):
+    assert _loaded_after(code, tmp_path) == []
+
+
+def test_grow_does_load_numpy(tmp_path):
+    loaded = _loaded_after("assert main(['grow', '-r', '7', '-n', '1']) == 0", tmp_path)
+    assert {"numpy", "meshsum.mesh"} <= set(loaded)
+
+
+def test_every_public_name_resolves():
+    import meshsum.mesh
+
+    for name in meshsum.__all__:
+        assert getattr(meshsum, name) is not None, name
+    assert set(meshsum.__all__) <= set(dir(meshsum))
+    assert meshsum.DiskCounts is meshsum.mesh.DiskCounts
+    assert meshsum.expand is meshsum.mesh.expand
+    message = "module 'meshsum' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        meshsum.no_such_name
+
+
+def test_the_readme_library_examples_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, "README.md", "exec"), {})
