@@ -17,7 +17,7 @@ from typing import TextIO
 
 from . import __version__
 from .exact import int_to_json
-from .growth import DEFAULT_VERTEX_BUDGET, check_layer_count, layer_predictions
+from .growth import DEFAULT_VERTEX_BUDGET, census_stream, check_layer_count
 from .report import (
     FAULT_MODES,
     canonical_json,
@@ -146,9 +146,12 @@ def cmd_grow(args) -> int:
 
 def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
     out.write("    n            a            b           dv           de           df\n")
-    for p in layer_predictions(seed, n_layers, Decimal):
-        cells = (p.census.a, p.census.b, p.deltas.dv, p.deltas.de, p.deltas.df)
-        out.write(f"{p.n:>5}" + "".join(f" {int_to_json(x):>12}" for x in cells) + "\n")
+    b_text = int_to_json(seed.t)  # b_1 = t, then b_n = dv_{n-1}
+    for n, a, _, dv, de, df, *_ in census_stream(seed, n_layers, Decimal):
+        dv_text = int_to_json(dv)
+        cells = (int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df))
+        out.write(f"{n:>5}" + "".join(f" {x:>12}" for x in cells) + "\n")
+        b_text = dv_text
 
 
 def cmd_predict(args) -> int:

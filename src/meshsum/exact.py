@@ -9,10 +9,13 @@ Report output alone also computes in a ``decimal.Decimal`` ring under
 ``EXACT``: CPython turns an ``int`` into decimal digits in time quadratic
 in their number and refuses past ``sys.get_int_max_str_digits()``, while
 ``str`` of an exponent-0 ``Decimal`` is linear and has no limit (the
-technique of CPython 3.12's ``Lib/_pylong.py``).  The one census loop,
-``growth.layer_predictions``, runs in either ring: ``predict`` and every
+technique of CPython 3.12's ``Lib/_pylong.py``).  ``EXACT`` is used only
+through its own methods, never as the thread's context.  The one census
+loop, ``growth.census_stream``, runs in either ring: ``predict`` and every
 layer of ``grow``, built or not, read its Decimals, so ``grow`` checks a
 built layer against the digits it prints, while ``verify`` stays ``int``.
+An ``int`` past the digit limit is written, and a seed's integer text
+read, through ``Decimal`` as well.
 
 JSON conventions: integers travel as decimal strings, rationals as
 ``{"num": "<decimal>", "den": "<decimal>"}``.  Floats never appear.
@@ -48,7 +51,30 @@ def int_to_json(n: int | Decimal) -> str:
         return str(n) if n else "0"  # "-0" is not canonical
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"expected int, got {type(n).__name__}")
-    return str(n)
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's digit limit
+        return str(Decimal(n))
+
+
+def int_from_text(text: str) -> int:
+    """``int(text)`` with no digit limit: text that ``int`` refuses only
+    for its length (a sign and ASCII digits) is read through ``Decimal``."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        return int(Decimal(body))
+
+
+def brief(value: int | str, width: int = 40) -> str:
+    """An int's decimal digits or a str's repr for an error message, cut
+    after ``width`` characters; no digit limit applies."""
+    text = repr(value) if isinstance(value, str) else int_to_json(value)
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
 def int_from_json(text: str) -> int:

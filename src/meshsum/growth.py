@@ -10,15 +10,21 @@ and the first expansion layer splits into a = t(r-2) - d new degree-3
 vertices and b = t new degree-4 vertices.  Later layers follow the linear
 census recursion, or equivalently a single second-order recurrence
 x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
+
+``census_stream`` is the one census loop, in ``int`` or exact ``Decimal``:
+``layer_predictions``, ``predict_layers`` and the report writers all read
+it.  ``census_step``, ``deltas_from_census`` and ``second_order_step`` are
+the textbook steps, kept as the independent route it is checked against.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import localcontext
+from decimal import Decimal
 
-from .exact import EXACT
+from .exact import EXACT, brief
 
 MAX_PREDICT_LAYERS = 10_000
 DEFAULT_VERTEX_BUDGET = 1_000_000
@@ -74,21 +80,22 @@ class SeedDescriptor:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidSeedError(f"{name} must be an integer, got {value!r}")
         if r < 7:
-            raise InvalidSeedError(f"ambient degree r = {r} must be >= 7")
+            raise InvalidSeedError(f"ambient degree r = {brief(r)} must be >= 7")
         if t < 3:
-            raise InvalidSeedError(f"boundary length t = {t} must be >= 3")
+            raise InvalidSeedError(f"boundary length t = {brief(t)} must be >= 3")
         if not 2 * t <= d <= t * (1 + r // 2):
             raise InvalidSeedError(
-                f"degree sum d = {d} outside [{2 * t}, {t * (1 + r // 2)}] for t = {t}"
+                f"degree sum d = {brief(d)} outside [{brief(2 * t)}, "
+                f"{brief(t * (1 + r // 2))}] for t = {brief(t)}"
             )
         for name, numerator in _count_numerators(r, t, d):
             q, rem = divmod(numerator, r - 6)
             if rem:
                 raise InvalidSeedError(
-                    f"count {name} is not integral: (r-6) {name} = {numerator}"
+                    f"count {name} is not integral: (r-6) {name} = {brief(numerator)}"
                 )
             if q < 0:
-                raise InvalidSeedError(f"count {name} = {q} is negative")
+                raise InvalidSeedError(f"count {name} = {brief(q)} is negative")
 
 
 def _count_numerators(r: int, t: int, d: int):
@@ -111,7 +118,7 @@ def initial_census(seed: SeedDescriptor) -> LayerCensus:
     """Census of the first expansion layer: a = t(r-2) - d, b = t."""
     a = seed.t * (seed.r - 2) - seed.d
     if a < 0:
-        raise InvalidSeedError(f"first-layer census a = {a} is negative")
+        raise InvalidSeedError(f"first-layer census a = {brief(a)} is negative")
     return LayerCensus(a, seed.t)
 
 
@@ -152,26 +159,54 @@ def check_layer_count(n_max: int) -> None:
         raise ValueError(f"n_max must be in [1, {MAX_PREDICT_LAYERS}], got {n_max}")
 
 
+# Each ring's (add, subtract, multiply).  Decimal arithmetic goes through
+# EXACT's methods, so it neither reads nor changes the thread's context.
+_RING_OPS = {
+    int: (operator.add, operator.sub, operator.mul),
+    Decimal: (EXACT.add, EXACT.subtract, EXACT.multiply),
+}
+
+
+def _ring_ops(ring: type) -> tuple:
+    try:
+        return _RING_OPS[ring]
+    except KeyError:
+        raise TypeError(f"ring must be int or Decimal, got {ring!r}") from None
+
+
+def census_stream(seed: SeedDescriptor, n_max: int, ring: type = int) -> Iterator[tuple]:
+    """The one census loop: layers 1..n_max of repeated expansion from
+    ``seed`` as plain tuples ``(n, a, b, dv, de, df, v, e, f)``, every value
+    of type ``ring``, ``int`` or ``Decimal`` (for linear-time decimal
+    output; a ``Decimal`` that would round raises instead).
+
+    Per layer: dv = a + b, df = dv + b, de = dv + df, the cumulative counts
+    grow by them, and the next census is (a + (r-6) dv, dv).  So
+    b_{n+1} = dv_n, and the interior count s_n = v_n - dv_n is v_{n-1}.
+    """
+    check_layer_count(n_max)
+    add, _, mul = _ring_ops(ring)
+    base, first = counts_from_boundary(seed), initial_census(seed)
+    v, e, f = ring(base.v), ring(base.e), ring(base.f)
+    a, b, k = ring(first.a), ring(first.b), ring(seed.r - 6)
+    for n in range(1, n_max + 1):
+        dv = add(a, b)
+        df = add(dv, b)
+        de = add(dv, df)
+        v, e, f = add(v, dv), add(e, de), add(f, df)
+        yield n, a, b, dv, de, df, v, e, f
+        a, b = add(a, mul(k, dv)), dv
+
+
 def layer_predictions(
     seed: SeedDescriptor, n_max: int, ring: type = int
 ) -> Iterator[LayerPrediction]:
-    """Layers 1..n_max of repeated expansion from ``seed``, one at a time,
-    every value of type ``ring``: ``int``, or ``Decimal`` for linear-time
-    decimal output.  The recursion runs inside an ``EXACT`` context, so a
-    ``Decimal`` that would round raises instead."""
-    check_layer_count(n_max)
-    base, first = counts_from_boundary(seed), initial_census(seed)
-    v, e, f = ring(base.v), ring(base.e), ring(base.f)
-    census = LayerCensus(ring(first.a), ring(first.b))
-    for n in range(1, n_max + 1):
-        # no yield inside the block: a suspended localcontext leaks into the caller
-        with localcontext(EXACT):
-            deltas = deltas_from_census(census)
-            v, e, f = v + deltas.dv, e + deltas.de, f + deltas.df
-            cumulative = DiskCounts(v, e, f, v - census.a - census.b)
-            layer = LayerPrediction(n, census, deltas, cumulative)
-            census = census_step(seed.r, census)
-        yield layer
+    """``census_stream`` as ``LayerPrediction``s, one at a time."""
+    sub = _ring_ops(ring)[1]
+    for n, a, b, dv, de, df, v, e, f in census_stream(seed, n_max, ring):
+        yield LayerPrediction(
+            n, LayerCensus(a, b), DeltaCounts(dv, de, df), DiskCounts(v, e, f, sub(v, dv))
+        )
 
 
 def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:

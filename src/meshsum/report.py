@@ -12,17 +12,18 @@ whole dict.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from itertools import chain
 from typing import TYPE_CHECKING, TextIO
 
-from .exact import int_to_json, rational_to_json
+from .exact import brief, int_from_text, int_to_json, rational_to_json
 from .growth import (
     DEFAULT_VERTEX_BUDGET,
     DiskCounts,
     LayerPrediction,
     SeedDescriptor,
+    census_stream,
     check_layer_count,
     counts_from_boundary,
     layer_predictions,
@@ -137,11 +138,11 @@ def seed_descriptor_for(text: str, r: int) -> SeedDescriptor:
         return SeedDescriptor(r, r, 3 * r)
     t_text, sep, d_text = text.partition(":")
     if not sep:
-        raise ValueError(f"seed must be 'vertex', 'face', or t:d, got {text!r}")
+        raise ValueError(f"seed must be 'vertex', 'face', or t:d, got {brief(text)}")
     try:
-        t, d = int(t_text), int(d_text)
+        t, d = int_from_text(t_text), int_from_text(d_text)
     except ValueError:
-        raise ValueError(f"seed t:d must be integers, got {text!r}") from None
+        raise ValueError(f"seed t:d must be integers, got {brief(text)}") from None
     return SeedDescriptor(r, t, d)
 
 
@@ -304,21 +305,30 @@ _PREDICTED_LAYER = """\
     }"""
 
 
-def _predicted_layer(p: LayerPrediction) -> str:
-    census, deltas, cum = p.census, p.deltas, p.cumulative
-    values = (census.a, census.b, cum.e, cum.f, cum.s, cum.v, deltas.de, deltas.df, deltas.dv)
-    return _PREDICTED_LAYER % (*map(int_to_json, values), p.n)
+def _predicted_layers(layers: Iterator[tuple], s_text: str, b_text: str) -> Iterator[str]:
+    """Each ``census_stream`` layer as a ``_PREDICTED_LAYER`` entry.  Two of
+    its strings are already made: s_1 = v_0 and b_1 = t, the base's v and
+    the seed's t, and after that s_n = v_{n-1} and b_n = dv_{n-1}."""
+    for n, a, _, dv, de, df, v, e, f in layers:
+        v_text, dv_text = int_to_json(v), int_to_json(dv)
+        yield _PREDICTED_LAYER % (
+            int_to_json(a), b_text, int_to_json(e), int_to_json(f), s_text, v_text,
+            int_to_json(de), int_to_json(df), dv_text, n,
+        )
+        s_text, b_text = v_text, dv_text
 
 
 def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
     """Write the pure analytic layer table for an arbitrary valid seed as
     canonical JSON, one layer at a time."""
-    layers = layer_predictions(seed, n_layers, Decimal)
+    layers = census_stream(seed, n_layers, Decimal)
     first = next(layers)  # checks n_layers before anything is written
+    profile, base = profile_to_json_obj(seed), counts_to_json_obj(counts_from_boundary(seed))
     head = {
         "schema_version": SCHEMA_VERSION,
         "kind": "prediction-report",
-        "config": {"r": seed.r, "seed": profile_to_json_obj(seed), "layers": n_layers},
-        "base": counts_to_json_obj(counts_from_boundary(seed)),
+        "config": {"r": seed.r, "seed": profile, "layers": n_layers},
+        "base": base,
     }
-    _write_canonical(out, head, "layers_predicted", map(_predicted_layer, chain([first], layers)))
+    entries = _predicted_layers(chain([first], layers), base["v"], profile["t"])
+    _write_canonical(out, head, "layers_predicted", entries)

@@ -11,10 +11,12 @@ from meshsum import (
     CombinatorialDisk,
     RotationGraph,
     SeedDescriptor,
+    census_step,
     counts_from_boundary,
+    deltas_from_census,
+    initial_census,
     mesh,
     platonic_counts,
-    predict_layers,
     verify,
 )
 from meshsum.render import CANVAS, DiskLayout
@@ -282,9 +284,25 @@ def convex_disks(draw, degrees=(7, 8, 9, 10, 12, 20), max_moves=16) -> Combinato
     )
 
 
+def reference_layers(seed: SeedDescriptor, n: int) -> list[tuple[int, ...]]:
+    """Layers 1..n as ``(n, a, b, dv, de, df, v, e, f, s)`` ints, by the
+    textbook loop: ``initial_census``, then ``deltas_from_census`` and
+    ``census_step`` once per layer, with s = v - a - b."""
+    base, census = counts_from_boundary(seed), initial_census(seed)
+    v, e, f = base.v, base.e, base.f
+    layers = []
+    for k in range(1, n + 1):
+        d = deltas_from_census(census)
+        v, e, f = v + d.dv, e + d.de, f + d.df
+        layers.append((k, census.a, census.b, d.dv, d.de, d.df, v, e, f, v - census.a - census.b))
+        census = census_step(seed.r, census)
+    return layers
+
+
 def reference_prediction_json(seed: SeedDescriptor, n: int) -> str:
     """The prediction report as it was built before it was streamed: a dict
-    of ``predict_layers``' ints, each through ``str``, then ``canonical_json``.
+    of ``reference_layers``' ints, each through ``str``, then
+    ``canonical_json``.
 
     Quadratic in the digit count.  The interpreter's integer digit limit is
     lifted while it runs and restored afterwards.
@@ -296,15 +314,15 @@ def reference_prediction_json(seed: SeedDescriptor, n: int) -> str:
         base = counts_from_boundary(seed)
         layers = [
             {
-                "n": p.n,
-                "a": str(p.census.a),
-                "b": str(p.census.b),
-                "dv": str(p.deltas.dv),
-                "de": str(p.deltas.de),
-                "df": str(p.deltas.df),
-                "cum": {k: str(getattr(p.cumulative, k)) for k in "vefs"},
+                "n": k,
+                "a": str(a),
+                "b": str(b),
+                "dv": str(dv),
+                "de": str(de),
+                "df": str(df),
+                "cum": {"v": str(v), "e": str(e), "f": str(f), "s": str(s)},
             }
-            for p in predict_layers(seed, n)
+            for k, a, b, dv, de, df, v, e, f, s in reference_layers(seed, n)
         ]
         return canonical_json(
             {

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from meshsum import SeedDescriptor, mesh, mesh_invariants, verify
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
-from support import cli_seeds, reference_prediction_json
+from support import cli_seeds, reference_layers, reference_prediction_json
 
 
 def run_cli(capsys, *argv):
@@ -464,6 +464,44 @@ def test_grow_past_the_digit_limit_predicts_every_layer(capsys, seed, budget, n_
     assert predicted == expected["layers_predicted"]
 
 
+@needs_digit_limit
+def test_a_seed_past_the_digit_limit_is_read_and_written_in_full(capsys):
+    t = 10**699 + 7  # 700 digits: a valid r = 7 profile with d = 2t
+    seed = SeedDescriptor(7, t, 2 * t)
+    profile = {"t": str(t), "d": str(2 * t)}
+    text = f"{profile['t']}:{profile['d']}"
+    with _int_max_str_digits(640):
+        code, out, err = run_cli(capsys, "predict", "-r", "7", "--seed", text, "-n", "2", "--json")
+        assert (code, err) == (0, "")
+        assert out == reference_prediction_json(seed, 2)
+        code, out, err = run_cli(capsys, "predict", "-r", "7", "--seed", text, "-n", "2")
+        assert (code, err, len(out.splitlines())) == (0, "", 3)
+        code, out, err = run_cli(capsys, "sum", "-r", "7", "--seed", text, "--json")
+        assert (code, err) == (0, "")
+        entry = json.loads(out)["degrees"][0]
+        assert entry["seed_descriptor"] == profile and entry["seed_match"] is True
+        assert sys.get_int_max_str_digits() == 640
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x" + "7" * 5000 + ":1", "seed t:d must be integers, got 'x777"),
+        ("7" * 5000, "seed must be 'vertex', 'face', or t:d, got '777"),
+        ("7" * 5000 + ":1", "degree sum d = 1 outside [1555"),
+        ("-" + "7" * 5000 + ":1", "boundary length t = -777"),
+    ],
+    ids=["not-an-integer", "no-colon", "bad-profile", "negative"],
+)
+def test_a_long_bad_seed_gets_a_short_message(capsys, text, message):
+    for command in ("predict", "sum"):
+        with _int_max_str_digits(640):
+            code, out, err = run_cli(capsys, command, "-r", "7", f"--seed={text}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and len(err) < 300, err[:300]
+
+
 @given(
     st.integers(min_value=7, max_value=1000).flatmap(
         lambda r: st.tuples(cli_seeds(r), st.integers(min_value=1, max_value=300))
@@ -484,6 +522,20 @@ def test_streamed_predict_report_matches_the_reference(case, to_file):
         else:
             written = out.getvalue()
     assert written == reference_prediction_json(seed, n)
+
+
+@given(
+    st.integers(min_value=7, max_value=1000).flatmap(
+        lambda r: st.tuples(cli_seeds(r), st.integers(min_value=1, max_value=60))
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_the_predict_table_matches_the_reference(case):
+    (text, seed), n = case
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["predict", "-r", str(seed.r), "--seed", text, "-n", str(n)]) == 0
+    rows = [tuple(map(int, row.split())) for row in out.getvalue().splitlines()[1:]]
+    assert rows == [layer[:6] for layer in reference_layers(seed, n)]
 
 
 def test_predict_rejects_a_bad_layer_count_before_opening_the_output(capsys, tmp_path):

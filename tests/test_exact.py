@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from meshsum import layer_predictions, predict_layers
 from meshsum.exact import (
     EXACT,
+    brief,
     int_from_json,
+    int_from_text,
     int_to_json,
     rational_from_json,
     rational_to_json,
@@ -132,3 +135,38 @@ def test_int_json_accepts_only_what_it_writes(text):
     except ValueError:
         return
     assert int_to_json(value) == text
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before 3.10.7"
+)
+def test_int_text_has_no_digit_limit():
+    n = -(10**700 + 3)
+    text = str(n)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert int_to_json(n) == text
+        assert int_from_text(text) == n
+        assert int_from_text(f" +{text[1:]}\n") == -n
+        assert brief(n) == f"{text[:40]}... (702 characters)"
+        for bad in (text + "e5", text + ".0", "x" + text, text + "_1", "--" + text[1:]):
+            with pytest.raises(ValueError):
+                int_from_text(bad)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_short_int_text_keeps_int_rules():
+    assert int_from_text(" 12 ") == 12
+    assert int_from_text("1_000") == 1000
+    assert int_from_text("-\u0663") == -3
+    for bad in ("", "+", "1e3", "NaN", "1.0"):
+        with pytest.raises(ValueError):
+            int_from_text(bad)
+
+
+def test_brief_keeps_a_message_short():
+    assert brief(-12) == "-12"
+    assert brief("3:x") == "'3:x'"
+    assert brief("x" * 100) == "'" + "x" * 39 + "... (102 characters)"

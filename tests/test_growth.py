@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from meshsum import (
     initial_census,
     is_convex,
     layer_census,
+    layer_predictions,
     count_explicit,
     mesh_invariants,
     mesh_invariants_from_seed,
@@ -29,8 +33,8 @@ from meshsum import (
     seed_vertex,
     validate_disk,
 )
-from meshsum.growth import MAX_PREDICT_LAYERS
-from support import convex_disks, valid_seeds
+from meshsum.growth import MAX_PREDICT_LAYERS, census_stream
+from support import convex_disks, reference_layers, valid_seeds
 
 
 def test_counts_from_boundary_examples():
@@ -211,3 +215,49 @@ def test_random_convex_disks_grow_as_predicted(disk):
 @given(disk=convex_disks())
 def test_random_convex_disks_sum_to_the_mesh_invariants(disk):
     assert mesh_invariants_from_seed(_profile_seed(disk)) == mesh_invariants(disk.ambient_degree)
+
+
+def _rows(layers) -> list[tuple]:
+    """``LayerPrediction``s as ``reference_layers`` rows."""
+    return [
+        (p.n, p.census.a, p.census.b, *vars(p.deltas).values(), *vars(p.cumulative).values())
+        for p in layers
+    ]
+
+
+@given(valid_seeds(max_r=1000), st.integers(min_value=1, max_value=60))
+@settings(max_examples=60)
+def test_both_rings_of_the_stream_equal_the_textbook_loop(seed, n):
+    want = reference_layers(seed, n)
+    for ring in (int, Decimal):
+        rows = _rows(layer_predictions(seed, n, ring))
+        assert all(type(x) is ring for row in rows for x in row[1:])
+        assert rows == want  # an int and a Decimal compare exactly
+        assert list(census_stream(seed, n, ring)) == [row[:9] for row in want]
+
+
+@given(valid_seeds(max_r=1000), st.integers(min_value=1, max_value=60))
+@settings(max_examples=60)
+def test_the_stream_has_the_identities_its_writers_reuse(seed, n):
+    # s_n = v_{n-1} and b_{n+1} = dv_n, from s_1 = v_0 (the base) and b_1 = t
+    v_prev, b_next = counts_from_boundary(seed).v, seed.t
+    layers = zip(census_stream(seed, n, Decimal), layer_predictions(seed, n, Decimal), strict=True)
+    for (_, _, b, dv, _, _, v, _, _), p in layers:
+        assert b == b_next and p.cumulative.s == v_prev
+        v_prev, b_next = v, dv
+
+
+@given(valid_seeds(max_r=1000), st.integers(min_value=1, max_value=60))
+@settings(max_examples=60)
+def test_a_decimal_stream_ignores_a_coarse_caller_context(seed, n):
+    with decimal.localcontext(decimal.Context(prec=3, traps=[])) as caller:
+        rows = _rows(layer_predictions(seed, n, Decimal))
+        assert decimal.getcontext() is caller
+        assert caller.prec == 3
+        assert not any(caller.flags.values()) and not any(caller.traps.values())
+    assert rows == reference_layers(seed, n)
+
+
+def test_the_stream_takes_only_int_or_decimal():
+    with pytest.raises(TypeError, match="ring must be int or Decimal"):
+        next(census_stream(SeedDescriptor(7, 3, 6), 2, float))

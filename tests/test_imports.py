@@ -5,7 +5,9 @@ unused-import rule).  The analytic side (``exact``, ``growth``,
 ``summation``, ``report``, ``cli`` and the package itself) imports
 neither numpy nor the explicit side's modules at module level, so that
 ``predict`` and ``sum`` run without them, and the package's lazy names
-keep its public API whole.
+keep its public API whole.  No module reads or sets the thread's
+decimal context: exact decimal arithmetic goes through ``EXACT``'s own
+methods, so no context can leak into a caller.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "meshsum"
 ANALYTIC = ("exact.py", "growth.py", "summation.py", "report.py", "cli.py", "__init__.py")
 EXPLICIT_MODULES = ("numpy", "meshsum.mesh", "meshsum.render", "meshsum.verify")
+CONTEXT_FUNCTIONS = ("localcontext", "getcontext", "setcontext")
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -114,6 +117,39 @@ def test_the_check_finds_an_explicit_import():
 def test_the_analytic_side_imports_no_explicit_module(name):
     path = SRC / name
     assert explicit_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def context_uses(source: str) -> list[str]:
+    """'line: name' for each mention, anywhere in the module, of the decimal
+    module's thread-context functions: as a name, an attribute or an
+    imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in CONTEXT_FUNCTIONS:
+            found.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_the_check_finds_a_thread_context_use():
+    source = "import decimal\nfrom decimal import Decimal, localcontext as lc\n"
+    source += "def f():\n    with decimal.localcontext(EXACT):\n"
+    source += "        return decimal.getcontext().prec\n"
+    source += "setcontext = EXACT.add\nEXACT.multiply(Decimal(2), lc)\n"
+    assert context_uses(source) == ["2: localcontext", "4: localcontext", "5: getcontext",
+                                    "6: setcontext"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_uses_the_thread_decimal_context(path):
+    assert context_uses(path.read_text(encoding="utf-8")) == [], path
 
 
 def _loaded_after(code: str, cwd: Path) -> list[str]:
