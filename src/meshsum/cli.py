@@ -31,8 +31,8 @@ from .report import (
 )
 from .summation import mesh_invariants
 
-# Every bad-input error (seed, sum, disk JSON, layout) subclasses ValueError.
-_INPUT_ERRORS = (ValueError, OSError)
+# Bad input (seed, sum, disk JSON, layout: all ValueErrors) or a budget past memory.
+_INPUT_ERRORS = (ValueError, OSError, MemoryError)
 MAX_SHOWN_VIOLATIONS = 20
 
 
@@ -80,11 +80,6 @@ def _require_distinct(kept: str, written: str) -> None:
         exist and os.path.samefile(kept, written)
     ):
         raise ValueError(f"{written!r} would overwrite {kept!r}")
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _emit_stream(args, write_json, write_table):
@@ -140,7 +135,8 @@ def cmd_grow(args) -> int:
         args, lambda out: write_growth_report(report, out), lambda out: _layer_table(report, out)
     )
     if args.emit_disk:
-        _write_text(args.emit_disk, disk_json(disk))
+        with open(args.emit_disk, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(disk_json(disk))
     return 0 if report["all_match"] else 1
 
 
@@ -228,18 +224,22 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     from .mesh import MalformedDiskError, disk_from_json_obj, validate_disk
-    from .render import emit_svg, layout_disk
+    from .render import layout_disk, write_svg
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
-    with open(args.input, encoding="utf-8") as fh:
-        disk = disk_from_json_obj(json.load(fh))
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            disk = disk_from_json_obj(json.load(fh))
+    except RecursionError:
+        raise MalformedDiskError("disk JSON nests too deeply") from None
     violations = validate_disk(disk)
     if violations:
         first = violations[0]
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise MalformedDiskError(f"malformed disk: {first.kind}: {first.detail}{more}")
-    svg = emit_svg(disk, layout_disk(disk))
-    _write_text(out, svg)
+    layout = layout_disk(disk)  # before the SVG file is created
+    with open(out, "wb") as fh:
+        write_svg(disk, layout, fh)
     print(f"wrote {out}")
     return 0
 
@@ -302,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # bare MemoryError too
         return 2
 
 

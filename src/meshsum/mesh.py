@@ -460,8 +460,8 @@ def measured_layers(
     """Layers 0..n_layers of a canonical seed, each counted, profiled and censused.
 
     Stops quietly before the first expansion past ``budget``.  A layer that
-    fails measurement re-raises its MalformedDiskError or
-    CensusContradiction with "r=<r> seed=<kind> layer=<k>: " in front.
+    fails measurement (or runs out of memory) re-raises its MalformedDiskError
+    or CensusContradiction (or a MemoryError) with "r=<r> seed=<kind> layer=<k>: " in front.
     Only the current disk and its predecessor are kept alive.
     """
     seeds = {"face": seed_face, "vertex": seed_vertex}
@@ -470,18 +470,20 @@ def measured_layers(
     disk = seeds[seed_kind](r)
     prev = None
     for layer in range(n_layers + 1):
-        if layer:
-            prev = disk  # drop the older disk before building the next one
-            try:
-                disk = expand(prev, budget)
-            except BudgetExceededError:
-                return
+        where = f"r={r} seed={seed_kind} layer={layer}"
         try:
+            if layer:
+                prev = disk  # drop the older disk before building the next one
+                disk = expand(prev, budget)
             counts = count_explicit(disk)
             profile = None if disk.is_degenerate else boundary_profile(disk)
             census = None if prev is None else layer_census(prev, disk)
+        except BudgetExceededError:
+            return
         except (MalformedDiskError, CensusContradiction) as exc:
-            raise type(exc)(f"r={r} seed={seed_kind} layer={layer}: {exc}") from None
+            raise type(exc)(f"{where}: {exc}") from None
+        except MemoryError:
+            raise MemoryError(f"{where}: out of memory, lower --budget") from None
         yield MeasuredLayer(layer, disk, counts, profile, census)
 
 

@@ -49,23 +49,13 @@ def canonical_json(obj) -> str:
 
 def disk_json(disk: CombinatorialDisk) -> str:
     """``canonical_json`` of the portable disk form {"boundary", "layer", "r",
-    "rotation"}, written straight from the CSR arrays: each vertex id's
-    decimal string is made once and looked up per slot."""
-    graph = disk.graph
-    nv, ids, bounds = graph.vertex_count, graph.neighbors, graph.offsets.tolist()
-    in_range = not ids.size or (ids.min() >= 0 and ids.max() < nv)
-    slots = list(map(list(map(str, range(nv))).__getitem__ if in_range else str, ids.tolist()))
-    rows = [
-        "[\n      " + ",\n      ".join(slots[a:b]) + "\n    ]" if a < b else "[]"
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    boundary, rotation = (
-        "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-        for items in (list(map(str, disk.boundary.tolist())), rows)
-    )
-    return '{\n  "boundary": %s,\n  "layer": %d,\n  "r": %d,\n  "rotation": %s\n}\n' % (
-        boundary, disk.layer_index, disk.ambient_degree, rotation
-    )
+    "rotation"}, written straight from the CSR arrays by ``render``'s text kernel."""
+    from .render import _json_int_rows
+    rows = _json_int_rows(disk.graph.offsets, disk.graph.neighbors, 6)
+    return (b'{\n  "boundary": %s,\n  "layer": %d,\n  "r": %d,\n  "rotation": %s\n}\n' % (
+        _json_int_rows([0, disk.boundary.size], disk.boundary, 4), disk.layer_index,
+        disk.ambient_degree, b"[\n    " + rows + b"\n  ]" if disk.graph.vertex_count else b"[]"
+    )).decode("ascii")
 
 
 _ENTRIES = "@entries@"

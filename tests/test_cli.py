@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import resource
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -162,6 +164,44 @@ def test_render_rejects_bad_input(capsys, tmp_path):
         assert "error:" in err
         assert kind in err
         assert not (tmp_path / "baddisk.svg").exists()
+
+
+def test_render_reports_deeply_nested_json_as_malformed(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "render", str(deep))
+    assert (code, out) == (2, "")
+    assert err == "error: disk JSON nests too deeply\n"
+    assert not (tmp_path / "deep.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["grow", "verify"])
+def test_a_budget_past_memory_exits_2_with_one_line(tmp_path, command):
+    # the address-space limit is set in the child only, before it starts; with
+    # one OpenBLAS thread numpy itself loads in under 150 MB of it on any host
+    limit = 400 * 2**20
+    report = tmp_path / "report.json"
+    argv = [command, "-r", "7", "-n", "40", "--budget", "20000000", "--json", "-o", str(report)]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "meshsum", *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: r=7 seed=face layer=")
+    assert result.stderr.endswith(": out of memory, lower --budget\n")
+    assert result.stderr.count("\n") == 1
+    assert not report.exists()
+
+
+def test_a_bare_memory_error_exits_2_with_its_name(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError  # as the interpreter raises it: no message
+
+    monkeypatch.setattr("meshsum.cli.growth_report", exhausted)
+    assert run_cli(capsys, "grow", "-r", "7", "-n", "1") == (2, "", "error: MemoryError\n")
 
 
 def test_render_refuses_to_overwrite_its_input(capsys, tmp_path):

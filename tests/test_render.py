@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsum import (
     CombinatorialDisk,
+    DiskLayout,
     LayoutError,
     RotationGraph,
     count_explicit,
@@ -23,6 +28,7 @@ from meshsum import (
     seed_face,
     seed_vertex,
 )
+from meshsum.render import CANVAS, _fixed2_cells, _int_cells, _row, _text, write_svg
 from meshsum.report import disk_json
 from support import reference_disk_json, reference_disk_to_json_obj, reference_emit_svg
 
@@ -176,11 +182,85 @@ def test_disk_json_and_svg_match_the_references(r, kind, layer, shift_seed):
     _check_writers(disk_from_json_obj(obj))
 
 
+BIG = 2**31 - 1  # the widest id a RotationGraph takes, either sign
+
+
 @pytest.mark.parametrize(
     "rows, boundary",
-    [([], ()), ([[1, 5], [2, 0], [0, 1]], (0, 1, 2)), ([[1, -1], [2, 0], [0, 1]], (0, 1, 2))],
+    [
+        ([], ()),
+        ([[1, 5], [2, 0], [0, 1]], (0, 1, 2)),
+        ([[1, -1], [2, 0], [0, 1]], (0, 1, 2)),
+        ([[1, 2], [], [0, 1]], (0, 1, 2)),
+        ([[], [], [0], []], ()),
+        ([[BIG, -BIG], [], [0, -7, 12]], (BIG, -BIG, 0)),
+    ],
 )
 def test_disk_json_matches_the_reference_on_disks_not_grown(rows, boundary):
-    # no rows at all, and ids outside [0, nv) that no grown or loaded disk has
+    # no rows at all, empty rows between and around others, and ids outside
+    # [0, nv) that no grown or loaded disk has, up to the int32 extremes
     disk = CombinatorialDisk(RotationGraph(rows), 7, boundary, 0)
     assert disk_json(disk) == reference_disk_json(disk)
+
+
+def _kernel_lines(cells: np.ndarray) -> list[str]:
+    return _text(_row(len(cells), cells, b"\n")).decode("ascii").split("\n")[:-1]
+
+
+# exact binary ties round half to even (0.125 -> 0.12, 0.375 -> 0.38); 2.675
+# lies just below its tie (2.67), 999.995 just above (it carries to 1000.00); the
+# smallest subnormal; -0.0 keeps its sign
+FLOAT_EDGES = [0.125, 0.375, 2.675, 999.995, 0.0, 5e-324, CANVAS, -0.0, 0.005, 1 / 1024]
+
+
+@given(st.lists(st.floats(min_value=0, max_value=CANVAS), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_fixed2_kernel_matches_python_formatting(xs):
+    values = np.array(xs + FLOAT_EDGES)
+    assert _kernel_lines(_fixed2_cells(values)) == [f"{x:.2f}" for x in values.tolist()]
+
+
+@given(st.lists(st.integers(min_value=-(2**31), max_value=2**31 - 1), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_int_kernel_matches_python_formatting(ns):
+    values = np.array(ns + [-(2**31), 2**31 - 1, -1, 0, 9, 10, -10], dtype=np.int32)
+    assert _kernel_lines(_int_cells(values)) == [str(n) for n in values.tolist()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0, 2e6, CANVAS + 1e-9])
+def test_svg_rejects_positions_off_the_canvas(bad):
+    disk = seed_face(7)
+    layout = DiskLayout(((bad, 1.0), (1.0, 2.0), (3.0, 3.0)), (1, 1, 1))
+    with pytest.raises(LayoutError, match="canvas"):
+        emit_svg(disk, layout)
+    out = io.BytesIO()
+    with pytest.raises(LayoutError):
+        write_svg(disk, DiskLayout(((1.0, 1.0), (2.0, 2.0), (3.0, bad)), (1, 1, 1)), out)
+    assert out.getvalue() == b""  # nothing is written before the check
+
+
+def test_svg_draws_the_canvas_edges_like_python_formatting():
+    layout = DiskLayout(((0.0, CANVAS), (-0.0, 2.675), (999.995, 0.125)), (1, 1, 1))
+    _assert_same(emit_svg(seed_face(7), layout), reference_emit_svg(seed_face(7), layout))
+
+
+def test_writers_peak_under_a_bound_per_slot():
+    # the old writers peaked at 95 (disk JSON) and 196 (SVG) traced bytes per
+    # slot; these bounds keep the render workload's peak from creeping back
+    disk = grow(seed_face(7), 10)
+    layout = layout_disk(disk)
+    slots = disk.graph.neighbors.size
+    assert slots == 565_956
+    peaks = []
+    tracemalloc.start()
+    try:
+        disk_json(disk)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        with open(os.devnull, "wb") as sink:
+            write_svg(disk, layout, sink)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 70 * slots
+    assert peaks[1] < 80 * slots
