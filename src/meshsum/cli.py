@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     from .mesh import MalformedDiskError, disk_from_json_obj, validate_disk
-    from .render import layout_disk, write_svg
+    from .render import emit_svg, layout_disk
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
     try:
@@ -237,9 +237,9 @@ def cmd_render(args) -> int:
         first = violations[0]
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise MalformedDiskError(f"malformed disk: {first.kind}: {first.detail}{more}")
-    layout = layout_disk(disk)  # before the SVG file is created
-    with open(out, "wb") as fh:
-        write_svg(disk, layout, fh)
+    svg = emit_svg(disk, layout_disk(disk))  # before the SVG file is created
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(svg)
     print(f"wrote {out}")
     return 0
 

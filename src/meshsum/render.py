@@ -12,11 +12,11 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import BinaryIO
 
 import numpy as np
 
 from .mesh import CombinatorialDisk
+from .textcells import fixed2_cells, row, text
 
 CANVAS = 1000.0
 
@@ -89,86 +89,29 @@ def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     return DiskLayout(tuple(positions), tuple((layers + shift).tolist()))
 
 
-def _int_cells(values: np.ndarray, negative: np.ndarray | None = None) -> np.ndarray:
-    """Each int32 ``abs(values)`` in decimal as a row of NUL-padded ASCII bytes,
-    with a minus sign in column 0 where ``negative`` (by default, value < 0)."""
-    negative = values < 0 if negative is None else negative
-    mag = np.abs(values.astype(np.int64)).astype(np.uint32)  # |-2**31| fits
-    cells = np.empty((mag.size, int(negative.any()) + len(str(mag.max(initial=0)))), np.uint8)
-    for col in range(cells.shape[1] - 1, -1, -1):
-        cells[:, col] = np.where((mag > 0) | (col == cells.shape[1] - 1), mag % 10 + 48, 0)
-        mag //= 10
-    cells[negative, 0] = ord("-")  # ahead of the padding
-    return cells
-
-
-def _fixed2_cells(x: np.ndarray) -> np.ndarray:
-    """Each float's ``f"{x:.2f}"`` as a row of NUL-padded ASCII bytes, exact
-    for abs(x) < 2**31: 100 * abs(x) is rounded half to even from the float's
-    binary value, mantissa * 2**exp, as Python's own formatting does."""
-    mantissa, exp = np.frexp(np.abs(x))
-    scaled = (mantissa * 2.0**53).astype(np.uint64) * np.uint64(100)  # < 2**60
-    shift = np.minimum(53 - exp, 63).astype(np.uint64)  # >= 22; 63 leaves 0 cents
-    cents = scaled >> shift
-    rest, half = scaled - (cents << shift), np.uint64(1) << (shift - np.uint64(1))
-    cents += (rest > half) | ((rest == half) & (cents % 2 == 1))
-    frac = _int_cells(cents % 100 + 100)[:, 1:]  # "1dd" without its "1"
-    return _row(x.size, _int_cells(cents // 100, np.signbit(x)), b".", frac)  # "-0.00" too
-
-
-def _row(n: int, *parts) -> np.ndarray:
-    """n rows of ASCII bytes: each part is bytes (the same in every row) or cells."""
-    return np.hstack([
-        np.broadcast_to(np.frombuffer(p, np.uint8), (n, len(p))) if isinstance(p, bytes) else p
-        for p in parts
-    ])
-
-
-def _text(cells: np.ndarray) -> bytes:
-    """The rows of ``cells`` one after another, with their NUL padding dropped."""
-    return cells.tobytes().replace(b"\0", b"")
-
-
-def _json_int_rows(offsets, ids: np.ndarray, indent: int) -> bytes:
-    """Each CSR row of int32 ``ids`` as a canonical JSON list with its items
-    at ``indent``, the rows joined by commas at ``indent - 2``."""
-    inner, outer = b"\n" + b" " * indent, b"\n" + b" " * (indent - 2)
-    cells = np.maximum(np.diff(offsets), 1)  # an empty row is one cell with no digits
-    first, empty = np.cumsum(cells) - cells, np.diff(offsets) == 0
-    digits = _int_cells(np.insert(ids, np.asarray(offsets)[:-1][empty], 0))
-    digits[first[empty]] = 0
-    text = _row(len(digits), b"," + inner, digits)
-    text[first, 0] = ord("[")
-    # each "[" opens a row and closes the one before: the first one's close is cut
-    rows = _text(text).replace(b"[", outer + b"]," + outer + b"[") + outer + b"]"
-    return rows[2 * len(outer) + 2:].replace(b"[" + inner + outer + b"]", b"[]")
-
-
-def write_svg(disk: CombinatorialDisk, layout: DiskLayout, out: BinaryIO) -> None:
-    """Write the SVG to the binary file ``out``, 2**14 edges at a time.  A position
-    not finite or off the canvas [0, CANVAS]^2 raises LayoutError before any write."""
+def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
+    """Serialize the disk: one <line> per edge, one <circle> per vertex.  A position
+    not finite or off the canvas [0, CANVAS]^2 raises LayoutError."""
+    if layout is None:
+        layout = layout_disk(disk)
     n, pos = disk.graph.vertex_count, np.fromiter(chain.from_iterable(layout.positions), float)
     if pos.size != 2 * n:
         raise LayoutError("layout does not cover every vertex of the disk")
     if not ((pos >= 0) & (pos <= CANVAS)).all():  # NaN fails both
         raise LayoutError(f"a vertex position is not finite or off the canvas [0, {CANVAS:.0f}]^2")
-    x, y = _fixed2_cells(pos[0::2]), _fixed2_cells(pos[1::2])
+    x, y = fixed2_cells(pos[0::2]), fixed2_cells(pos[1::2])
     # an edge v -> u is head[v] + tail[u]: each coordinate is formatted once
-    head = _row(n, b'<line x1="', x, b'" y1="', y, b'" x2="')
-    tail = _row(n, x, b'" y2="', y, b'" stroke="#556" stroke-width="1"/>\n')
+    head = row(n, b'<line x1="', x, b'" y1="', y, b'" x2="')
+    tail = row(n, x, b'" y2="', y, b'" stroke="#556" stroke-width="1"/>\n')
     src, dst = disk.graph.slot_sources().astype(np.int64), disk.graph.neighbors
     span = int(dst.max(initial=0)) + 1  # an id past the disk still fails, as an index
     edges = np.sort((src * span + dst)[src < dst])  # by (src, dst), as lexsort would
+    out = io.BytesIO()
     out.write(b'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
               b'width="%s" height="%s" viewBox="0 0 %s %s">\n' % ((b"%.0f" % CANVAS,) * 4))
     for chunk in np.split(edges, range(1 << 14, edges.size, 1 << 14)):
-        out.write(_text(np.hstack((head[chunk // span], tail[chunk % span]))))
-    out.write(_text(_row(n, b'<circle cx="', x, b'" cy="', y, b'" r="3" fill="#223"/>\n')))
+        out.write(text(np.hstack((head[chunk // span], tail[chunk % span]))))
+    out.write(text(row(n, b'<circle cx="', x, b'" cy="', y, b'" r="3" fill="#223"/>\n')))
     out.write(b"</svg>\n")
-
-
-def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
-    """The SVG as text, one <line> per edge and one <circle> per vertex (``write_svg``)."""
-    out = io.BytesIO()
-    write_svg(disk, layout or layout_disk(disk), out)
+    del head, tail, edges, src  # before the text is copied into a str
     return out.getvalue().decode("ascii")

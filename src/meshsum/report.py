@@ -47,14 +47,35 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_int_list(ids, indent: int, offsets=None) -> bytes:
+    """Canonical JSON of the int32 array ``ids`` with its items at ``indent``:
+    one list or, cut into rows at CSR ``offsets``, the list of those rows."""
+    import numpy as np
+    from .textcells import int_cells, row, text
+
+    bounds = np.asarray([0, ids.size] if offsets is None else offsets)
+    if bounds.size == 1:
+        return b"[]"
+    item, close, outer = (b"\n" + b" " * k for k in (indent, indent - 2, indent - 4))
+    sizes = np.diff(bounds)
+    empty, counts = sizes == 0, np.maximum(sizes, 1)  # an empty row is one cell: "["
+    first = np.cumsum(counts) - counts
+    cells = row(counts.sum(), bytes(1), b"," + item,  # a lead byte, ",item", the digits
+                int_cells(np.insert(ids, bounds[:-1][empty], 0)))  # "0" for an empty row
+    cells[first, 1] = ord("[")
+    cells[first[empty], 2:] = 0
+    # a row's lead byte closes the row before it: ";" after items, ":" after "["
+    cells[first[1:], 0] = np.where(empty[:-1], ord(":"), ord(";"))
+    body = text(cells).replace(b";", close + b"]," + close).replace(b":", b"]," + close)
+    end = b"]" if empty[-1] else close + b"]"
+    return body + end if offsets is None else b"[%s%s%s%s]" % (close, body, end, outer)
+
+
 def disk_json(disk: CombinatorialDisk) -> str:
-    """``canonical_json`` of the portable disk form {"boundary", "layer", "r",
-    "rotation"}, written straight from the CSR arrays by ``render``'s text kernel."""
-    from .render import _json_int_rows
-    rows = _json_int_rows(disk.graph.offsets, disk.graph.neighbors, 6)
+    """``canonical_json`` of the portable disk form, written straight from the CSR arrays."""
     return (b'{\n  "boundary": %s,\n  "layer": %d,\n  "r": %d,\n  "rotation": %s\n}\n' % (
-        _json_int_rows([0, disk.boundary.size], disk.boundary, 4), disk.layer_index,
-        disk.ambient_degree, b"[\n    " + rows + b"\n  ]" if disk.graph.vertex_count else b"[]"
+        _json_int_list(disk.boundary, 4), disk.layer_index, disk.ambient_degree,
+        _json_int_list(disk.graph.neighbors, 6, disk.graph.offsets),
     )).decode("ascii")
 
 

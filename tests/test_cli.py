@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -175,18 +174,24 @@ def test_render_reports_deeply_nested_json_as_malformed(capsys, tmp_path):
     assert not (tmp_path / "deep.svg").exists()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 @pytest.mark.parametrize("command", ["grow", "verify"])
 def test_a_budget_past_memory_exits_2_with_one_line(tmp_path, command):
-    # the address-space limit is set in the child only, before it starts; with
-    # one OpenBLAS thread numpy itself loads in under 150 MB of it on any host
-    limit = 400 * 2**20
+    # the child imports numpy and meshsum first and only then caps its address
+    # space, at 300 MB above what it has mapped, so the import's size is no matter
+    child = "\n".join([
+        "import resource, sys",
+        "import meshsum.cli, meshsum.verify",
+        "mapped = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
+        "resource.setrlimit(resource.RLIMIT_AS, (mapped + 300 * 2**20,) * 2)",
+        "sys.exit(meshsum.cli.main(sys.argv[1:]))",
+    ])
     report = tmp_path / "report.json"
     argv = [command, "-r", "7", "-n", "40", "--budget", "20000000", "--json", "-o", str(report)]
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     result = subprocess.run(
-        [sys.executable, "-m", "meshsum", *argv], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
@@ -202,6 +207,18 @@ def test_a_bare_memory_error_exits_2_with_its_name(capsys, monkeypatch):
 
     monkeypatch.setattr("meshsum.cli.growth_report", exhausted)
     assert run_cli(capsys, "grow", "-r", "7", "-n", "1") == (2, "", "error: MemoryError\n")
+
+
+def test_render_writes_no_file_when_drawing_fails(capsys, monkeypatch, tmp_path):
+    disk = tmp_path / "d.json"
+    assert run_cli(capsys, "grow", "-r", "7", "-n", "2", "--emit-disk", str(disk))[0] == 0
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("meshsum.render.emit_svg", exhausted)
+    assert run_cli(capsys, "render", str(disk)) == (2, "", "error: MemoryError\n")
+    assert not (tmp_path / "d.svg").exists()
 
 
 def test_render_refuses_to_overwrite_its_input(capsys, tmp_path):

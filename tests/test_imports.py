@@ -29,7 +29,9 @@ import meshsum
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "meshsum"
 ANALYTIC = ("exact.py", "growth.py", "summation.py", "report.py", "cli.py", "__init__.py")
-EXPLICIT_MODULES = ("numpy", "meshsum.mesh", "meshsum.render", "meshsum.verify")
+EXPLICIT_MODULES = (
+    "numpy", "meshsum.mesh", "meshsum.render", "meshsum.textcells", "meshsum.verify"
+)
 CONTEXT_FUNCTIONS = ("localcontext", "getcontext", "setcontext")
 
 
