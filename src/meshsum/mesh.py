@@ -45,6 +45,7 @@ predictions it is later checked against.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -55,7 +56,8 @@ from .growth import DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
 
 MIN_DEGREE = 7
 # Vertex ids are stored as int32, so a disk holds at most this many vertices.
-MAX_VERTICES = int(np.iinfo(np.int32).max)
+INT32 = np.iinfo(np.int32)
+MAX_VERTICES = int(INT32.max)
 
 
 class ConvexityError(ValueError):
@@ -79,24 +81,32 @@ class CensusContradiction(RuntimeError):
     """A freshly added boundary vertex has degree outside {3, 4}."""
 
 
+def _not_an_id(x) -> bool:
+    return type(x) is bool or not isinstance(x, (int, np.integer))
+
+
 def _id_array(ids) -> np.ndarray:
     """Vertex ids as a read-only int32 array: the one type-and-width check.
 
     Ids must be integers (booleans are not) that fit in 32 bits, else
     MalformedDiskError.  A read-only int32 array passes through uncopied.
     """
-    if isinstance(ids, np.ndarray) and ids.dtype == np.int32 and not ids.flags.writeable:
-        return ids
-    ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-    if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, ids))):
-        raise MalformedDiskError("vertex ids must be integers")
-    too_wide = MalformedDiskError("a vertex id does not fit in 32 bits")
+    if isinstance(ids, np.ndarray):
+        if ids.dtype == np.int32 and not ids.flags.writeable:
+            return ids
+        ids = ids.tolist()
+    elif not isinstance(ids, (list, tuple)):
+        ids = list(ids)
     try:
-        flat = np.array(ids, dtype=np.int64)
-    except OverflowError:
-        raise too_wide from None
-    if flat.size and (flat.min() < -MAX_VERTICES or flat.max() > MAX_VERTICES):
-        raise too_wide
+        flat = np.frombuffer(array("q", ids), np.int64)
+    except (TypeError, OverflowError):  # not an integer, or one past 64 bits
+        flat = None
+    # that one pass refused every other non-integer, but a boolean reads as 0 or 1
+    if flat is None or any(map(_not_an_id, (ids[i] for i in np.flatnonzero(flat >> 1 == 0)))):
+        if any(map(_not_an_id, ids)):
+            raise MalformedDiskError("vertex ids must be integers")
+    if flat is None or flat.size and (flat.min() < INT32.min or flat.max() > INT32.max):
+        raise MalformedDiskError("a vertex id does not fit in 32 bits")
     out = flat.astype(np.int32)
     out.flags.writeable = False
     return out
@@ -138,6 +148,11 @@ class RotationGraph:
     def slot_sources(self) -> np.ndarray:
         """The vertex whose row holds each slot: the tail of each directed edge."""
         return np.repeat(np.arange(self.vertex_count, dtype=np.int32), np.diff(self.offsets))
+
+    def neighbors_of(self, vertices: np.ndarray) -> np.ndarray:
+        """The rotations at ``vertices``, one after another."""
+        starts = self.offsets[vertices]
+        return self.neighbors[_ranges(starts, self.offsets[vertices + 1] - starts)]
 
     @property
     def rotations(self) -> list[list[int]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -25,12 +24,22 @@ class LayoutError(ValueError):
     """The disk does not expose usable layer structure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskLayout:
-    """Vertex positions plus the ring index assigned to each vertex."""
+    """Vertex positions, an (n, 2) float64 array, plus the ring index assigned to
+    each vertex, an int64 array; ``layout_disk`` makes both read-only."""
 
-    positions: tuple[tuple[float, float], ...]
-    ring: tuple[int, ...]
+    positions: np.ndarray
+    ring: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, DiskLayout):
+            return NotImplemented
+        return np.array_equal(self.positions, other.positions) and np.array_equal(
+            self.ring, other.ring
+        )
+
+    __hash__ = None
 
 
 def _rings_by_peeling(disk: CombinatorialDisk) -> np.ndarray:
@@ -38,24 +47,25 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> np.ndarray:
 
     Every vertex of the current outermost ring was created by one
     expansion, and its neighbors not on that ring form the previous
-    boundary.  Works for any disk built by repeated expansion; anything
-    else raises LayoutError.
+    boundary.  Each step reads only the rows of the current ring.  Works
+    for any disk built by repeated expansion; anything else raises
+    LayoutError.
     """
-    nv = disk.graph.vertex_count
-    src, dst = disk.graph.slot_sources(), disk.graph.neighbors
+    nv, dst, current = disk.graph.vertex_count, disk.graph.neighbors, disk.boundary
     if dst.size and (dst.min() < 0 or dst.max() >= nv):
         raise LayoutError("a rotation lists a vertex outside the disk")
+    if current.min() < 0 or current.max() >= nv:
+        raise LayoutError("the boundary lists a vertex outside the disk")
     ring = np.full(nv, -1, dtype=np.int64)
-    current = disk.boundary
+    ring[current] = 0
+    if np.count_nonzero(ring == 0) != current.size:
+        raise LayoutError("boundary peeling revisited a vertex")
     depth = 0
     while current.size:
-        if current.min() < 0 or current.max() >= nv or (ring[current] != -1).any():
-            raise LayoutError("boundary peeling revisited a vertex")
-        ring[current] = depth
-        reached = np.zeros(nv, dtype=bool)
-        reached[dst[ring[src] == depth]] = True
-        current = np.flatnonzero(reached & (ring == -1))
+        reached = disk.graph.neighbors_of(current)
+        ring[reached[ring[reached] == -1]] = depth + 1
         depth += 1
+        current = np.flatnonzero(ring == depth)
     if (ring == -1).any():
         raise LayoutError("disk is not connected to its boundary")
     return depth - 1 - ring
@@ -69,24 +79,26 @@ def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     ring 1.  Each ring must be a contiguous id range, which holds for
     every disk produced by expansion.
     """
-    if disk.is_degenerate:
-        c = CANVAS / 2
-        return DiskLayout(((c, c),), (0,))
-
-    layers = _rings_by_peeling(disk)
+    layers = np.zeros(1, np.int64) if disk.is_degenerate else _rings_by_peeling(disk)
     if (np.diff(layers) < 0).any():
         raise LayoutError("layers are not contiguous id ranges; no growth provenance")
-    sizes = np.bincount(layers).tolist()
+    sizes = np.bincount(layers)
     shift = 0 if sizes[0] == 1 else 1
-    spacing = CANVAS / (2 * max(len(sizes) - 1 + shift, 1) + 2)
+    spacing = CANVAS / (2 * max(sizes.size - 1 + shift, 1) + 2)
     center = CANVAS / 2
 
-    positions: list[tuple[float, float]] = []
-    for k, size in enumerate(sizes):
-        radius, step = (k + shift) * spacing, 2 * math.pi / size
-        for a in (idx * step for idx in range(size)):
-            positions.append((center + radius * math.cos(a), center + radius * math.sin(a)))
-    return DiskLayout(tuple(positions), tuple((layers + shift).tolist()))
+    # vertex idx of a ring of `size` sits at angle idx * (2 pi / size), as
+    # center + radius * (cos, sin): the float operations of a per-vertex loop
+    idx = np.arange(layers.size) - (np.cumsum(sizes) - sizes)[layers]
+    angle = idx * (2 * math.pi / sizes)[layers]
+    radius = ((np.arange(sizes.size) + shift) * spacing)[layers]
+    positions = np.empty((layers.size, 2))
+    positions[:, 0] = center + radius * np.cos(angle)
+    positions[:, 1] = center + radius * np.sin(angle)
+    ring = layers + shift
+    positions.flags.writeable = False
+    ring.flags.writeable = False
+    return DiskLayout(positions, ring)
 
 
 def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
@@ -94,12 +106,12 @@ def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
     not finite or off the canvas [0, CANVAS]^2 raises LayoutError."""
     if layout is None:
         layout = layout_disk(disk)
-    n, pos = disk.graph.vertex_count, np.fromiter(chain.from_iterable(layout.positions), float)
-    if pos.size != 2 * n:
+    n, pos = disk.graph.vertex_count, np.asarray(layout.positions, float)
+    if pos.shape != (n, 2):
         raise LayoutError("layout does not cover every vertex of the disk")
     if not ((pos >= 0) & (pos <= CANVAS)).all():  # NaN fails both
         raise LayoutError(f"a vertex position is not finite or off the canvas [0, {CANVAS:.0f}]^2")
-    x, y = fixed2_cells(pos[0::2]), fixed2_cells(pos[1::2])
+    x, y = fixed2_cells(pos[:, 0]), fixed2_cells(pos[:, 1])
     # an edge v -> u is head[v] + tail[u]: each coordinate is formatted once
     head = row(n, b'<line x1="', x, b'" y1="', y, b'" x2="')
     tail = row(n, x, b'" y2="', y, b'" stroke="#556" stroke-width="1"/>\n')

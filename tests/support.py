@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from meshsum import (
     platonic_counts,
     verify,
 )
-from meshsum.render import CANVAS, DiskLayout
+from meshsum.render import CANVAS, DiskLayout, LayoutError
 from meshsum.report import SCHEMA_VERSION, canonical_json
 
 
@@ -367,6 +368,44 @@ def reference_disk_json(disk: CombinatorialDisk) -> str:
     """The disk JSON as it was written before ``report.disk_json``: the
     portable dict through ``canonical_json``."""
     return canonical_json(reference_disk_to_json_obj(disk))
+
+
+def reference_layout_disk(disk: CombinatorialDisk) -> DiskLayout:
+    """The layout as ``render.layout_disk`` computed it before it worked on
+    whole arrays: layers by peeling the rotation lists ring by ring, then one
+    ``math.cos`` and ``math.sin`` per vertex in id order."""
+    center = CANVAS / 2
+    if disk.is_degenerate:
+        return DiskLayout(np.array([[center, center]]), np.array([0]))
+    rows, nv = disk.graph.rotations, disk.graph.vertex_count
+    if any(not 0 <= u < nv for row in rows for u in row):
+        raise LayoutError("a rotation lists a vertex outside the disk")
+    current = disk.boundary.tolist()
+    if any(not 0 <= w < nv for w in current):
+        raise LayoutError("the boundary lists a vertex outside the disk")
+    if len(set(current)) != len(current):
+        raise LayoutError("boundary peeling revisited a vertex")
+    ring, depth = [-1] * nv, 0
+    while current:
+        for w in current:
+            ring[w] = depth
+        current = sorted({u for w in current for u in rows[w] if ring[u] == -1})
+        depth += 1
+    if -1 in ring:
+        raise LayoutError("disk is not connected to its boundary")
+    layers = [depth - 1 - k for k in ring]
+    if any(b < a for a, b in zip(layers, layers[1:])):
+        raise LayoutError("layers are not contiguous id ranges; no growth provenance")
+    sizes = [layers.count(k) for k in range(layers[-1] + 1)]
+    shift = 0 if sizes[0] == 1 else 1
+    spacing = CANVAS / (2 * max(len(sizes) - 1 + shift, 1) + 2)
+
+    positions: list[tuple[float, float]] = []
+    for k, size in enumerate(sizes):
+        radius, step = (k + shift) * spacing, 2 * math.pi / size
+        for a in (idx * step for idx in range(size)):
+            positions.append((center + radius * math.cos(a), center + radius * math.sin(a)))
+    return DiskLayout(np.array(positions), np.array([k + shift for k in layers]))
 
 
 def reference_emit_svg(disk: CombinatorialDisk, layout: DiskLayout) -> str:

@@ -36,6 +36,7 @@ from meshsum import (
     validate_disk,
 )
 from support import (
+    convex_disks,
     pentagon_fan,
     reference_disk_to_json_obj,
     reference_expand,
@@ -444,6 +445,9 @@ def test_vertex_ids_never_wrap():
         RotationGraph([[1, 2**31], [0], [0]])
     with pytest.raises(MalformedDiskError):
         RotationGraph([[1, 2**70], [0], [0]])
+    with pytest.raises(MalformedDiskError):
+        RotationGraph([[1, -(2**31) - 1], [0], [0]])
+    assert RotationGraph([[2**31 - 1, -(2**31)]]).neighbors.tolist() == [2**31 - 1, -(2**31)]
 
 
 def test_id_range_caps_the_budget(monkeypatch):
@@ -507,6 +511,15 @@ def test_measured_layers_keep_two_disks_alive(monkeypatch):
         refs.append(weakref.ref(measured.disk))
     # only the disk being expanded is alive when the next one is built
     assert alive_at_expand == [1, 1, 1, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(disk=convex_disks(), picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12))
+def test_neighbors_of_concatenates_the_rotations(disk, picks):
+    # any vertices, repeats and empty selections included, in the order given
+    rows = disk.graph.rotations
+    vs = np.array([p % len(rows) for p in picks], dtype=np.int32)
+    assert disk.graph.neighbors_of(vs).tolist() == [u for v in vs.tolist() for u in rows[v]]
 
 
 def test_slot_indices_are_int32_below_two_to_the_31_slots():
