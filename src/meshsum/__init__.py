@@ -23,7 +23,6 @@ from .growth import (
     counts_from_boundary,
     deltas_from_census,
     initial_census,
-    layer_predictions,
     platonic_counts,
     predict_layers,
     second_order_step,
@@ -105,7 +104,6 @@ __all__ = [
     "initial_census",
     "is_convex",
     "layer_census",
-    "layer_predictions",
     "layout_disk",
     "measured_layers",
     "mesh_invariants",

@@ -12,14 +12,13 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 from typing import TextIO
 
 from . import __version__
-from .exact import int_to_json
-from .growth import DEFAULT_VERTEX_BUDGET, census_stream, check_layer_count
+from .growth import DEFAULT_VERTEX_BUDGET, check_layer_count
 from .report import (
     FAULT_MODES,
+    _layer_texts,
     canonical_json,
     disk_json,
     growth_report,
@@ -142,12 +141,8 @@ def cmd_grow(args) -> int:
 
 def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
     out.write("    n            a            b           dv           de           df\n")
-    b_text = int_to_json(seed.t)  # b_1 = t, then b_n = dv_{n-1}
-    for n, a, _, dv, de, df, *_ in census_stream(seed, n_layers, Decimal):
-        dv_text = int_to_json(dv)
-        cells = (int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df))
-        out.write(f"{n:>5}" + "".join(f" {x:>12}" for x in cells) + "\n")
-        b_text = dv_text
+    for n, *cells in _layer_texts(seed, n_layers):
+        out.write(f"{n:>5}" + "".join(f" {x:>12}" for x in cells[:5]) + "\n")
 
 
 def cmd_predict(args) -> int:

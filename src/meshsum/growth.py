@@ -12,9 +12,11 @@ census recursion, or equivalently a single second-order recurrence
 x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 
 ``census_stream`` is the one census loop, in ``int`` or exact ``Decimal``:
-``layer_predictions``, ``predict_layers`` and the report writers all read
-it.  ``census_step``, ``deltas_from_census`` and ``second_order_step`` are
-the textbook steps, kept as the independent route it is checked against.
+``predict_layers`` reads it as ints, and ``report._layer_texts`` turns its
+``Decimal`` layers into the one text stream that every report and table
+writes (there is no ``layer_predictions`` generator any more).
+``census_step``, ``deltas_from_census`` and ``second_order_step`` are the
+textbook steps, kept as the independent route it is checked against.
 """
 
 from __future__ import annotations
@@ -159,19 +161,9 @@ def check_layer_count(n_max: int) -> None:
         raise ValueError(f"n_max must be in [1, {MAX_PREDICT_LAYERS}], got {n_max}")
 
 
-# Each ring's (add, subtract, multiply).  Decimal arithmetic goes through
-# EXACT's methods, so it neither reads nor changes the thread's context.
-_RING_OPS = {
-    int: (operator.add, operator.sub, operator.mul),
-    Decimal: (EXACT.add, EXACT.subtract, EXACT.multiply),
-}
-
-
-def _ring_ops(ring: type) -> tuple:
-    try:
-        return _RING_OPS[ring]
-    except KeyError:
-        raise TypeError(f"ring must be int or Decimal, got {ring!r}") from None
+# Each ring's (add, multiply).  Decimal arithmetic goes through EXACT's
+# methods, so it neither reads nor changes the thread's context.
+_RING_OPS = {int: (operator.add, operator.mul), Decimal: (EXACT.add, EXACT.multiply)}
 
 
 def census_stream(seed: SeedDescriptor, n_max: int, ring: type = int) -> Iterator[tuple]:
@@ -185,7 +177,9 @@ def census_stream(seed: SeedDescriptor, n_max: int, ring: type = int) -> Iterato
     b_{n+1} = dv_n, and the interior count s_n = v_n - dv_n is v_{n-1}.
     """
     check_layer_count(n_max)
-    add, _, mul = _ring_ops(ring)
+    if ring not in _RING_OPS:
+        raise TypeError(f"ring must be int or Decimal, got {ring!r}")
+    add, mul = _RING_OPS[ring]
     base, first = counts_from_boundary(seed), initial_census(seed)
     v, e, f = ring(base.v), ring(base.e), ring(base.f)
     a, b, k = ring(first.a), ring(first.b), ring(seed.r - 6)
@@ -198,20 +192,12 @@ def census_stream(seed: SeedDescriptor, n_max: int, ring: type = int) -> Iterato
         a, b = add(a, mul(k, dv)), dv
 
 
-def layer_predictions(
-    seed: SeedDescriptor, n_max: int, ring: type = int
-) -> Iterator[LayerPrediction]:
-    """``census_stream`` as ``LayerPrediction``s, one at a time."""
-    sub = _ring_ops(ring)[1]
-    for n, a, b, dv, de, df, v, e, f in census_stream(seed, n_max, ring):
-        yield LayerPrediction(
-            n, LayerCensus(a, b), DeltaCounts(dv, de, df), DiskCounts(v, e, f, sub(v, dv))
-        )
-
-
 def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:
     """Predict layers 1..n_max of repeated expansion from ``seed``, as ints."""
-    return list(layer_predictions(seed, n_max))
+    return [
+        LayerPrediction(n, LayerCensus(a, b), DeltaCounts(dv, de, df), DiskCounts(v, e, f, v - dv))
+        for n, a, b, dv, de, df, v, e, f in census_stream(seed, n_max)
+    ]
 
 
 def platonic_counts(r: int) -> tuple[int, int, int]:

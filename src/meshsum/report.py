@@ -6,7 +6,9 @@ newline.  Exact counts are decimal strings and rationals are {"num",
 re-serialize, same bytes.  Growth, prediction and invariants reports are
 written to a stream one list entry at a time, and disk JSON straight from
 a disk's arrays, in exactly the bytes ``canonical_json`` would give the
-whole dict.
+whole dict.  Every predicted layer ``grow`` and ``predict`` print, as JSON
+or as a table, comes from one text stream of ``census_stream`` layers,
+``_layer_texts``; ``layer_predictions`` and ``prediction_to_json_obj`` are gone.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from .exact import brief, int_from_text, int_to_json, rational_to_json
 from .growth import (
     DEFAULT_VERTEX_BUDGET,
     DiskCounts,
-    LayerPrediction,
     SeedDescriptor,
     census_stream,
     check_layer_count,
     counts_from_boundary,
-    layer_predictions,
 )
 from .summation import (
     MeshInvariants,
@@ -106,28 +106,11 @@ def _entry_json(entry) -> str:
 
 
 def counts_to_json_obj(counts: DiskCounts) -> dict:
-    return {
-        "v": int_to_json(counts.v),
-        "e": int_to_json(counts.e),
-        "f": int_to_json(counts.f),
-        "s": int_to_json(counts.s),
-    }
+    return {key: int_to_json(getattr(counts, key)) for key in "vefs"}
 
 
 def profile_to_json_obj(profile: BoundaryProfile | SeedDescriptor) -> dict:
     return {"t": int_to_json(profile.t), "d": int_to_json(profile.d)}
-
-
-def prediction_to_json_obj(pred: LayerPrediction) -> dict:
-    return {
-        "n": pred.n,
-        "a": int_to_json(pred.census.a),
-        "b": int_to_json(pred.census.b),
-        "dv": int_to_json(pred.deltas.dv),
-        "de": int_to_json(pred.deltas.de),
-        "df": int_to_json(pred.deltas.df),
-        "cum": counts_to_json_obj(pred.cumulative),
-    }
 
 
 def invariants_to_json_obj(r: int, inv: MeshInvariants) -> dict:
@@ -171,9 +154,9 @@ def growth_report(
     time from the analytic side alone, with a null match flag.  The
     analytic base for the vertex seed is its first expansion (the fan), so
     explicit layer k matches analytic layer k-1.  Every layer, built or
-    not, is predicted by one exact ``Decimal`` stream, the one ``predict``
-    writes: a built layer is checked against the very digits the report
-    prints, and no digit limit applies.
+    not, is predicted by ``_layer_texts``, the stream ``predict`` writes: a
+    built layer is checked against the very digits the report prints, and
+    no digit limit applies.
     """
     from .mesh import measured_layers
     if n_layers < 0:
@@ -183,26 +166,23 @@ def growth_report(
     base_layer = 0 if seed_kind == "face" else 1
     descriptor = seed_descriptor_for(seed_kind, r)
     n_analytic = n_layers - base_layer
-    analytic = ()
     if n_analytic > 0:
         check_layer_count(n_analytic)  # before growing anything
-        analytic = layer_predictions(descriptor, n_analytic, Decimal)
-    # what layer k = 0, 1, ... is checked against, built or not
-    predicted = chain(
-        [None] * base_layer,
-        [{"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}],
-        map(prediction_to_json_obj, analytic),
-    )
+    texts = _layer_texts(descriptor, n_analytic)  # read only past the base layer
+    base = {"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}
 
-    def record(k: int, pred: dict | None) -> dict:
+    def record(k: int) -> dict:
+        """Layer k's record with what it is checked against, built or not."""
+        pred = None if k < base_layer else base if k == base_layer else _prediction(next(texts))
         return {"layer": k, "explicit": None, "census": None, "predicted": pred,
                 "match": None, "census_match": None}
 
     records = []
     all_match = True
-    for measured, pred in zip(chain([first], layers), predicted):
+    for measured in chain([first], layers):
         k, profile, census = measured.layer, measured.profile, measured.census
-        rec = record(k, pred)
+        rec = record(k)
+        pred = rec["predicted"]
         counts = counts_to_json_obj(measured.counts)
         rec["explicit"] = dict(counts)
         if profile is not None:
@@ -217,7 +197,7 @@ def growth_report(
             all_match = all_match and rec["census_match"]
         records.append(rec)
     truncated = measured.layer < n_layers
-    analytic_records = map(record, range(measured.layer + 1, n_layers + 1), predicted)
+    analytic_records = map(record, range(measured.layer + 1, n_layers + 1))
 
     inv_obj = invariants_entry(r, descriptor)
     del inv_obj["via_seed"]
@@ -235,10 +215,23 @@ def growth_report(
     return report, measured.disk
 
 
+def _record_json(rec: dict) -> str:
+    """A growth record at the list's depth: an analytic-only layer n >= 1
+    through ``_ANALYTIC_RECORD``, any other through ``canonical_json``."""
+    pred = rec["predicted"]
+    if rec["explicit"] is not None or pred["n"] is None:
+        return _entry_json(rec)
+    cum = pred["cum"]
+    return _ANALYTIC_RECORD % (
+        rec["layer"], pred["a"], pred["b"], cum["e"], cum["f"], cum["s"], cum["v"],
+        pred["de"], pred["df"], pred["dv"], pred["n"],
+    )
+
+
 def write_growth_report(report: dict, out: TextIO) -> None:
     """Write a ``growth_report`` report as canonical JSON, reading its
     layers once, one record at a time."""
-    _write_canonical(out, report, "layers", map(_entry_json, report["layers"]))
+    _write_canonical(out, report, "layers", map(_record_json, report["layers"]))
 
 
 def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
@@ -316,24 +309,42 @@ _PREDICTED_LAYER = """\
     }"""
 
 
-def _predicted_layers(layers: Iterator[tuple], s_text: str, b_text: str) -> Iterator[str]:
-    """Each ``census_stream`` layer as a ``_PREDICTED_LAYER`` entry.  Two of
-    its strings are already made: s_1 = v_0 and b_1 = t, the base's v and
-    the seed's t, and after that s_n = v_{n-1} and b_n = dv_{n-1}."""
-    for n, a, _, dv, de, df, v, e, f in layers:
+# One analytic-only "layers" record of a growth report: _PREDICTED_LAYER at record depth.
+_ANALYTIC_RECORD = """\
+    {
+      "census": null,
+      "census_match": null,
+      "explicit": null,
+      "layer": %d,
+      "match": null,
+      "predicted": """ + _PREDICTED_LAYER.lstrip().replace("\n", "\n  ") + "\n    }"
+
+
+def _layer_texts(seed: SeedDescriptor, n_layers: int) -> Iterator[tuple]:
+    """The one text stream: each exact ``census_stream`` layer as
+    ``(n, a, b, dv, de, df, v, e, f, s)``, every count a decimal string.
+    Two strings a layer are reused, not made: s_1 = v_0 and b_1 = t, the
+    base's v and the seed's t, and after that s_n = v_{n-1} and
+    b_n = dv_{n-1}."""
+    s_text, b_text = int_to_json(counts_from_boundary(seed).v), int_to_json(seed.t)
+    for n, a, _, dv, de, df, v, e, f in census_stream(seed, n_layers, Decimal):
         v_text, dv_text = int_to_json(v), int_to_json(dv)
-        yield _PREDICTED_LAYER % (
-            int_to_json(a), b_text, int_to_json(e), int_to_json(f), s_text, v_text,
-            int_to_json(de), int_to_json(df), dv_text, n,
-        )
+        yield (n, int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df),
+               v_text, int_to_json(e), int_to_json(f), s_text)
         s_text, b_text = v_text, dv_text
+
+
+def _prediction(texts: tuple) -> dict:
+    """A ``_layer_texts`` layer as the "predicted" object of a growth record."""
+    n, a, b, dv, de, df, v, e, f, s = texts
+    return {"n": n, "a": a, "b": b, "dv": dv, "de": de, "df": df,
+            "cum": {"v": v, "e": e, "f": f, "s": s}}
 
 
 def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
     """Write the pure analytic layer table for an arbitrary valid seed as
     canonical JSON, one layer at a time."""
-    layers = census_stream(seed, n_layers, Decimal)
-    first = next(layers)  # checks n_layers before anything is written
+    check_layer_count(n_layers)  # before anything is written
     profile, base = profile_to_json_obj(seed), counts_to_json_obj(counts_from_boundary(seed))
     head = {
         "schema_version": SCHEMA_VERSION,
@@ -341,5 +352,8 @@ def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
         "config": {"r": seed.r, "seed": profile, "layers": n_layers},
         "base": base,
     }
-    entries = _predicted_layers(chain([first], layers), base["v"], profile["t"])
+    entries = (
+        _PREDICTED_LAYER % (a, b, e, f, s, v, de, df, dv, n)
+        for n, a, b, dv, de, df, v, e, f, s in _layer_texts(seed, n_layers)
+    )
     _write_canonical(out, head, "layers_predicted", entries)

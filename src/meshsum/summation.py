@@ -20,8 +20,10 @@ loses in the limit.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exact import RationalLike
 from .growth import SeedDescriptor, counts_from_boundary, predict_layers
@@ -56,10 +58,15 @@ class RecurrenceSeries:
         """x_n by direct iteration; n >= 1."""
         if n < 1:
             raise ValueError(f"terms are indexed from 1, got {n}")
-        a, b = self.x1, self.x2
-        for _ in range(n - 1):
-            a, b = b, self.gamma * b - a
-        return a
+        return next(islice(_terms(self), n - 1, None))
+
+
+def _terms(series: RecurrenceSeries) -> Iterator[int]:
+    """x_1, x_2, ... by the recurrence, without end."""
+    a, b = series.x1, series.x2
+    while True:
+        yield a
+        a, b = b, series.gamma * b - a
 
 
 def generating_value(series: RecurrenceSeries, t: RationalLike) -> Fraction:
@@ -93,11 +100,9 @@ def partial_sum(series: RecurrenceSeries, t: RationalLike, n_terms: int) -> Frac
     t = Fraction(t)
     total = Fraction(0)
     power = t
-    a, b = series.x1, series.x2
-    for _ in range(n_terms):
-        total += a * power
+    for x in islice(_terms(series), n_terms):
+        total += x * power
         power *= t
-        a, b = b, series.gamma * b - a
     return total
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsum import SeedDescriptor, mesh, mesh_invariants, verify
+from meshsum import SeedDescriptor, counts_from_boundary, mesh, mesh_invariants, verify
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
 from support import cli_seeds, reference_layers, reference_prediction_json
@@ -656,6 +656,39 @@ def test_streamed_grow_report_matches_the_materialised_report(r, seed, n, budget
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0
     assert out.getvalue() == whole
+
+
+@pytest.mark.parametrize("budget", [2, 2000])
+@pytest.mark.parametrize("seed", ["face", "vertex"])
+@pytest.mark.parametrize("r", [7, 12, 1000])
+def test_grow_writes_its_analytic_only_layers_as_the_textbook_loop(capsys, r, seed, budget):
+    # budget 2 builds layer 0 alone, so the vertex seed's {"n": null} base record
+    # (its fan, layer 1) is analytic only too
+    n = 12
+    descriptor = seed_descriptor_for(seed, r)
+    base_layer = 0 if seed == "face" else 1
+    base = counts_from_boundary(descriptor)
+    want = {base_layer: ({"n": None, "cum": {k: str(getattr(base, k)) for k in "vefs"}}, "-")}
+    for k, a, b, dv, de, df, v, e, f, s in reference_layers(descriptor, n - base_layer):
+        cum = {"v": str(v), "e": str(e), "f": str(f), "s": str(s)}
+        pred = {"n": k, "a": str(a), "b": str(b), "dv": str(dv), "de": str(de), "df": str(df)}
+        want[k + base_layer] = ({**pred, "cum": cum}, f"({a},{b})")
+    argv = ["grow", "-r", str(r), "--seed", seed, "-n", str(n), "--budget", str(budget)]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    analytic = [rec for rec in json.loads(out)["layers"] if rec["explicit"] is None]
+    first = n + 1 - len(analytic)
+    assert first == 1 if budget == 2 else 1 <= first < n
+    for k, rec in enumerate(analytic, first):
+        assert rec == {"layer": k, "explicit": None, "census": None, "predicted": want[k][0],
+                       "match": None, "census_match": None}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == n + 1
+    for k, row in enumerate(rows[first:], first):
+        pred, census = want[k]
+        assert row.split() == [str(k), *(pred["cum"][key] for key in "vefs"), census, "analytic"]
 
 
 def test_report_json_round_trips_bytes(capsys):

@@ -7,7 +7,9 @@ neither numpy nor the explicit side's modules at module level, so that
 ``predict`` and ``sum`` run without them, and the package's lazy names
 keep its public API whole.  No module reads or sets the thread's
 decimal context: exact decimal arithmetic goes through ``EXACT``'s own
-methods, so no context can leak into a caller.
+methods, so no context can leak into a caller.  Every private
+module-level name is read somewhere in the package, so no dead helper
+stays behind.
 """
 
 from __future__ import annotations
@@ -81,6 +83,62 @@ def test_the_check_finds_an_unused_import():
 def test_every_module_level_import_is_used(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source, exempt_exports=path.name == "__init__.py") == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """A module's ``_``-prefixed top-level functions, classes and assigned
+    names, dunders aside, each with the line that first defines it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads anywhere: as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'module:line: name' for each private top-level name of the given
+    modules (name to source) that none of them reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_names_read, trees.values()))
+    return [
+        f"{module}:{line}: {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_the_check_finds_an_unread_private_name():
+    a = "import os\n_A = 1\n_B, (_C, D) = 2, (3, 4)\n__all__ = []\n"
+    a += "def _f():\n    _local = 1\n    return _B\nclass _K:\n    _attr = 2\n"
+    b = "from a import _f\nprint(os._C)\n_G: int = 5\n"
+    assert unread_private_names({"a": a, "b": b}) == ["a:2: _A", "a:8: _K", "b:3: _G"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
