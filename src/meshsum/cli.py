@@ -141,8 +141,8 @@ def cmd_grow(args) -> int:
 
 def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
     out.write("    n            a            b           dv           de           df\n")
-    for n, *cells in _layer_texts(seed, n_layers):
-        out.write(f"{n:>5}" + "".join(f" {x:>12}" for x in cells[:5]) + "\n")
+    for n, *cells in _layer_texts(seed, n_layers, cumulative=False):
+        out.write(f"{n:>5}" + "".join(f" {x:>12}" for x in cells) + "\n")
 
 
 def cmd_predict(args) -> int:

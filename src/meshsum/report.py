@@ -320,18 +320,25 @@ _ANALYTIC_RECORD = """\
       "predicted": """ + _PREDICTED_LAYER.lstrip().replace("\n", "\n  ") + "\n    }"
 
 
-def _layer_texts(seed: SeedDescriptor, n_layers: int) -> Iterator[tuple]:
+def _layer_texts(seed: SeedDescriptor, n_layers: int, cumulative: bool = True) -> Iterator[tuple]:
     """The one text stream: each exact ``census_stream`` layer as
     ``(n, a, b, dv, de, df, v, e, f, s)``, every count a decimal string.
     Two strings a layer are reused, not made: s_1 = v_0 and b_1 = t, the
     base's v and the seed's t, and after that s_n = v_{n-1} and
-    b_n = dv_{n-1}."""
-    s_text, b_text = int_to_json(counts_from_boundary(seed).v), int_to_json(seed.t)
+    b_n = dv_{n-1}.  Without ``cumulative`` a layer stops at df, and
+    v, e and f are never converted."""
+    s_text = int_to_json(counts_from_boundary(seed).v) if cumulative else None
+    b_text = int_to_json(seed.t)
     for n, a, _, dv, de, df, v, e, f in census_stream(seed, n_layers, Decimal):
-        v_text, dv_text = int_to_json(v), int_to_json(dv)
-        yield (n, int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df),
-               v_text, int_to_json(e), int_to_json(f), s_text)
-        s_text, b_text = v_text, dv_text
+        if cumulative:
+            v_text, dv_text = int_to_json(v), int_to_json(dv)
+            yield (n, int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df),
+                   v_text, int_to_json(e), int_to_json(f), s_text)
+            s_text = v_text
+        else:
+            dv_text = int_to_json(dv)
+            yield n, int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df)
+        b_text = dv_text
 
 
 def _prediction(texts: tuple) -> dict:

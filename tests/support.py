@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from meshsum import (
     CombinatorialDisk,
+    DiskCounts,
+    MalformedDiskError,
     RotationGraph,
     SeedDescriptor,
     census_step,
@@ -20,6 +22,7 @@ from meshsum import (
     platonic_counts,
     verify,
 )
+from meshsum.mesh import Violation
 from meshsum.render import CANVAS, DiskLayout, LayoutError
 from meshsum.report import SCHEMA_VERSION, canonical_json
 
@@ -225,6 +228,176 @@ def _reference_faces_ok(rotations: list[list[int]], boundary: tuple[int, ...]) -
         if steps != 3:
             return False
     return True
+
+
+def reference_inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation]]:
+    """The measurement pass as it was before the two edge halves were
+    paired apart: one global sort of all directed edges, and next^3
+    composed on every slot.  The violations, and the counts if there are none.
+
+    An offender is looked up only after a cheap whole-array test failed,
+    and the sort keys are dropped before the face trace.
+    """
+    out: list[Violation] = []
+    graph = disk.graph
+    nv = graph.vertex_count
+    offsets, nbr = graph.offsets, graph.neighbors
+    src = graph.slot_sources()
+
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= nv):
+        out_of_range = (nbr < 0) | (nbr >= nv)
+        out.append(Violation(
+            "id-range", f"vertex {src[out_of_range][0]} lists an out-of-range neighbor"
+        ))
+        bad_row = np.zeros(nv, dtype=bool)
+        bad_row[src[out_of_range]] = True
+        keep = ~bad_row[src]
+        src, nbr = src[keep], nbr[keep]
+    if (src == nbr).any():
+        out.append(Violation("loop", f"vertex {src[src == nbr][0]} lists itself"))
+    order, keys = _sorted_edge_keys(src, nbr, nv)
+    if (keys[1:] == keys[:-1]).any():
+        repeated = src[order[1:][keys[1:] == keys[:-1]]]
+        out.append(Violation("duplicate-neighbor", f"vertex {repeated.min()} repeats a neighbor"))
+    clean = not out
+    if clean and not _pairs_reversed(keys):
+        reverse = keys ^ 1
+        pos = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+        slot = order[keys[pos] != reverse].min()
+        out.append(
+            Violation("symmetry", f"edge ({src[slot]}, {nbr[slot]}) has no reverse entry")
+        )
+        clean = False
+    del src
+
+    if disk.is_degenerate:
+        if nv != 1 or offsets[1]:
+            out.append(
+                Violation("degenerate", "empty boundary is only valid for a single bare vertex")
+            )
+        return (None if out else DiskCounts(1, 0, 0, 1)), out
+
+    w = disk.boundary
+    try:
+        degs = _reference_boundary_degrees(disk)
+        mesh._require_simple_cycle(w, nv)
+    except MalformedDiskError as exc:
+        out.append(Violation("boundary-cycle", str(exc)))
+        return None, out
+    if clean:
+        w_next = np.roll(w, -1)
+        outer = _find_slots(order, keys, w_next, w, nv)
+        if (outer < 0).any():
+            j = np.argmax(outer < 0)
+            out.append(
+                Violation("boundary-cycle", f"boundary edge ({w[j]}, {w_next[j]}) is missing")
+            )
+            clean = False
+    del keys
+
+    r = disk.ambient_degree
+    bound = mesh.convexity_bound(r)
+    sharp = (degs < 2) | (degs > bound)
+    if sharp.any():
+        j = np.argmin(np.where(sharp, w, nv))
+        out.append(Violation(
+            "boundary-degree", f"boundary vertex {w[j]} has degree {degs[j]}, outside [2, {bound}]"
+        ))
+    wrong = np.diff(offsets) != r
+    wrong[w] = False
+    if wrong.any():
+        v = np.argmax(wrong)
+        out.append(Violation(
+            "interior-degree", f"interior vertex {v} has degree {np.diff(offsets)[v]} != {r}"
+        ))
+    del degs, sharp, wrong
+
+    if clean:
+        problem = _check_faces(offsets, order, outer)
+        if problem:
+            out.append(Violation("face-structure", problem))
+    if out:
+        return None, out
+    total, t = len(order), len(w)
+    return DiskCounts(nv, total // 2, (total - t) // 3, nv - t), out
+
+
+def _reference_boundary_degrees(disk: CombinatorialDisk) -> np.ndarray:
+    """Degrees of the boundary vertices, in boundary order."""
+    nv = disk.graph.vertex_count
+    w = disk.boundary
+    if w.size and (w.min() < 0 or w.max() >= nv):
+        raise MalformedDiskError(f"boundary vertex id outside [0, {nv})")
+    return disk.graph.offsets[w + 1] - disk.graph.offsets[w]
+
+
+def _sorted_edge_keys(src: np.ndarray, dst: np.ndarray, nv: int):
+    """Sort directed edges so that the two directions of an edge are adjacent.
+
+    The key of u -> v is 2 * (lo * nv + hi) + (u > v) with lo, hi the
+    smaller and larger end, so an edge sorts as lo -> hi, then hi -> lo.
+    Returns the slot order and the sorted keys.
+    """
+    key = _edge_keys(src, dst, nv)
+    order = np.argsort(key, kind="stable").astype(mesh._index_dtype(key.size), copy=False)
+    return order, key[order]
+
+
+def _edge_keys(src: np.ndarray, dst: np.ndarray, nv: int) -> np.ndarray:
+    key = np.minimum(src, dst).astype(np.int64)
+    key *= nv
+    key += np.maximum(src, dst)
+    key *= 2
+    key += src > dst
+    return key
+
+
+def _pairs_reversed(keys: np.ndarray) -> bool:
+    """Sorted keys without repeats pair up as (lo -> hi, hi -> lo) edges."""
+    return (
+        keys.size % 2 == 0
+        and not (keys[0::2] & 1).any()
+        and np.array_equal(keys[1::2], keys[0::2] + 1)
+    )
+
+
+def _find_slots(order, keys, src, dst, nv) -> np.ndarray:
+    """Slot of each directed edge src -> dst, or -1 where there is none."""
+    if not keys.size:
+        return np.full(len(src), -1, dtype=order.dtype)
+    wanted = _edge_keys(src, dst, nv)
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[pos] == wanted, order[pos], -1)
+
+
+def _check_faces(offsets: np.ndarray, order: np.ndarray, outer: np.ndarray) -> str | None:
+    """What breaks "one outer face along ``outer``, triangles elsewhere", or None.
+
+    ``order`` pairs each directed edge with its reverse (positions 2i and
+    2i + 1).  next(u -> v) is the slot before the reverse v -> u in the
+    row of v, cyclically; ``outer`` holds the slots of the reversed
+    boundary edges w_j+1 -> w_j.
+    """
+    total, index = len(order), order.dtype
+    before = np.arange(-1, total - 1, dtype=index)
+    rows = np.diff(offsets) > 0
+    before[offsets[:-1][rows]] = offsets[1:][rows] - 1
+    nxt = np.empty(total, dtype=index)
+    first, second = order[0::2].copy(), order[1::2].copy()
+    nxt[first] = before[second]
+    nxt[second] = before[first]
+    del before, first, second
+
+    if not np.array_equal(nxt[outer], np.roll(outer, 1)):
+        return "outer face does not trace the boundary"
+    # next has order exactly 3 on every other slot: next^3 = id, next != id
+    slot = np.arange(total, dtype=index)
+    bad = nxt[nxt[nxt]] != slot
+    bad |= nxt == slot
+    bad[outer] = False
+    if bad.any():
+        return f"interior face through edge slot {int(np.argmax(bad))} is not a triangle"
+    return None
 
 
 @st.composite

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsum import SeedDescriptor, counts_from_boundary, mesh, mesh_invariants, verify
+from meshsum import SeedDescriptor, counts_from_boundary, mesh, mesh_invariants, report, verify
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
 from support import cli_seeds, reference_layers, reference_prediction_json
@@ -593,6 +593,16 @@ def test_the_predict_table_matches_the_reference(case):
         assert main(["predict", "-r", str(seed.r), "--seed", text, "-n", str(n)]) == 0
     rows = [tuple(map(int, row.split())) for row in out.getvalue().splitlines()[1:]]
     assert rows == [layer[:6] for layer in reference_layers(seed, n)]
+
+
+def test_the_predict_table_converts_only_the_cells_it_prints(capsys, monkeypatch):
+    calls = []
+    real = report.int_to_json
+    monkeypatch.setattr(report, "int_to_json", lambda x: calls.append(x) or real(x))
+    code, out, _ = run_cli(capsys, "predict", "-r", "9", "-n", "20")
+    assert code == 0 and len(out.splitlines()) == 21
+    # b of layer 1 is the seed's t, and b of each later layer is the dv before it
+    assert len(calls) == 1 + 4 * 20
 
 
 def test_predict_rejects_a_bad_layer_count_before_opening_the_output(capsys, tmp_path):

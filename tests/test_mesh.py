@@ -41,6 +41,7 @@ from support import (
     reference_disk_to_json_obj,
     reference_expand,
     reference_face_lengths,
+    reference_inspect,
     reference_validate_kinds,
 )
 
@@ -186,13 +187,13 @@ def test_face_tracer_agrees_with_reference():
 
 
 def test_malformed_nontriangular_face():
-    square = CombinatorialDisk(
-        RotationGraph([[1, 3], [2, 0], [3, 1], [0, 2]]), 7, (0, 1, 2, 3), 0
-    )
-    with pytest.raises(MalformedDiskError):
-        count_explicit(square)
-    kinds = {v.kind for v in validate_disk(square)}
-    assert "face-structure" in kinds
+    # in the second square the inner face runs through the last slot of every row
+    for rows in ([[1, 3], [2, 0], [3, 1], [0, 2]], [[3, 1], [0, 2], [1, 3], [2, 0]]):
+        square = CombinatorialDisk(RotationGraph(rows), 7, (0, 1, 2, 3), 0)
+        with pytest.raises(MalformedDiskError):
+            count_explicit(square)
+        kinds = {v.kind for v in validate_disk(square)}
+        assert "face-structure" in kinds
 
 
 def test_malformed_asymmetric_adjacency():
@@ -331,21 +332,48 @@ SMALL_DISKS = (
 
 
 @st.composite
-def corrupted_disks(draw):
-    base = draw(st.sampled_from(SMALL_DISKS))
+def relabelled_disks(draw):
+    """Grown disks with their ids permuted at random, so that neither the rows
+    nor the entries within a row come in the id order that expand produces."""
+    r = draw(st.integers(min_value=7, max_value=10))
+    seed = draw(st.sampled_from([seed_face, seed_vertex]))(r)
+    disk = grow(seed, draw(st.integers(min_value=1, max_value=3)), budget=2000)
+    perm = draw(st.permutations(range(disk.graph.vertex_count)))
+    rows: list[list[int]] = [[] for _ in perm]
+    for v, rot in enumerate(disk.graph.rotations):
+        rows[perm[v]] = [perm[u] for u in rot]
+    return CombinatorialDisk(
+        RotationGraph(rows), r, [perm[w] for w in disk.boundary], disk.layer_index
+    )
+
+
+CORRUPTIONS = (
+    "drop", "duplicate", "double", "loop", "swap", "reverse", "out-of-range", "cut-boundary",
+    "mirror",
+)
+
+
+@st.composite
+def corrupted_disks(draw, bases=st.sampled_from(SMALL_DISKS), ops=CORRUPTIONS):
+    base = draw(bases)
     rows = [list(rot) for rot in base.graph.rotations]
     boundary = tuple(base.boundary.tolist())
     nv = len(rows)
-    for op in draw(st.lists(st.sampled_from(
-        ["drop", "duplicate", "loop", "swap", "reverse", "out-of-range", "cut-boundary"]
-    ), min_size=1, max_size=3)):
+    for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):
         v = draw(st.integers(min_value=0, max_value=nv - 1))
         row = rows[v]
-        if op == "drop" and row:
+        if op == "mirror":  # keeps symmetry and rows without repeats, breaks the faces at v
+            row.reverse()
+        elif op == "drop" and row:
             del row[draw(st.integers(min_value=0, max_value=len(row) - 1))]
         elif op == "duplicate" and row:
             entry = row[draw(st.integers(min_value=0, max_value=len(row) - 1))]
             row.insert(draw(st.integers(min_value=0, max_value=len(row))), entry)
+        elif op == "double" and row:  # both directions twice: repeats that stay symmetric
+            u = row[draw(st.integers(min_value=0, max_value=len(row) - 1))]
+            if 0 <= u < nv and u != v:
+                row.insert(draw(st.integers(min_value=0, max_value=len(row))), u)
+                rows[u].insert(draw(st.integers(min_value=0, max_value=len(rows[u]))), v)
         elif op == "loop":
             row.insert(draw(st.integers(min_value=0, max_value=len(row))), v)
         elif op == "swap":
@@ -377,6 +405,36 @@ def test_validate_matches_reference(disk):
         assert reference_face_lengths(disk.graph.rotations) == sorted(faces)
         assert sum(faces) == 2 * counts.e
         assert (counts.v, counts.s) == (disk.graph.vertex_count, counts.v - t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disk=st.one_of(
+    corrupted_disks(),
+    convex_disks(),
+    relabelled_disks(),
+    corrupted_disks(relabelled_disks()),
+    corrupted_disks(relabelled_disks(), ops=["mirror"]),
+))
+def test_the_pass_matches_the_global_sort_reference(disk):
+    counts, violations = reference_inspect(disk)
+    found = validate_disk(disk)
+    assert [(v.kind, v.detail) for v in found] == [(v.kind, v.detail) for v in violations]
+    if violations:
+        first = violations[0]
+        with pytest.raises(MalformedDiskError) as err:
+            count_explicit(disk)
+        assert str(err.value) == f"{first.kind}: {first.detail}"
+    else:
+        assert count_explicit(disk) == counts
+
+
+def test_a_disk_reads_its_boundary_degrees_once():
+    disk = grow(seed_face(7), 2)
+    count_explicit(disk)
+    degs = disk._boundary_degrees
+    assert not degs.flags.writeable
+    assert boundary_profile(disk) == BoundaryProfile(degs.size, int(degs.sum()))
+    assert disk._boundary_degrees is degs
 
 
 def test_count_explicit_rejects_an_empty_graph():
@@ -527,9 +585,30 @@ def test_slot_indices_are_int32_below_two_to_the_31_slots():
     assert mesh._index_dtype(2**31) is np.int64
 
 
-def test_count_explicit_peaks_under_28_bytes_per_slot():
-    # int64 slot indices peaked at 41.8 bytes per slot; two measurements run at
-    # once in verify, so each must stay well under that
+def test_slot_numbers_are_packed_up_to_two_to_the_32_slots():
+    # the largest slot number, 2^32 - 1, still fits the low 32 bits of the key
+    assert mesh._packable(2**32)
+    assert not mesh._packable(2**32 + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=60))
+def test_the_packed_and_the_stable_backward_order_agree(edges):
+    # slots ascend with src, as rows do; within a row dst comes in any order
+    pairs = np.array(sorted(edges, key=lambda e: e[0]), dtype=np.int32).reshape(-1, 2)
+    src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
+    packed = mesh._backward_half(src, dst, np.int32, True)
+    stable = mesh._backward_half(src, dst, np.int32, False)
+    assert packed[0].tolist() == stable[0].tolist()
+    assert packed[1].tolist() == stable[1].tolist()
+    back = src >= dst
+    expected = sorted(zip(dst[back].tolist(), src[back].tolist(), np.flatnonzero(back).tolist()))
+    assert packed[0].tolist() == [slot for _, _, slot in expected]
+
+
+def test_count_explicit_peaks_under_25_bytes_per_slot():
+    # int64 slot indices peaked at 41.8 bytes per slot and one global sort at
+    # 24.3; two measurements run at once in verify, so each must stay small
     disk = grow(seed_face(7), 9)
     slots = disk.graph.neighbors.size
     assert slots == 216_150
@@ -539,4 +618,4 @@ def test_count_explicit_peaks_under_28_bytes_per_slot():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * slots
+    assert peak < 25 * slots
