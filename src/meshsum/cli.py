@@ -9,12 +9,14 @@ only), sum (mesh invariants), verify (cross-check battery), render
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 from typing import TextIO
 
 from . import __version__
+from .exact import brief, int_from_text
 from .growth import DEFAULT_VERTEX_BUDGET, check_layer_count
 from .report import (
     FAULT_MODES,
@@ -39,10 +41,8 @@ def _parse_degrees(text: str) -> range:
     """'7' or '7:12' (inclusive)."""
     lo, sep, hi = text.partition(":")
     try:
-        if sep:
-            first, last = int(lo), int(hi)
-        else:
-            first = last = int(lo)
+        first = int_from_text(lo)
+        last = int_from_text(hi) if sep else first
     except ValueError:
         raise ValueError(f"degree must be an integer or lo:hi range, got {text!r}") from None
     if last < first:
@@ -57,15 +57,21 @@ def _single_degree(text: str) -> int:
     return degrees[0]
 
 
+def _integer(text: str | int, name: str) -> int:
+    """A command-line integer (a default is one already) in its one spelling,
+    as ``exact.int_from_text`` reads it, or a one-line error naming it."""
+    try:
+        return text if isinstance(text, int) else int_from_text(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {brief(text)}") from None
+
+
 def _resolve_budget(args) -> int:
     if args.budget is not None:
-        budget = args.budget
+        budget = _integer(args.budget, "--budget")
     else:
-        raw = os.environ.get("MESHSUM_BUDGET")
-        try:
-            budget = int(raw) if raw is not None else DEFAULT_VERTEX_BUDGET
-        except ValueError:
-            raise ValueError(f"MESHSUM_BUDGET must be an integer, got {raw!r}") from None
+        raw = os.environ.get("MESHSUM_BUDGET", DEFAULT_VERTEX_BUDGET)
+        budget = _integer(raw, "MESHSUM_BUDGET")
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     return budget
@@ -125,7 +131,7 @@ def cmd_grow(args) -> int:
     if args.emit_disk and args.output:
         _require_distinct(args.output, args.emit_disk)
     try:
-        report, disk = growth_report(r, args.seed, args.layers, budget)
+        report, disk = growth_report(r, args.seed, _integer(args.layers, "-n"), budget)
     except (MalformedDiskError, CensusContradiction) as exc:  # a layer failed measurement
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -148,11 +154,12 @@ def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
 def cmd_predict(args) -> int:
     r = _single_degree(args.degree)
     seed = seed_descriptor_for(args.seed, r)
-    check_layer_count(args.layers)  # before -o creates its file
+    layers = _integer(args.layers, "-n")
+    check_layer_count(layers)  # before -o creates its file
     _emit_stream(
         args,
-        lambda out: prediction_report(seed, args.layers, out),
-        lambda out: _prediction_table(seed, args.layers, out),
+        lambda out: prediction_report(seed, layers, out),
+        lambda out: _prediction_table(seed, layers, out),
     )
     return 0
 
@@ -194,10 +201,10 @@ def cmd_verify(args) -> int:
     budget = _resolve_budget(args)
     report = run_verification(
         degrees,
-        layers=args.layers,
+        layers=_integer(args.layers, "-n"),
         budget=budget,
-        trials=args.trials,
-        rng_seed=args.rng_seed,
+        trials=_integer(args.trials, "--trials"),
+        rng_seed=_integer(args.rng_seed, "--rng-seed"),
         fault=args.inject_fault,
     )
     rows = []
@@ -218,15 +225,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .mesh import MalformedDiskError, disk_from_json_obj, validate_disk
+    from .mesh import (
+        MalformedDiskError, disk_from_canonical_json, disk_from_json_obj, validate_disk
+    )
     from .render import emit_svg, layout_disk
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            disk = disk_from_json_obj(json.load(fh))
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    try:  # a disk is never false; any other layout is read as open() reads text
+        disk = disk_from_canonical_json(data) or disk_from_json_obj(
+            json.load(io.TextIOWrapper(io.BytesIO(data), "utf-8")))
     except RecursionError:
         raise MalformedDiskError("disk JSON nests too deeply") from None
+    del data  # before the SVG is drawn
     violations = validate_disk(disk)
     if violations:
         first = violations[0]
@@ -255,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grow", help="grow a disk and reconcile with predictions")
     p.add_argument("-r", "--degree", required=True, help="ambient degree (>= 7)")
     p.add_argument("--seed", default="face", help="vertex or face")
-    p.add_argument("-n", "--layers", type=int, default=4, help="expansion layers")
-    p.add_argument("--budget", type=int, help="vertex budget (or MESHSUM_BUDGET)")
+    p.add_argument("-n", "--layers", default=4, help="expansion layers")
+    p.add_argument("--budget", help="vertex budget (or MESHSUM_BUDGET)")
     p.add_argument("--emit-disk", help="also write the final disk JSON here")
     add_common(p)
     p.set_defaults(func=cmd_grow)
@@ -264,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="analytic layer table for any valid seed")
     p.add_argument("-r", "--degree", required=True)
     p.add_argument("--seed", default="face", help="vertex, face, or t:d")
-    p.add_argument("-n", "--layers", type=int, default=5)
+    p.add_argument("-n", "--layers", default=5)
     add_common(p)
     p.set_defaults(func=cmd_predict)
 
@@ -276,10 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full cross-check battery")
     p.add_argument("-r", "--degree", required=True, help="degree or lo:hi range")
-    p.add_argument("-n", "--layers", type=int, default=6)
-    p.add_argument("--budget", type=int, help="vertex budget (or MESHSUM_BUDGET)")
-    p.add_argument("--trials", type=int, default=100, help="random sum cross-checks per degree")
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("-n", "--layers", default=6)
+    p.add_argument("--budget", help="vertex budget (or MESHSUM_BUDGET)")
+    p.add_argument("--trials", default=100, help="random sum cross-checks per degree")
+    p.add_argument("--rng-seed", default=0)
     p.add_argument("--inject-fault", choices=FAULT_MODES, help="prove the harness can fail")
     add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -58,16 +58,16 @@ def int_to_json(n: int | Decimal) -> str:
 
 
 def int_from_text(text: str) -> int:
-    """``int(text)`` with no digit limit: text that ``int`` refuses only
-    for its length (a sign and ASCII digits) is read through ``Decimal``."""
+    """An integer spelled as ``int_to_json`` spells one: ASCII digits after an
+    optional "-", and no leading zero but in "0".  No digit limit applies:
+    text past ``int``'s limit is read through ``Decimal``."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and text != "0"):
+        raise ValueError(f"not a canonical decimal integer: {brief(text)}")
     try:
         return int(text)
-    except ValueError:
-        body = text.strip()
-        digits = body[1:] if body[:1] in ("+", "-") else body
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-        return int(Decimal(body))
+    except ValueError:  # past the interpreter's digit limit
+        return int(Decimal(text))
 
 
 def brief(value: int | str, width: int = 40) -> str:
@@ -81,12 +81,7 @@ def int_from_json(text: str) -> int:
     """Decode a decimal string exactly as int_to_json writes it; rejects anything else."""
     if not isinstance(text, str):
         raise ValueError(f"integer field must be a string, got {type(text).__name__}")
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    if digits[0] == "0" and text != "0":
-        raise ValueError(f"not a canonical decimal integer: {text!r}")
-    return int(text)
+    return int_from_text(text)
 
 
 def rational_to_json(q: RationalLike) -> dict[str, str]:

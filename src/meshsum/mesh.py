@@ -13,7 +13,8 @@ of length 2e, so that ``neighbors[offsets[v]:offsets[v + 1]]`` is the
 rotation at v.  Every function here works on these two arrays with
 whole-array numpy operations; ``RotationGraph.rotations`` is a derived
 list-of-lists copy for tests.  Disk JSON (``report.disk_json``) and
-drawing (``render.emit_svg``) read the arrays directly.  Slot numbers
+drawing (``render.emit_svg``) read the arrays directly, and
+``disk_from_canonical_json`` reads disk JSON straight back into them.  Slot numbers
 (positions in ``neighbors``) are int32 below 2^31 slots, int64 above.
 
 Expansion attaches every face of the ambient mesh that shares a vertex
@@ -48,6 +49,7 @@ tested by value, one gather per slot instead of composing next three times.
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -768,7 +770,7 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
 def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
     """Parse the portable form {"r", "layer", "boundary", "rotation"} that
     ``report.disk_json`` writes; ids must be integers (not booleans) in
-    [0, len(rotation))."""
+    [0, len(rotation)), r at least MIN_DEGREE and layer at least 0."""
     if not isinstance(obj, dict):
         raise MalformedDiskError("disk JSON must be an object")
     missing = {"r", "layer", "boundary", "rotation"} - set(obj)
@@ -781,10 +783,77 @@ def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
         raise MalformedDiskError("'boundary' and 'rotation' must be arrays")
     if not all(isinstance(rot, list) for rot in rotation):
         raise MalformedDiskError("rotation rows must be arrays of integers")
-    disk = CombinatorialDisk(RotationGraph(rotation), r, boundary, layer)
+    return _checked_disk(CombinatorialDisk(RotationGraph(rotation), r, boundary, layer))
+
+
+def _checked_disk(disk: CombinatorialDisk) -> CombinatorialDisk:
+    """``disk`` once its ids, r and layer pass the checks both disk JSON readers make."""
     nv = disk.graph.vertex_count
     for ids in (disk.graph.neighbors, disk.boundary):
         if ids.size and (ids.min() < 0 or ids.max() >= nv):
             raise MalformedDiskError(f"rotation or boundary lists a vertex id outside [0, {nv})")
-    _require_degree(r)
+    _require_degree(disk.ambient_degree)
+    if disk.layer_index < 0:
+        raise MalformedDiskError("'layer' must not be negative")
     return disk
+
+
+_DISK_MIDDLE = re.compile(
+    rb'\],\n  "layer": (0|-?[1-9][0-9]{0,8}),\n  "r": (0|-?[1-9][0-9]{0,8}),\n  "rotation": \[')
+
+
+def _canonical_lines(buf: np.ndarray, lo: int, hi: int, indent: int, rows: bool):
+    """The CSR offsets and the int32 ids of buf[lo:hi] if it holds a list
+    of ids at ``indent`` (or of rows of them) as ``report.disk_json`` lays it
+    out, else None: empty, or lines between a newline and two spaces, each
+    spaces, "[", "]" or an id of at most 8 digits, then maybe a comma."""
+    text = buf[lo:hi]
+    ends = np.flatnonzero(text == 10).astype(np.int32)
+    if ends.size < 2 or ends[0] or ends[-1] != text.size - 3:
+        return (np.zeros(1, np.int64), np.zeros(0, np.int32)) if hi == lo else None
+    comma = text[ends[1:] - 1] == 44
+    size = ends[1:] - comma - ends[:-1] - 1  # bytes in a line, its comma aside
+    # the 8 bytes before each line's comma or newline (buf holds 17 bytes ahead of text)
+    words = np.ndarray(text.shape, "<u8", buf, lo - 8, (1,))[ends[1:] - comma]
+    lines = np.flatnonzero(words >= 0x5B << 56)  # ending in "[", "]" or a byte past them
+    gaps = np.diff(np.r_[-1, lines, size.size])  # ahead of each bracket line, and of the end
+    bare = np.ones(size.size, bool)  # the lines with no comma: "[", each before "]", the last
+    bare[lines[::2]] = bare[lines[1::2] - 1] = bare[-1] = False
+    brackets = words[lines] >> 16  # the newline ahead, 4 spaces and the bracket
+    size, words = np.delete(size, lines), np.delete(words, lines)  # now the id lines alone
+    shift = (64 + 8 * indent - 8 * size).astype(np.uint64)  # 64 - 8 * digits
+    words = (words ^ 0x3030303030303030) >> shift  # digits 0..9 alone, the first in the low byte
+    # "    [" and "    ]" lines by turns, ids of 1 to 8 digits between them and nowhere else
+    if not (np.array_equal(brackets, np.tile([0x5B202020200A, 0x5D202020200A],
+                                             lines.size // 2 * rows))
+            and (gaps[rows::2] > 1).all() and (gaps[1 - rows::2] == 1).all()
+            and np.array_equal(comma, bare) and ((size > indent) & (size <= indent + 8)).all()
+            and np.count_nonzero(text == 32) == 2 + 4 * lines.size + indent * size.size
+            and not ((words + 0x7676767676767676 | words) & 0x8080808080808080).any()
+            and not ((words & 255 == 0) & (shift < 56)).any()):  # a leading zero
+        return None
+    words <<= shift  # leading zeros; then join the digits in pairs, fours and eights (SWAR)
+    words = (words * 10 + (words >> 8)) & 0x00FF00FF00FF00FF
+    words = (words * 100 + (words >> 16)) & 0x0000FFFF0000FFFF
+    ids = (words * 10000 + (words >> 32) & 0xFFFFFFFF).astype(np.int32)
+    return np.append(lines[::2] - np.arange(0, lines.size, 2), ids.size), ids
+
+
+def disk_from_canonical_json(data: bytes) -> CombinatorialDisk | None:
+    """The disk in ``data`` if it is laid out byte for byte as ``report.disk_json``
+    lays out a disk with no empty row, else None.  The disk it returns, or the
+    error it raises, is the one ``disk_from_json_obj`` would."""
+    middle = _DISK_MIDDLE.match(data, max(data.find(b'],\n  "layer": '), 0))
+    if not (middle and data.startswith(b'{\n  "boundary": [') and data.endswith(b"]\n}\n")):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    boundary = _canonical_lines(buf, 17, middle.start(), 4, False)
+    rotation = _canonical_lines(buf, middle.end(), buf.size - 4, 6, True)
+    if boundary is None or rotation is None:
+        return None
+    # copies made once the scratch is freed take its memory instead of sitting
+    # above it, where they would keep the heap from shrinking before render draws
+    offsets, neighbors, boundary = (a.copy() for a in (*rotation, boundary[1]))
+    boundary.flags.writeable = False
+    graph = RotationGraph.from_arrays(offsets, neighbors)
+    return _checked_disk(CombinatorialDisk(graph, int(middle[2]), boundary, int(middle[1])))

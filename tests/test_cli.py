@@ -276,6 +276,41 @@ def test_sum_rejects_bad_domains(capsys, tmp_path):
     assert code == 2 and "range" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grow", "-r", "007"], "degree must be an integer or lo:hi range, got '007'"),
+        (["sum", "-r", "\u0667"], "degree must be an integer or lo:hi range, got '\u0667'"),
+        (["sum", "-r", "7:+12"], "degree must be an integer or lo:hi range, got '7:+12'"),
+        (["sum", "-r", " 7"], "degree must be an integer or lo:hi range, got ' 7'"),
+        (["predict", "-r", "9", "--seed", "03:6"], "seed t:d must be integers, got '03:6'"),
+        (["predict", "-r", "9", "--seed", "3:+6"], "seed t:d must be integers, got '3:+6'"),
+        (["predict", "-r", "9", "--seed", " 3:6"], "seed t:d must be integers, got ' 3:6'"),
+        (["predict", "-r", "7", "-n", "05"], "-n must be an integer, got '05'"),
+        (["grow", "-r", "7", "--budget", "1e6"], "--budget must be an integer, got '1e6'"),
+        (["verify", "-r", "7", "--trials", "+3"], "--trials must be an integer, got '+3'"),
+        (["verify", "-r", "7", "--rng-seed", "-0"], "--rng-seed must be an integer, got '-0'"),
+    ],
+)
+def test_a_command_line_integer_has_one_spelling(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_meshsum_budget_has_one_spelling(capsys, monkeypatch):
+    monkeypatch.setenv("MESHSUM_BUDGET", "0100")
+    code, out, err = run_cli(capsys, "grow", "-r", "7", "-n", "1")
+    assert (code, out, err) == (2, "", "error: MESHSUM_BUDGET must be an integer, got '0100'\n")
+    monkeypatch.setenv("MESHSUM_BUDGET", "100")
+    assert run_cli(capsys, "grow", "-r", "7", "-n", "1")[0] == 0
+
+
+def test_canonical_integers_pass_the_parser(capsys):
+    code, _, err = run_cli(capsys, "predict", "-r", "9", "--seed=-3:6", "-n", "0")
+    assert code == 2 and "boundary length t = -3" in err  # the seed's domain check speaks
+    argv = ["-r", "7:8", "-n", "1", "--trials", "0", "--rng-seed", "-5", "--budget", "100"]
+    assert run_cli(capsys, "verify", *argv)[0] == 0
+
+
 def test_predict_custom_seed(capsys):
     code, out, _ = run_cli(capsys, "predict", "-r", "7", "--seed", "3:6", "-n", "3", "--json")
     assert code == 0

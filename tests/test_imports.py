@@ -5,7 +5,9 @@ unused-import rule).  The analytic side (``exact``, ``growth``,
 ``summation``, ``report``, ``cli`` and the package itself) imports
 neither numpy nor the explicit side's modules at module level, so that
 ``predict`` and ``sum`` run without them, and the package's lazy names
-keep its public API whole.  No module reads or sets the thread's
+keep its public API whole.  ``import meshsum.cli``, which the benchmark's
+``setup_s`` times, loads neither numpy nor ``meshsum.mesh``, where the
+disk file reader lives.  No module reads or sets the thread's
 decimal context: exact decimal arithmetic goes through ``EXACT``'s own
 methods, so no context can leak into a caller.  Every private
 module-level name is read somewhere in the package, so no dead helper
