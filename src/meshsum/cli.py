@@ -37,9 +37,20 @@ _INPUT_ERRORS = (ValueError, OSError, MemoryError)
 MAX_SHOWN_VIOLATIONS = 20
 
 
+def _check_digit_limit(text: str, name: str) -> None:
+    """Refuse an option's text past the interpreter's integer digit limit
+    before anything runs, not after the run when a report prints the number."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or < 3.10.7)
+    if limit and len(text.removeprefix("-")) > limit:
+        message = f"{name} has more than {limit} digits, the interpreter's limit"
+        raise ValueError(f"{message}: {brief(text)}")
+
+
 def _parse_degrees(text: str) -> range:
     """'7' or '7:12' (inclusive)."""
     lo, sep, hi = text.partition(":")
+    for end in (lo, hi):
+        _check_digit_limit(end, "-r")
     try:
         first = int_from_text(lo)
         last = int_from_text(hi) if sep else first
@@ -52,7 +63,7 @@ def _parse_degrees(text: str) -> range:
 
 def _single_degree(text: str) -> int:
     degrees = _parse_degrees(text)
-    if len(degrees) != 1:
+    if degrees[-1] != degrees[0]:  # len() overflows past sys.maxsize
         raise ValueError("this command takes a single degree, not a range")
     return degrees[0]
 
@@ -60,8 +71,11 @@ def _single_degree(text: str) -> int:
 def _integer(text: str | int, name: str) -> int:
     """A command-line integer (a default is one already) in its one spelling,
     as ``exact.int_from_text`` reads it, or a one-line error naming it."""
+    if isinstance(text, int):
+        return text
+    _check_digit_limit(text, name)
     try:
-        return text if isinstance(text, int) else int_from_text(text)
+        return int_from_text(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {brief(text)}") from None
 
@@ -183,7 +197,7 @@ def cmd_sum(args) -> int:
     degrees = _parse_degrees(args.degree)
     seed = None
     if args.seed is not None:
-        if len(degrees) != 1:
+        if degrees[-1] != degrees[0]:  # len() overflows past sys.maxsize
             raise ValueError("--seed needs a single degree, not a range")
         seed = seed_descriptor_for(args.seed, degrees[0])
     mesh_invariants(degrees[0])  # rejects a degree below 7 before -o creates its file

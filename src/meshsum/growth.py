@@ -14,9 +14,8 @@ x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 ``census_stream`` is the one census loop, in ``int`` or exact ``Decimal``:
 ``predict_layers`` reads it as ints, and ``report._layer_texts`` turns its
 ``Decimal`` layers into the one text stream that every report and table
-writes (there is no ``layer_predictions`` generator any more).
-``census_step``, ``deltas_from_census`` and ``second_order_step`` are the
-textbook steps, kept as the independent route it is checked against.
+writes.  ``census_step``, ``deltas_from_census`` and ``second_order_step``
+are the textbook steps, kept as the independent route it is checked against.
 """
 
 from __future__ import annotations

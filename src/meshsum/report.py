@@ -8,7 +8,7 @@ written to a stream one list entry at a time, and disk JSON straight from
 a disk's arrays, in exactly the bytes ``canonical_json`` would give the
 whole dict.  Every predicted layer ``grow`` and ``predict`` print, as JSON
 or as a table, comes from one text stream of ``census_stream`` layers,
-``_layer_texts``; ``layer_predictions`` and ``prediction_to_json_obj`` are gone.
+``_layer_texts``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from .growth import (
     check_layer_count,
     counts_from_boundary,
 )
-from .summation import (
-    MeshInvariants,
-    euler_formula_check,
-    mesh_invariants,
-    mesh_invariants_from_seed,
-)
+from .summation import euler_formula_check, mesh_invariants, mesh_invariants_from_seed
 
 if TYPE_CHECKING:
     from .mesh import BoundaryProfile, CombinatorialDisk
@@ -111,16 +106,6 @@ def counts_to_json_obj(counts: DiskCounts) -> dict:
 
 def profile_to_json_obj(profile: BoundaryProfile | SeedDescriptor) -> dict:
     return {"t": int_to_json(profile.t), "d": int_to_json(profile.d)}
-
-
-def invariants_to_json_obj(r: int, inv: MeshInvariants) -> dict:
-    return {
-        "r": r,
-        "vM": rational_to_json(inv.v),
-        "eM": rational_to_json(inv.e),
-        "fM": rational_to_json(inv.f),
-        "euler_check": euler_formula_check(inv),
-    }
 
 
 def seed_descriptor_for(text: str, r: int) -> SeedDescriptor:
@@ -238,7 +223,13 @@ def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
     """Closed-form invariants of degree r; at the seed's degree also the
     seed-routed values and an exact equality flag, ``seed_match``."""
     closed = mesh_invariants(r)
-    entry = invariants_to_json_obj(r, closed)
+    entry = {
+        "r": r,
+        "vM": rational_to_json(closed.v),
+        "eM": rational_to_json(closed.e),
+        "fM": rational_to_json(closed.f),
+        "euler_check": euler_formula_check(closed),
+    }
     if seed is not None and seed.r == r:
         via_seed = mesh_invariants_from_seed(seed)
         entry["seed_descriptor"] = profile_to_json_obj(seed)

@@ -20,10 +20,8 @@ loses in the limit.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .exact import RationalLike
 from .growth import SeedDescriptor, counts_from_boundary, predict_layers
@@ -53,20 +51,6 @@ class RecurrenceSeries:
     def __post_init__(self):
         if self.gamma == 2:
             raise UndefinedSumError("gamma = 2 makes the Euler sum undefined")
-
-    def term(self, n: int) -> int:
-        """x_n by direct iteration; n >= 1."""
-        if n < 1:
-            raise ValueError(f"terms are indexed from 1, got {n}")
-        return next(islice(_terms(self), n - 1, None))
-
-
-def _terms(series: RecurrenceSeries) -> Iterator[int]:
-    """x_1, x_2, ... by the recurrence, without end."""
-    a, b = series.x1, series.x2
-    while True:
-        yield a
-        a, b = b, series.gamma * b - a
 
 
 def generating_value(series: RecurrenceSeries, t: RationalLike) -> Fraction:
@@ -100,9 +84,11 @@ def partial_sum(series: RecurrenceSeries, t: RationalLike, n_terms: int) -> Frac
     t = Fraction(t)
     total = Fraction(0)
     power = t
-    for x in islice(_terms(series), n_terms):
+    x, x_next = series.x1, series.x2
+    for _ in range(n_terms):
         total += x * power
         power *= t
+        x, x_next = x_next, series.gamma * x_next - x
     return total
 
 

@@ -594,6 +594,57 @@ def test_a_long_bad_seed_gets_a_short_message(capsys, text, message):
         assert err.startswith(f"error: {message}") and len(err) < 300, err[:300]
 
 
+PAST_THE_LIMIT = "1" + "0" * 640  # 641 digits, one past the lowest limit the interpreter takes
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("mode", ["table", "json", "output"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("--budget", ["grow", "-r", "7", "-n", "1", "--budget", PAST_THE_LIMIT]),
+        ("--budget", ["verify", "-r", "7", "-n", "1", "--budget", PAST_THE_LIMIT]),
+        ("MESHSUM_BUDGET", ["grow", "-r", "7", "-n", "1"]),
+        ("-n", ["grow", "-r", "7", "-n", PAST_THE_LIMIT]),
+        ("-n", ["predict", "-r", "7", "-n", PAST_THE_LIMIT]),
+        ("-n", ["verify", "-r", "7", "-n", PAST_THE_LIMIT]),
+        ("-r", ["grow", "-r", PAST_THE_LIMIT]),
+        ("-r", ["predict", "-r", PAST_THE_LIMIT]),
+        ("-r", ["predict", "-r", "7:" + PAST_THE_LIMIT]),
+        ("-r", ["sum", "-r", PAST_THE_LIMIT]),
+        ("--trials", ["verify", "-r", "7", "-n", "1", "--trials", "-" + PAST_THE_LIMIT]),
+        ("--rng-seed", ["verify", "-r", "7", "-n", "1", "--rng-seed", PAST_THE_LIMIT]),
+    ],
+    ids=["grow-budget", "verify-budget", "env-budget", "grow-n", "predict-n", "verify-n",
+         "grow-r", "predict-r", "predict-r-range", "sum-r", "trials", "rng-seed"],
+)
+def test_an_integer_past_the_digit_limit_is_refused_before_the_run(
+    capsys, monkeypatch, tmp_path, name, argv, mode
+):
+    if name == "MESHSUM_BUDGET":
+        monkeypatch.setenv(name, PAST_THE_LIMIT)
+    output = tmp_path / "out.json"
+    argv = argv + {"table": [], "json": ["--json"], "output": ["-o", str(output)]}[mode]
+    with _int_max_str_digits(640):
+        result = run_cli(capsys, *argv)
+    shown = f"'{PAST_THE_LIMIT[:39]}... (643 characters)"
+    if name == "--trials":
+        shown = f"'-{PAST_THE_LIMIT[:38]}... (644 characters)"
+    message = f"error: {name} has more than 640 digits, the interpreter's limit: {shown}\n"
+    assert result == (2, "", message)
+    assert not output.exists()
+
+
+def test_a_degree_range_past_sys_maxsize_is_still_a_range(capsys):
+    huge = "7:" + "9" * 30
+    assert run_cli(capsys, "predict", "-r", huge) == (
+        2, "", "error: this command takes a single degree, not a range\n"
+    )
+    assert run_cli(capsys, "sum", "-r", huge, "--seed", "3:6") == (
+        2, "", "error: --seed needs a single degree, not a range\n"
+    )
+
+
 @given(
     st.integers(min_value=7, max_value=1000).flatmap(
         lambda r: st.tuples(cli_seeds(r), st.integers(min_value=1, max_value=300))

@@ -5,7 +5,7 @@ unused-import rule).  The analytic side (``exact``, ``growth``,
 ``summation``, ``report``, ``cli`` and the package itself) imports
 neither numpy nor the explicit side's modules at module level, so that
 ``predict`` and ``sum`` run without them, and the package's lazy names
-keep its public API whole.  ``import meshsum.cli``, which the benchmark's
+keep its public API, ``PUBLIC_NAMES``, whole.  ``import meshsum.cli``, which the benchmark's
 ``setup_s`` times, loads neither numpy nor ``meshsum.mesh``, where the
 disk file reader lives.  No module reads or sets the thread's
 decimal context: exact decimal arithmetic goes through ``EXACT``'s own
@@ -39,20 +39,10 @@ EXPLICIT_MODULES = (
 CONTEXT_FUNCTIONS = ("localcontext", "getcontext", "setcontext")
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    """The names a module lists in ``__all__``."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
-def unused_imports(source: str, exempt_exports: bool) -> list[str]:
+def unused_imports(source: str) -> list[str]:
     """'line: name' for each top-level import whose name is never read;
-    ``from __future__`` imports and, if ``exempt_exports``, the names in
-    the module's ``__all__`` do not count."""
+    ``from __future__`` imports do not count, and a name listed in
+    ``__all__`` is not read."""
     tree = ast.parse(source)
     imported = {}
     for node in tree.body:
@@ -67,24 +57,20 @@ def unused_imports(source: str, exempt_exports: bool) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    if exempt_exports:
-        read |= _exported(tree)
     return [f"{line}: {name}" for name, line in imported.items() if name not in read]
 
 
 def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, sys\nfrom a import b, c as d\n"
     source += "b = 1\nsys.exit(d)\n"  # storing to a name does not read it
-    assert unused_imports(source, exempt_exports=False) == ["2: os", "3: b"]
-    exported = source + "__all__ = ['b', 'os']\n"
-    assert unused_imports(exported, exempt_exports=True) == []
-    assert unused_imports(exported, exempt_exports=False) == ["2: os", "3: b"]
+    assert unused_imports(source) == ["2: os", "3: b"]
+    assert unused_imports(source + "__all__ = ['b', 'os']\n") == ["2: os", "3: b"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     source = path.read_text(encoding="utf-8")
-    assert unused_imports(source, exempt_exports=path.name == "__init__.py") == []
+    assert unused_imports(source) == []
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
@@ -214,16 +200,8 @@ def test_no_module_uses_the_thread_decimal_context(path):
     assert context_uses(path.read_text(encoding="utf-8")) == [], path
 
 
-def _loaded_after(code: str, cwd: Path) -> list[str]:
-    """The explicit modules loaded by a fresh interpreter that ran ``code``
-    with ``main`` imported and stdout discarded."""
-    probe = "\n".join([
-        "import contextlib, io, sys",
-        "from meshsum.cli import main",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        textwrap.indent(code, "    "),
-        f"print([m for m in {EXPLICIT_MODULES!r} if m in sys.modules])",
-    ])
+def _fresh(probe: str, cwd: Path):
+    """The literal that a fresh interpreter running ``probe`` prints last."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", probe], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
@@ -231,6 +209,18 @@ def _loaded_after(code: str, cwd: Path) -> list[str]:
     )
     assert result.returncode == 0, result.stderr
     return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str, cwd: Path) -> list[str]:
+    """The explicit modules loaded by a fresh interpreter that ran ``code``
+    with ``main`` imported and stdout discarded."""
+    return _fresh("\n".join([
+        "import contextlib, io, sys",
+        "from meshsum.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        textwrap.indent(code, "    "),
+        f"print([m for m in {EXPLICIT_MODULES!r} if m in sys.modules])",
+    ]), cwd)
 
 
 @pytest.mark.parametrize(
@@ -267,6 +257,45 @@ def test_every_public_name_resolves():
     message = "module 'meshsum' has no attribute 'no_such_name'"
     with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
         meshsum.no_such_name
+
+
+# The library's public API, ``meshsum.__all__``: "__version__", then every
+# public name in sorted order.  Changing it changes the API.
+PUBLIC_NAMES = [
+    "__version__", "BoundaryProfile", "BudgetExceededError", "CensusContradiction",
+    "CombinatorialDisk", "ConvexityError", "DeltaCounts", "DiskCounts", "DiskLayout",
+    "InvalidSeedError", "LayerCensus", "LayerPrediction", "LayoutError", "MalformedDiskError",
+    "MeasuredLayer", "MeshInvariants", "PoleError", "RecurrenceSeries", "RotationGraph",
+    "SeedDescriptor", "UndefinedSumError", "boundary_profile", "census_step",
+    "convexity_bound", "count_explicit", "counts_from_boundary", "delta_counts",
+    "deltas_from_census", "disk_from_json_obj", "emit_svg", "euler_formula_check",
+    "euler_sum", "euler_sum_by_lemma", "expand", "generating_value", "grow",
+    "initial_census", "is_convex", "layer_census", "layout_disk", "measured_layers",
+    "mesh_invariants", "mesh_invariants_from_seed", "partial_sum", "platonic_counts",
+    "predict_layers", "second_order_step", "seed_face", "seed_vertex", "validate_disk",
+]
+
+
+def test_the_public_namespace_is_pinned(tmp_path):
+    assert meshsum.__all__ == PUBLIC_NAMES
+    modules = {}
+    for name in PUBLIC_NAMES[1:]:
+        value = getattr(meshsum, name)
+        assert value.__name__ == name and getattr(sys.modules[value.__module__], name) is value
+        modules.setdefault(value.__module__, []).append(name)
+    assert sorted(modules) == ["meshsum.growth", "meshsum.mesh", "meshsum.render",
+                               "meshsum.summation"]
+    bound, listed = _fresh(
+        "import meshsum\nprint((sorted(vars(meshsum)), dir(meshsum)))", tmp_path
+    )
+    eager = {"__version__", *modules["meshsum.growth"], *modules["meshsum.summation"]}
+    assert set(PUBLIC_NAMES) & set(bound) == eager
+    # beside the public names only the package's submodules, its one import
+    # and its one table: no helper or loop variable is left behind
+    assert [name for name in listed if name not in PUBLIC_NAMES and name[:2] != "__"] == [
+        "_MODULE_OF", "exact", "growth", "import_module", "summation"
+    ]
+    assert set(PUBLIC_NAMES) <= set(listed)
 
 
 def test_the_readme_library_examples_run():

@@ -76,11 +76,10 @@ def test_pole_reports_both_roots():
     assert err.value.roots == (-1, -1)
 
 
-def test_term_iteration():
+def test_partial_sums_follow_the_recurrence():
+    # at t = 1 the n-th partial sum adds x_n; here x_1..x_5 = 1, 3, 8, 21, 55
     series = RecurrenceSeries(3, 1, 3)
-    assert [series.term(n) for n in range(1, 6)] == [1, 3, 8, 21, 55]
-    with pytest.raises(ValueError):
-        series.term(0)
+    assert [partial_sum(series, 1, n) for n in range(6)] == [0, 1, 4, 12, 33, 88]
 
 
 def test_mesh_invariants_closed_forms():
