@@ -2,15 +2,13 @@
 
 Subcommands: grow (explicit layers vs predictions), predict (analytics
 only), sum (mesh invariants), verify (cross-check battery), render
-(disk JSON to SVG).  Exit codes: 0 success and all comparisons match,
-1 a comparison failed, 2 bad input.
+(disk JSON to SVG).  The disk file is ``mesh``'s to write and read.  Exit
+codes: 0 success and all comparisons match, 1 a comparison failed, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import os
 import sys
 from typing import TextIO
@@ -20,12 +18,11 @@ from .exact import brief, int_from_text
 from .growth import DEFAULT_VERTEX_BUDGET, check_layer_count
 from .report import (
     FAULT_MODES,
-    _layer_texts,
     canonical_json,
-    disk_json,
     growth_report,
     invariants_entry,
     invariants_report,
+    layer_texts,
     prediction_report,
     seed_descriptor_for,
     write_growth_report,
@@ -139,7 +136,7 @@ def _rat(obj: dict) -> str:
 
 
 def cmd_grow(args) -> int:
-    from .mesh import CensusContradiction, MalformedDiskError
+    from .mesh import CensusContradiction, MalformedDiskError, disk_json
     r = _single_degree(args.degree)
     budget = _resolve_budget(args)
     if args.emit_disk and args.output:
@@ -161,7 +158,7 @@ def cmd_grow(args) -> int:
 
 def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
     out.write("    n            a            b           dv           de           df\n")
-    for n, *cells in _layer_texts(seed, n_layers, cumulative=False):
+    for n, *cells in layer_texts(seed, n_layers, cumulative=False):
         out.write(f"{n:>5}" + "".join(f" {x:>12}" for x in cells) + "\n")
 
 
@@ -239,20 +236,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .mesh import (
-        MalformedDiskError, disk_from_canonical_json, disk_from_json_obj, validate_disk
-    )
+    from .mesh import MalformedDiskError, read_disk, validate_disk
     from .render import emit_svg, layout_disk
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
     with open(args.input, "rb") as fh:
-        data = fh.read()
-    try:  # a disk is never false; any other layout is read as open() reads text
-        disk = disk_from_canonical_json(data) or disk_from_json_obj(
-            json.load(io.TextIOWrapper(io.BytesIO(data), "utf-8")))
-    except RecursionError:
-        raise MalformedDiskError("disk JSON nests too deeply") from None
-    del data  # before the SVG is drawn
+        disk = read_disk(fh.read())  # the bytes are freed here, before validation and drawing
     violations = validate_disk(disk)
     if violations:
         first = violations[0]
@@ -296,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sum", help="regularized mesh invariants")
     p.add_argument("-r", "--degree", required=True, help="degree or lo:hi range")
-    p.add_argument("--seed", help="optional t:d seed to cross-check")
+    p.add_argument("--seed", help="optional seed to cross-check: vertex, face, or t:d")
     add_common(p)
     p.set_defaults(func=cmd_sum)
 

@@ -12,7 +12,7 @@ census recursion, or equivalently a single second-order recurrence
 x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 
 ``census_stream`` is the one census loop, in ``int`` or exact ``Decimal``:
-``predict_layers`` reads it as ints, and ``report._layer_texts`` turns its
+``predict_layers`` reads it as ints, and ``report.layer_texts`` turns its
 ``Decimal`` layers into the one text stream that every report and table
 writes.  ``census_step``, ``deltas_from_census`` and ``second_order_step``
 are the textbook steps, kept as the independent route it is checked against.

@@ -12,10 +12,10 @@ int64 array ``offsets`` of length nv + 1 and an int32 array ``neighbors``
 of length 2e, so that ``neighbors[offsets[v]:offsets[v + 1]]`` is the
 rotation at v.  Every function here works on these two arrays with
 whole-array numpy operations; ``RotationGraph.rotations`` is a derived
-list-of-lists copy for tests.  Disk JSON (``report.disk_json``) and
-drawing (``render.emit_svg``) read the arrays directly, and
-``disk_from_canonical_json`` reads disk JSON straight back into them.  Slot numbers
-(positions in ``neighbors``) are int32 below 2^31 slots, int64 above.
+list-of-lists copy for tests.  This module alone knows the disk file:
+``disk_json`` writes it from the arrays through one byte template, and
+``read_disk`` reads it back, straight into arrays when laid out as written.
+Slot numbers (positions in ``neighbors``) are int32 below 2^31 slots, int64 above.
 
 Expansion attaches every face of the ambient mesh that shares a vertex
 with the current disk.  Each boundary edge (w_j, w_j+1) contributes one
@@ -49,6 +49,8 @@ tested by value, one gather per slot instead of composing next three times.
 
 from __future__ import annotations
 
+import io
+import json
 import re
 from array import array
 from collections.abc import Iterator
@@ -59,6 +61,7 @@ from itertools import chain
 import numpy as np
 
 from .growth import DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
+from .textcells import int_cells, row, text
 
 MIN_DEGREE = 7
 # Vertex ids are stored as int32, so a disk holds at most this many vertices.
@@ -769,7 +772,7 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
 
 def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
     """Parse the portable form {"r", "layer", "boundary", "rotation"} that
-    ``report.disk_json`` writes; ids must be integers (not booleans) in
+    ``disk_json`` writes; ids must be integers (not booleans) in
     [0, len(rotation)), r at least MIN_DEGREE and layer at least 0."""
     if not isinstance(obj, dict):
         raise MalformedDiskError("disk JSON must be an object")
@@ -798,23 +801,52 @@ def _checked_disk(disk: CombinatorialDisk) -> CombinatorialDisk:
     return disk
 
 
-_DISK_MIDDLE = re.compile(
-    rb'\],\n  "layer": (0|-?[1-9][0-9]{0,8}),\n  "r": (0|-?[1-9][0-9]{0,8}),\n  "rotation": \[')
+# The disk file; the byte reader takes the fixed bytes around its two id lists from here.
+_DISK = b'{\n  "boundary": %s,\n  "layer": %d,\n  "r": %d,\n  "rotation": %s\n}\n'
+_HEAD, _MIDDLE, _TAIL = _DISK.replace(b"%s", b"[%s]").split(b"%s")
+_DISK_MIDDLE = re.compile(re.escape(_MIDDLE).replace(b"%d", rb"(0|-?[1-9][0-9]{0,8})"))
+
+
+def _json_int_list(ids, indent: int, offsets=None) -> bytes:
+    """Canonical JSON of the int32 array ``ids`` with its items at ``indent``:
+    one list or, cut into rows at CSR ``offsets``, the list of those rows."""
+    bounds = np.asarray([0, ids.size] if offsets is None else offsets)
+    if bounds.size == 1:
+        return b"[]"
+    item, close, outer = (b"\n" + b" " * k for k in (indent, indent - 2, indent - 4))
+    sizes = np.diff(bounds)
+    empty, counts = sizes == 0, np.maximum(sizes, 1)  # an empty row is one cell: "["
+    first = np.cumsum(counts) - counts
+    cells = row(counts.sum(), bytes(1), b"," + item,  # a lead byte, ",item", the digits
+                int_cells(np.insert(ids, bounds[:-1][empty], 0)))  # "0" for an empty row
+    cells[first, 1] = ord("[")
+    cells[first[empty], 2:] = 0
+    # a row's lead byte closes the row before it: ";" after items, ":" after "["
+    cells[first[1:], 0] = np.where(empty[:-1], ord(":"), ord(";"))
+    body = text(cells).replace(b";", close + b"]," + close).replace(b":", b"]," + close)
+    end = b"]" if empty[-1] else close + b"]"
+    return body + end if offsets is None else b"[%s%s%s%s]" % (close, body, end, outer)
+
+
+def disk_json(disk: CombinatorialDisk) -> str:
+    """The disk file: ``report.canonical_json`` of the portable form, straight from the arrays."""
+    return (_DISK % (_json_int_list(disk.boundary, 4), disk.layer_index, disk.ambient_degree,
+                     _json_int_list(disk.graph.neighbors, 6, disk.graph.offsets))).decode("ascii")
 
 
 def _canonical_lines(buf: np.ndarray, lo: int, hi: int, indent: int, rows: bool):
     """The CSR offsets and the int32 ids of buf[lo:hi] if it holds a list
-    of ids at ``indent`` (or of rows of them) as ``report.disk_json`` lays it
+    of ids at ``indent`` (or of rows of them) as ``disk_json`` lays it
     out, else None: empty, or lines between a newline and two spaces, each
     spaces, "[", "]" or an id of at most 8 digits, then maybe a comma."""
-    text = buf[lo:hi]
-    ends = np.flatnonzero(text == 10).astype(np.int32)
-    if ends.size < 2 or ends[0] or ends[-1] != text.size - 3:
+    part = buf[lo:hi]
+    ends = np.flatnonzero(part == 10).astype(np.int32)
+    if ends.size < 2 or ends[0] or ends[-1] != part.size - 3:
         return (np.zeros(1, np.int64), np.zeros(0, np.int32)) if hi == lo else None
-    comma = text[ends[1:] - 1] == 44
+    comma = part[ends[1:] - 1] == 44
     size = ends[1:] - comma - ends[:-1] - 1  # bytes in a line, its comma aside
-    # the 8 bytes before each line's comma or newline (buf holds 17 bytes ahead of text)
-    words = np.ndarray(text.shape, "<u8", buf, lo - 8, (1,))[ends[1:] - comma]
+    # the 8 bytes before each line's comma or newline (the head puts over 8 bytes ahead of part)
+    words = np.ndarray(part.shape, "<u8", buf, lo - 8, (1,))[ends[1:] - comma]
     lines = np.flatnonzero(words >= 0x5B << 56)  # ending in "[", "]" or a byte past them
     gaps = np.diff(np.r_[-1, lines, size.size])  # ahead of each bracket line, and of the end
     bare = np.ones(size.size, bool)  # the lines with no comma: "[", each before "]", the last
@@ -828,7 +860,7 @@ def _canonical_lines(buf: np.ndarray, lo: int, hi: int, indent: int, rows: bool)
                                              lines.size // 2 * rows))
             and (gaps[rows::2] > 1).all() and (gaps[1 - rows::2] == 1).all()
             and np.array_equal(comma, bare) and ((size > indent) & (size <= indent + 8)).all()
-            and np.count_nonzero(text == 32) == 2 + 4 * lines.size + indent * size.size
+            and np.count_nonzero(part == 32) == 2 + 4 * lines.size + indent * size.size
             and not ((words + 0x7676767676767676 | words) & 0x8080808080808080).any()
             and not ((words & 255 == 0) & (shift < 56)).any()):  # a leading zero
         return None
@@ -840,15 +872,15 @@ def _canonical_lines(buf: np.ndarray, lo: int, hi: int, indent: int, rows: bool)
 
 
 def disk_from_canonical_json(data: bytes) -> CombinatorialDisk | None:
-    """The disk in ``data`` if it is laid out byte for byte as ``report.disk_json``
+    """The disk in ``data`` if it is laid out byte for byte as ``disk_json``
     lays out a disk with no empty row, else None.  The disk it returns, or the
     error it raises, is the one ``disk_from_json_obj`` would."""
-    middle = _DISK_MIDDLE.match(data, max(data.find(b'],\n  "layer": '), 0))
-    if not (middle and data.startswith(b'{\n  "boundary": [') and data.endswith(b"]\n}\n")):
+    middle = _DISK_MIDDLE.search(data)
+    if not (middle and data.startswith(_HEAD) and data.endswith(_TAIL)):
         return None
     buf = np.frombuffer(data, np.uint8)
-    boundary = _canonical_lines(buf, 17, middle.start(), 4, False)
-    rotation = _canonical_lines(buf, middle.end(), buf.size - 4, 6, True)
+    boundary = _canonical_lines(buf, len(_HEAD), middle.start(), 4, False)
+    rotation = _canonical_lines(buf, middle.end(), buf.size - len(_TAIL), 6, True)
     if boundary is None or rotation is None:
         return None
     # copies made once the scratch is freed take its memory instead of sitting
@@ -857,3 +889,13 @@ def disk_from_canonical_json(data: bytes) -> CombinatorialDisk | None:
     boundary.flags.writeable = False
     graph = RotationGraph.from_arrays(offsets, neighbors)
     return _checked_disk(CombinatorialDisk(graph, int(middle[2]), boundary, int(middle[1])))
+
+
+def read_disk(data: bytes) -> CombinatorialDisk:
+    """The disk in a disk file's bytes: straight into arrays if laid out as ``disk_json``
+    writes them, else through the json module from the text ``open()`` would decode."""
+    try:  # a disk is never false
+        return disk_from_canonical_json(data) or disk_from_json_obj(
+            json.load(io.TextIOWrapper(io.BytesIO(data), "utf-8")))
+    except RecursionError:
+        raise MalformedDiskError("disk JSON nests too deeply") from None

@@ -1,14 +1,13 @@
-"""Growth, prediction and invariants reports and disk JSON, in a canonical JSON form.
+"""Growth, prediction and invariants reports, in a canonical JSON form.
 
 Reports are serialized with sorted keys, two-space indent, and a trailing
 newline.  Exact counts are decimal strings and rationals are {"num",
 "den"} objects, so a report round-trips byte for byte: parse,
-re-serialize, same bytes.  Growth, prediction and invariants reports are
-written to a stream one list entry at a time, and disk JSON straight from
-a disk's arrays, in exactly the bytes ``canonical_json`` would give the
-whole dict.  Every predicted layer ``grow`` and ``predict`` print, as JSON
-or as a table, comes from one text stream of ``census_stream`` layers,
-``_layer_texts``.
+re-serialize, same bytes.  Reports are written to a stream one list entry
+at a time, in exactly the bytes ``canonical_json`` would give the whole
+dict.  Every predicted layer ``grow`` and ``predict`` print, as JSON or as
+a table, comes from one text stream of ``census_stream`` layers,
+``layer_texts``.  The disk file is ``mesh``'s: ``mesh.disk_json`` writes it.
 """
 
 from __future__ import annotations
@@ -40,38 +39,6 @@ FAULT_MODES = ("census", "invariants")
 def canonical_json(obj) -> str:
     """The one serialization used everywhere bytes must be reproducible."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _json_int_list(ids, indent: int, offsets=None) -> bytes:
-    """Canonical JSON of the int32 array ``ids`` with its items at ``indent``:
-    one list or, cut into rows at CSR ``offsets``, the list of those rows."""
-    import numpy as np
-    from .textcells import int_cells, row, text
-
-    bounds = np.asarray([0, ids.size] if offsets is None else offsets)
-    if bounds.size == 1:
-        return b"[]"
-    item, close, outer = (b"\n" + b" " * k for k in (indent, indent - 2, indent - 4))
-    sizes = np.diff(bounds)
-    empty, counts = sizes == 0, np.maximum(sizes, 1)  # an empty row is one cell: "["
-    first = np.cumsum(counts) - counts
-    cells = row(counts.sum(), bytes(1), b"," + item,  # a lead byte, ",item", the digits
-                int_cells(np.insert(ids, bounds[:-1][empty], 0)))  # "0" for an empty row
-    cells[first, 1] = ord("[")
-    cells[first[empty], 2:] = 0
-    # a row's lead byte closes the row before it: ";" after items, ":" after "["
-    cells[first[1:], 0] = np.where(empty[:-1], ord(":"), ord(";"))
-    body = text(cells).replace(b";", close + b"]," + close).replace(b":", b"]," + close)
-    end = b"]" if empty[-1] else close + b"]"
-    return body + end if offsets is None else b"[%s%s%s%s]" % (close, body, end, outer)
-
-
-def disk_json(disk: CombinatorialDisk) -> str:
-    """``canonical_json`` of the portable disk form, written straight from the CSR arrays."""
-    return (b'{\n  "boundary": %s,\n  "layer": %d,\n  "r": %d,\n  "rotation": %s\n}\n' % (
-        _json_int_list(disk.boundary, 4), disk.layer_index, disk.ambient_degree,
-        _json_int_list(disk.graph.neighbors, 6, disk.graph.offsets),
-    )).decode("ascii")
 
 
 _ENTRIES = "@entries@"
@@ -139,7 +106,7 @@ def growth_report(
     time from the analytic side alone, with a null match flag.  The
     analytic base for the vertex seed is its first expansion (the fan), so
     explicit layer k matches analytic layer k-1.  Every layer, built or
-    not, is predicted by ``_layer_texts``, the stream ``predict`` writes: a
+    not, is predicted by ``layer_texts``, the stream ``predict`` writes: a
     built layer is checked against the very digits the report prints, and
     no digit limit applies.
     """
@@ -153,7 +120,7 @@ def growth_report(
     n_analytic = n_layers - base_layer
     if n_analytic > 0:
         check_layer_count(n_analytic)  # before growing anything
-    texts = _layer_texts(descriptor, n_analytic)  # read only past the base layer
+    texts = layer_texts(descriptor, n_analytic)  # read only past the base layer
     base = {"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}
 
     def record(k: int) -> dict:
@@ -311,7 +278,7 @@ _ANALYTIC_RECORD = """\
       "predicted": """ + _PREDICTED_LAYER.lstrip().replace("\n", "\n  ") + "\n    }"
 
 
-def _layer_texts(seed: SeedDescriptor, n_layers: int, cumulative: bool = True) -> Iterator[tuple]:
+def layer_texts(seed: SeedDescriptor, n_layers: int, cumulative: bool = True) -> Iterator[tuple]:
     """The one text stream: each exact ``census_stream`` layer as
     ``(n, a, b, dv, de, df, v, e, f, s)``, every count a decimal string.
     Two strings a layer are reused, not made: s_1 = v_0 and b_1 = t, the
@@ -333,7 +300,7 @@ def _layer_texts(seed: SeedDescriptor, n_layers: int, cumulative: bool = True) -
 
 
 def _prediction(texts: tuple) -> dict:
-    """A ``_layer_texts`` layer as the "predicted" object of a growth record."""
+    """A ``layer_texts`` layer as the "predicted" object of a growth record."""
     n, a, b, dv, de, df, v, e, f, s = texts
     return {"n": n, "a": a, "b": b, "dv": dv, "de": de, "df": df,
             "cum": {"v": v, "e": e, "f": f, "s": s}}
@@ -352,6 +319,6 @@ def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
     }
     entries = (
         _PREDICTED_LAYER % (a, b, e, f, s, v, de, df, dv, n)
-        for n, a, b, dv, de, df, v, e, f, s in _layer_texts(seed, n_layers)
+        for n, a, b, dv, de, df, v, e, f, s in layer_texts(seed, n_layers)
     )
     _write_canonical(out, head, "layers_predicted", entries)

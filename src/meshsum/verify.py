@@ -20,7 +20,7 @@ import threading
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import mesh
+from . import exact, mesh
 from .growth import (
     SeedDescriptor,
     census_step,
@@ -44,6 +44,7 @@ from .summation import (
 )
 
 MAX_VERIFY_DEGREE = 1000
+MAX_TRIALS = 1_000_000  # a trial takes about 8 µs: at most about 8 s a degree
 CONVERGENCE_GAP = Fraction(1, 10**12)
 
 
@@ -203,6 +204,8 @@ def run_verification(
         raise ValueError(f"unknown fault mode {fault!r}; expected one of {FAULT_MODES}")
     if layers < 0 or trials < 0:
         raise ValueError(f"layers and trials must be >= 0, got {layers} and {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {exact.brief(trials)}")
     # any() stops at the first bad degree, so a huge range is never materialised
     if any(r < mesh.MIN_DEGREE or r > MAX_VERIFY_DEGREE for r in degrees):
         raise ValueError(

@@ -538,7 +538,7 @@ def reference_disk_to_json_obj(disk: CombinatorialDisk) -> dict:
 
 
 def reference_disk_json(disk: CombinatorialDisk) -> str:
-    """The disk JSON as it was written before ``report.disk_json``: the
+    """The disk JSON as it was written before ``mesh.disk_json``: the
     portable dict through ``canonical_json``."""
     return canonical_json(reference_disk_to_json_obj(disk))
 

@@ -392,6 +392,19 @@ def test_verify_rejects_a_wide_degree_span_without_building_it(capsys):
     assert peak < 2**20
 
 
+def test_verify_refuses_too_many_trials_before_opening_the_output(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a degree was verified")
+
+    monkeypatch.setattr(verify, "verify_degree", refuse)
+    report = tmp_path / "f.json"
+    code, out, err = run_cli(
+        capsys, "verify", "-r", "7", "-n", "1", "--trials", "1000001", "-o", str(report)
+    )
+    assert (code, out, err) == (2, "", "error: trials must be at most 1000000, got 1000001\n")
+    assert not report.exists()
+
+
 def test_verify_says_how_many_violations_it_left_out(capsys, monkeypatch):
     report = {
         "checks": {"euler-layer": {"pass": 0, "fail": 25}},

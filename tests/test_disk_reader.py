@@ -1,11 +1,11 @@
 """The byte-level disk JSON reader, ``mesh.disk_from_canonical_json``.
 
-It reads the exact bytes ``report.disk_json`` writes straight into arrays
-and returns None for any other layout, on which ``render`` falls back to
-the json module.  Wherever it returns a disk, the json path returns an
-equal one; wherever it raises, the json path raises the same error; and
-the render command answers every file, canonical or not, with the exit
-code, error line and SVG it gives with the reader switched off.
+It reads the exact bytes ``mesh.disk_json`` writes straight into arrays
+and returns None for any other layout, on which ``mesh.read_disk`` falls
+back to the json module.  Wherever it returns a disk, the json path
+returns an equal one; wherever it raises, the json path raises the same
+error; and the render command answers every file, canonical or not, with
+the exit code, error line and SVG it gives with the reader switched off.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from hypothesis import strategies as st
 
 from meshsum import CombinatorialDisk, disk_from_json_obj, expand, grow, seed_face, seed_vertex
 from meshsum.cli import main
-from meshsum.mesh import disk_from_canonical_json
-from meshsum.report import disk_json
+from meshsum.mesh import disk_from_canonical_json, disk_json
 from support import convex_disks
 
 BASE = disk_json(expand(seed_face(7))).encode("ascii")  # 15 vertices, layer 1
@@ -66,7 +65,8 @@ def read_both(data: bytes) -> CombinatorialDisk | Exception | None:
 
 def render(data: bytes, reader: bool = True) -> tuple[int, str, str, bytes | None]:
     """Exit code, stdout, stderr and SVG of ``meshsum render`` on a file
-    holding ``data``; ``reader=False`` switches the byte reader off."""
+    holding ``data``; ``reader=False`` switches the byte reader off, and
+    checks that render asked it, so the switch cannot miss the reader."""
     with tempfile.TemporaryDirectory() as tmp:
         path, svg = os.path.join(tmp, "disk.json"), os.path.join(tmp, "disk.svg")
         with open(path, "wb") as fh:
@@ -74,8 +74,10 @@ def render(data: bytes, reader: bool = True) -> tuple[int, str, str, bytes | Non
         out, err = io.StringIO(), io.StringIO()
         off = mock.patch("meshsum.mesh.disk_from_canonical_json", return_value=None)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with off if not reader else contextlib.nullcontext():
+            with off if not reader else contextlib.nullcontext() as switch:
                 code = main(["render", path, "-o", svg])
+        if not reader:
+            switch.assert_called_once_with(data)
         drawn = None
         if os.path.exists(svg):
             with open(svg, "rb") as fh:

@@ -1,13 +1,16 @@
 """Import hygiene of ``src/meshsum``, checked with the stdlib alone.
 
 Every module-level import is used (a stand-in for a linter's
-unused-import rule).  The analytic side (``exact``, ``growth``,
-``summation``, ``report``, ``cli`` and the package itself) imports
-neither numpy nor the explicit side's modules at module level, so that
-``predict`` and ``sum`` run without them, and the package's lazy names
-keep its public API, ``PUBLIC_NAMES``, whole.  ``import meshsum.cli``, which the benchmark's
-``setup_s`` times, loads neither numpy nor ``meshsum.mesh``, where the
-disk file reader lives.  No module reads or sets the thread's
+unused-import rule), and no module imports another's private name.  The
+analytic side (``exact``, ``growth``, ``summation``, ``report``, ``cli``
+and the package itself) imports neither numpy nor the explicit side's
+modules at module level, so that ``predict`` and ``sum`` run without
+them, and it imports numpy and ``textcells`` nowhere at all: arrays and
+the disk file they are written to belong to the explicit side.  The
+package's lazy names keep its public API, ``PUBLIC_NAMES``, whole.
+``import meshsum.cli``, which the benchmark's ``setup_s`` times, loads
+neither numpy nor ``meshsum.mesh``, where the disk file is written and
+read.  No module reads or sets the thread's
 decimal context: exact decimal arithmetic goes through ``EXACT``'s own
 methods, so no context can leak into a caller.  Every private
 module-level name is read somewhere in the package, so no dead helper
@@ -36,6 +39,7 @@ ANALYTIC = ("exact.py", "growth.py", "summation.py", "report.py", "cli.py", "__i
 EXPLICIT_MODULES = (
     "numpy", "meshsum.mesh", "meshsum.render", "meshsum.textcells", "meshsum.verify"
 )
+ARRAY_MODULES = ("numpy", "meshsum.textcells")
 CONTEXT_FUNCTIONS = ("localcontext", "getcontext", "setcontext")
 
 
@@ -139,15 +143,17 @@ def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [f"{package}.{alias.name}" for alias in node.names]
 
 
-def explicit_imports(source: str) -> list[str]:
-    """'line: module' for each module-level import of numpy or of the
-    explicit side; imports inside a function or an ``if`` do not count."""
+def explicit_imports(source: str, modules=EXPLICIT_MODULES, anywhere: bool = False) -> list[str]:
+    """'line: module' for each module-level import of one of ``modules`` (or
+    of a submodule); imports inside a function or an ``if`` count only
+    ``anywhere``."""
+    tree = ast.parse(source)
     return [
         f"{node.lineno}: {name}"
-        for node in ast.parse(source).body
+        for node in (ast.walk(tree) if anywhere else tree.body)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in _imported_modules(node)
-        if any(name == module or name.startswith(module + ".") for module in EXPLICIT_MODULES)
+        if any(name == module or name.startswith(module + ".") for module in modules)
     ]
 
 
@@ -165,6 +171,47 @@ def test_the_check_finds_an_explicit_import():
 def test_the_analytic_side_imports_no_explicit_module(name):
     path = SRC / name
     assert explicit_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def test_the_check_finds_an_array_import_at_any_depth():
+    source = "from . import mesh\nif TYPE_CHECKING:\n    from .textcells import row\n"
+    source += "def f():\n    import numpy as np\n    from .mesh import expand\n"
+    source += "    from . import textcells\nimport numbers\n"
+    assert explicit_imports(source, ARRAY_MODULES, anywhere=True) == [
+        "3: meshsum.textcells", "5: numpy", "7: meshsum.textcells"
+    ]
+    assert explicit_imports(source, ARRAY_MODULES) == []
+
+
+@pytest.mark.parametrize("name", ANALYTIC)
+def test_the_analytic_side_imports_no_array_module_anywhere(name):
+    path = SRC / name
+    assert explicit_imports(path.read_text(encoding="utf-8"), ARRAY_MODULES, True) == [], path
+
+
+def private_imports(source: str) -> list[str]:
+    """'line: name' for each ``_``-prefixed name (dunders aside) that an
+    import statement anywhere in a meshsum module takes from meshsum."""
+    return [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and _imported_modules(node)[0].partition(".")[0] == "meshsum"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_the_check_finds_a_private_import():
+    source = "from __future__ import annotations\nfrom .report import _texts, canonical_json\n"
+    source += "from os import _exit\nfrom . import _private, __version__\n"
+    source += "def f():\n    from meshsum.mesh import _inspect\n"
+    assert private_imports(source) == ["2: _texts", "4: _private", "6: _inspect"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_another_module_s_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == [], path
 
 
 def context_uses(source: str) -> list[str]:

@@ -26,8 +26,8 @@ from meshsum import (
     seed_face,
     seed_vertex,
 )
+from meshsum.mesh import disk_json
 from meshsum.render import CANVAS
-from meshsum.report import disk_json
 from meshsum.textcells import fixed2_cells, int_cells, row, text
 from support import (
     convex_disks,

@@ -191,3 +191,21 @@ def test_the_largest_failing_degree_s_error_comes_out(monkeypatch, two_cpus):
     monkeypatch.setattr(verify, "verify_degree", fake)
     with pytest.raises(ZeroDivisionError, match=r"^degree 40 broke$"):
         run_verification([38, 39, 40])
+
+
+def test_trials_past_the_bound_are_refused_before_any_degree_runs(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(verify, "verify_degree", started)
+    assert verify.MAX_TRIALS == 1_000_000
+    with pytest.raises(ValueError, match=r"^trials must be at most 1000000, got 1000001$"):
+        run_verification([7, 8], layers=1, trials=verify.MAX_TRIALS + 1)
+    with pytest.raises(ValueError, match=r"^trials must be at most 1000000, got 10{39}\.\.\. "
+                                         r"\(5001 characters\)$"):
+        run_verification([7], trials=10**5000)
+    with pytest.raises(Started):  # the bound itself passes the check
+        run_verification([7], layers=1, trials=verify.MAX_TRIALS)
