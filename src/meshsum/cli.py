@@ -32,6 +32,7 @@ from .summation import mesh_invariants
 # Bad input (seed, sum, disk JSON, layout: all ValueErrors) or a budget past memory.
 _INPUT_ERRORS = (ValueError, OSError, MemoryError)
 MAX_SHOWN_VIOLATIONS = 20
+MAX_SUM_DEGREES = 1_000_000  # about 25 s and 265 MB of JSON on a 2-core host
 
 
 def _check_digit_limit(text: str, name: str) -> None:
@@ -197,6 +198,8 @@ def cmd_sum(args) -> int:
         if degrees[-1] != degrees[0]:  # len() overflows past sys.maxsize
             raise ValueError("--seed needs a single degree, not a range")
         seed = seed_descriptor_for(args.seed, degrees[0])
+    if degrees[-1] - degrees[0] >= MAX_SUM_DEGREES:  # len() overflows past sys.maxsize
+        raise ValueError(f"-r spans more than {MAX_SUM_DEGREES} degrees: {brief(args.degree)}")
     mesh_invariants(degrees[0])  # rejects a degree below 7 before -o creates its file
     all_match = _emit_stream(
         args,

@@ -15,7 +15,7 @@ whole-array numpy operations; ``RotationGraph.rotations`` is a derived
 list-of-lists copy for tests.  This module alone knows the disk file:
 ``disk_json`` writes it from the arrays through one byte template, and
 ``read_disk`` reads it back, straight into arrays when laid out as written.
-Slot numbers (positions in ``neighbors``) are int32 below 2^31 slots, int64 above.
+Slot numbers (positions in ``neighbors``) are int32: a disk has at most MAX_SLOTS slots.
 
 Expansion attaches every face of the ambient mesh that shares a vertex
 with the current disk.  Each boundary edge (w_j, w_j+1) contributes one
@@ -64,9 +64,9 @@ from .growth import DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
 from .textcells import int_cells, row, text
 
 MIN_DEGREE = 7
-# Vertex ids are stored as int32, so a disk holds at most this many vertices.
+# Ids and slot numbers are int32; a vertex has 2 slots or more, so ids stay below 2^30.
 INT32 = np.iinfo(np.int32)
-MAX_VERTICES = int(INT32.max)
+MAX_SLOTS = int(INT32.max)
 
 
 class ConvexityError(ValueError):
@@ -74,12 +74,12 @@ class ConvexityError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Expansion would push the vertex count past the budget."""
+    """Expansion would push the vertex count past the budget, or the slots past MAX_SLOTS."""
 
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, needed: int, budget: int, unit: str = "vertices"):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"expansion needs {needed} vertices, budget is {budget}")
+        super().__init__(f"expansion needs {needed} {unit}, budget is {budget}")
 
 
 class MalformedDiskError(ValueError):
@@ -145,6 +145,8 @@ class RotationGraph:
         return graph
 
     def _init(self, offsets: np.ndarray, neighbors: np.ndarray) -> None:
+        if neighbors.size > MAX_SLOTS:
+            raise MalformedDiskError(f"a disk holds at most {MAX_SLOTS} slots")
         offsets.flags.writeable = False
         neighbors.flags.writeable = False
         self.offsets = offsets
@@ -305,12 +307,12 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
 
     Raises ConvexityError if a boundary vertex exceeds floor(1 + r/2),
     BudgetExceededError if the result would exceed ``budget`` vertices
-    (or the int32 id range), and MalformedDiskError if the boundary is not
+    or ``MAX_SLOTS`` slots, and MalformedDiskError if the boundary is not
     a simple cycle of ids whose rotations have an outer gap.
     """
     r = disk.ambient_degree
     if disk.is_degenerate:
-        _require_room(1 + r, budget)
+        _require_room(1 + r, 4 * r, budget)
         return _fan(r, disk.layer_index + 1)
 
     offsets = disk.graph.offsets
@@ -325,8 +327,9 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
             f"boundary vertex {w[j]} has degree {degs[j]} > {bound}, disk is not convex"
         )
 
-    v_new = v_old + len(w) * (r - 1) - int(degs.sum())
-    _require_room(v_new, budget)
+    t, d = len(w), int(degs.sum())
+    v_new = v_old + t * (r - 1) - d
+    _require_room(v_new, disk.graph.neighbors.size + 4 * t * r - 2 * t - 4 * d, budget)
     w_next = np.roll(w, -1)
     neighbors = _gaps_last(offsets, disk.graph.neighbors, w, degs, np.roll(w, 1), w_next)
 
@@ -376,12 +379,13 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
     )
 
 
-def _require_room(needed: int, budget: int) -> None:
-    """Refuse a disk past the budget or past the int32 id range, before allocating."""
-    if needed > budget:
-        raise BudgetExceededError(needed, budget)
-    if needed > MAX_VERTICES:
-        raise BudgetExceededError(needed, MAX_VERTICES)
+def _require_room(vertices: int, slots: int, budget: int) -> None:
+    """Refuse a disk past ``budget`` vertices or ``MAX_SLOTS`` slots, before allocating;
+    expansion adds r - k slots to each boundary row of degree k, 3 or 4 to each new vertex."""
+    if vertices > budget:
+        raise BudgetExceededError(vertices, budget)
+    if slots > MAX_SLOTS:
+        raise BudgetExceededError(slots, MAX_SLOTS, "slots")
 
 
 def _gaps_last(offsets, neighbors, w, degs, w_prev, w_next) -> np.ndarray:
@@ -524,16 +528,6 @@ def measured_layers(
         yield MeasuredLayer(layer, disk, counts, profile, census)
 
 
-def _index_dtype(slots: int) -> type:
-    """Width of slot numbers: int32 below 2^31 slots, int64 from there on."""
-    return np.int32 if slots < 2**31 else np.int64
-
-
-def _packable(slots: int) -> bool:
-    """Whether every slot number fits the low 32 bits of a packed sort key."""
-    return slots <= 2**32
-
-
 def _packed(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """high << 32 | low as int64, for non-negative ids and slot numbers."""
     key = high.astype(np.int64)
@@ -542,7 +536,7 @@ def _packed(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return key
 
 
-def _forward_half(src: np.ndarray, dst: np.ndarray, index: type):
+def _forward_half(src: np.ndarray, dst: np.ndarray):
     """The slots with src < dst in (src, dst) order, and their keys src << 32 | dst.
 
     Slot numbers ascend with src, so the stable sort only has to order the
@@ -551,27 +545,22 @@ def _forward_half(src: np.ndarray, dst: np.ndarray, index: type):
     slots = np.flatnonzero(src < dst)
     keys = _packed(src[slots], dst[slots])
     order = np.argsort(keys, kind="stable")
-    return slots[order].astype(index), keys[order]
+    return slots[order].astype(np.int32), keys[order]
 
 
-def _backward_half(src: np.ndarray, dst: np.ndarray, index: type, packable: bool):
+def _backward_half(src: np.ndarray, dst: np.ndarray):
     """The slots with src >= dst in (dst, src) order, and their keys dst << 32 | src.
 
     Slot numbers ascend with src, so ordering by dst with ties kept in slot
-    order is ordering by (dst, src).  One sort of the values dst << 32 | slot
-    does that while slot numbers fit 32 bits; past that, a stable argsort of
-    dst gives the same order.
+    order is ordering by (dst, src): one sort of the values dst << 32 | slot.
     """
     slots = np.flatnonzero(src >= dst)
-    if not packable:
-        slots = slots[np.argsort(dst[slots], kind="stable")]
-        return slots.astype(index), _packed(dst[slots], src[slots])
     keys = _packed(dst[slots], slots)
     keys.sort()
     np.bitwise_and(keys, 0xFFFFFFFF, out=slots)
     keys &= -(1 << 32)
     keys |= src[slots]
-    return slots.astype(index), keys
+    return slots.astype(np.int32), keys
 
 
 def _lone_slots(slots: np.ndarray, keys: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -692,9 +681,8 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
         src, nbr = src[keep], nbr[keep]
     if (src == nbr).any():
         out.append(Violation("loop", f"vertex {src[src == nbr][0]} lists itself"))
-    index = _index_dtype(nbr.size)
-    first, forward = _forward_half(src, nbr, index)
-    second, backward = _backward_half(src, nbr, index, _packable(nbr.size))
+    first, forward = _forward_half(src, nbr)
+    second, backward = _backward_half(src, nbr)
     # the disk is symmetric without repeats iff the two sorted halves are equal and ascend
     paired = np.array_equal(forward, backward) and bool((forward[1:] > forward[:-1]).all())
     if not paired:
@@ -716,7 +704,7 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
     clean = not out
     del src, forward, backward
     if clean:
-        rev = np.empty(nbr.size, dtype=index)
+        rev = np.empty(nbr.size, dtype=np.int32)
         rev[first] = second
         rev[second] = first
     del first, second

@@ -339,7 +339,7 @@ def _sorted_edge_keys(src: np.ndarray, dst: np.ndarray, nv: int):
     Returns the slot order and the sorted keys.
     """
     key = _edge_keys(src, dst, nv)
-    order = np.argsort(key, kind="stable").astype(mesh._index_dtype(key.size), copy=False)
+    order = np.argsort(key, kind="stable").astype(np.int32)
     return order, key[order]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshsum import SeedDescriptor, counts_from_boundary, mesh, mesh_invariants, report, verify
+from meshsum import SeedDescriptor, cli, counts_from_boundary, mesh, mesh_invariants, report, verify
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
 from support import cli_seeds, reference_layers, reference_prediction_json
@@ -78,6 +78,17 @@ def test_budget_truncation_still_exits_zero(capsys, monkeypatch):
     assert explicit and analytic_only
     assert all(rec["match"] is None for rec in analytic_only)
     assert all(rec["predicted"] is not None for rec in analytic_only)
+
+
+def test_the_slot_limit_truncates_grow_as_the_budget_does(capsys, monkeypatch):
+    # the face layers at r = 7 have 6, 60, 216 and 630 slots
+    monkeypatch.setattr(mesh, "MAX_SLOTS", 629)
+    code, out, err = run_cli(capsys, "grow", "-r", "7", "-n", "5", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["truncated_at_budget"] is True and report["all_match"] is True
+    assert [rec["layer"] for rec in report["layers"] if rec["explicit"] is not None] == [0, 1, 2]
+    assert [rec["match"] for rec in report["layers"][3:]] == [None, None, None]
 
 
 def test_truncated_grow_emits_last_explicit_disk(capsys, tmp_path):
@@ -274,6 +285,25 @@ def test_sum_rejects_bad_domains(capsys, tmp_path):
     assert code == 2 and "single degree" in err
     code, _, err = run_cli(capsys, "sum", "-r", "9:7")
     assert code == 2 and "range" in err
+
+
+def test_sum_refuses_more_than_max_sum_degrees(capsys, monkeypatch, tmp_path):
+    def written(*args):
+        raise AssertionError("the report was written")
+
+    out_file = tmp_path / "s.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "invariants_report", written)
+        for span in ("7:1000007", "7:" + "9" * 20):  # the second ran until it was killed
+            assert run_cli(capsys, "sum", "-r", span, "-o", str(out_file)) == (
+                2, "", f"error: -r spans more than 1000000 degrees: {span!r}\n"
+            )
+            assert not out_file.exists()
+    monkeypatch.setattr(cli, "MAX_SUM_DEGREES", 3)
+    assert run_cli(capsys, "sum", "-r", "7:9")[0] == 0
+    assert run_cli(capsys, "sum", "-r", "7:10", "--json") == (
+        2, "", "error: -r spans more than 3 degrees: '7:10'\n"
+    )
 
 
 @pytest.mark.parametrize(

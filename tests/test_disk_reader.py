@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshsum import CombinatorialDisk, disk_from_json_obj, expand, grow, seed_face, seed_vertex
+from meshsum import mesh
 from meshsum.cli import main
-from meshsum.mesh import disk_from_canonical_json, disk_json
+from meshsum.mesh import MalformedDiskError, disk_from_canonical_json, disk_json
 from support import convex_disks
 
 BASE = disk_json(expand(seed_face(7))).encode("ascii")  # 15 vertices, layer 1
@@ -89,6 +90,14 @@ def test_the_reader_reads_what_disk_json_writes():
     for disk in (seed_face(7), grow(seed_vertex(7), 2), grow(seed_face(8), 3), seed_vertex(9)):
         got = read_both(disk_json(disk).encode())
         assert got is None if disk.is_degenerate else got == disk  # its one row is empty
+
+
+def test_both_readers_refuse_a_file_past_the_slot_limit(monkeypatch):
+    monkeypatch.setattr(mesh, "MAX_SLOTS", 59)  # BASE has 60 slots
+    got = read_both(BASE)  # the reader's error, checked against the json path's
+    assert isinstance(got, MalformedDiskError) and str(got) == "a disk holds at most 59 slots"
+    compact = json.dumps(json.loads(BASE)).encode()  # a layout only the json path reads
+    assert render(compact) == (2, "", "error: a disk holds at most 59 slots\n", None)
 
 
 @pytest.mark.parametrize(

@@ -509,13 +509,53 @@ def test_vertex_ids_never_wrap():
 
 
 def test_id_range_caps_the_budget(monkeypatch):
-    monkeypatch.setattr(mesh, "MAX_VERTICES", 14)
-    with pytest.raises(BudgetExceededError) as err:
+    monkeypatch.setattr(mesh, "MAX_SLOTS", 59)  # the first face layer at r = 7 has 60 slots
+    with pytest.raises(BudgetExceededError, match="needs 60 slots") as err:
         expand(seed_face(7), budget=10**12)
-    assert (err.value.needed, err.value.budget) == (15, 14)
-    monkeypatch.setattr(mesh, "MAX_VERTICES", 7)
+    assert (err.value.needed, err.value.budget) == (60, 59)
+    monkeypatch.setattr(mesh, "MAX_SLOTS", 27)  # the fan at r = 7 has 28
     with pytest.raises(BudgetExceededError):
         expand(seed_vertex(7), budget=10**12)
+
+
+def _slot_limit_is_exact(disk: CombinatorialDisk, slots: int) -> None:
+    """expand(disk), a disk of ``slots`` slots, fits a slot limit of exactly
+    that, and one below it is refused before anything of the new disk is built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh, "MAX_SLOTS", slots)
+        assert expand(disk, budget=10**12).graph.neighbors.size == slots
+        patch.setattr(mesh, "MAX_SLOTS", slots - 1)
+        for builder in ("_gaps_last", "_fan"):  # the first step of building each kind of layer
+            patch.setattr(mesh, builder, lambda *args: pytest.fail("expand allocated"))
+        with pytest.raises(BudgetExceededError) as err:
+            expand(disk, budget=10**12)
+    assert (err.value.needed, err.value.budget) == (slots, slots - 1)
+
+
+@pytest.mark.parametrize("kind", ["face", "vertex"])
+@pytest.mark.parametrize("r", [7, 8, 9, 12, 20, 1000])
+def test_the_slot_limit_is_exact_on_grown_layers(r, kind):
+    disks = [measured.disk for measured in measured_layers(r, kind, 6, budget=20_000)]
+    for disk, grown in zip(disks, disks[1:]):
+        _slot_limit_is_exact(disk, grown.graph.neighbors.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disk=convex_disks())
+def test_the_slot_limit_is_exact_on_convex_disks(disk):
+    _slot_limit_is_exact(disk, expand(disk, budget=10**12).graph.neighbors.size)
+
+
+def test_a_graph_past_the_slot_limit_is_malformed(monkeypatch):
+    rows = [[1, 2], [2, 0], [0, 1]]
+    offsets, neighbors = np.array([0, 2, 4, 6]), np.array([1, 2, 2, 0, 0, 1], dtype=np.int32)
+    monkeypatch.setattr(mesh, "MAX_SLOTS", 6)
+    assert RotationGraph(rows) == RotationGraph.from_arrays(offsets, neighbors.copy())
+    monkeypatch.setattr(mesh, "MAX_SLOTS", 5)
+    with pytest.raises(MalformedDiskError, match="at most 5 slots"):
+        RotationGraph(rows)
+    with pytest.raises(MalformedDiskError, match="at most 5 slots"):
+        RotationGraph.from_arrays(offsets, neighbors)
 
 
 @pytest.mark.parametrize("n_layers, budget", [(3, mesh.DEFAULT_VERTEX_BUDGET), (12, 3000)])
@@ -580,30 +620,32 @@ def test_neighbors_of_concatenates_the_rotations(disk, picks):
     assert disk.graph.neighbors_of(vs).tolist() == [u for v in vs.tolist() for u in rows[v]]
 
 
-def test_slot_indices_are_int32_below_two_to_the_31_slots():
-    assert mesh._index_dtype(2**31 - 1) is np.int32
-    assert mesh._index_dtype(2**31) is np.int64
-
-
-def test_slot_numbers_are_packed_up_to_two_to_the_32_slots():
-    # the largest slot number, 2^32 - 1, still fits the low 32 bits of the key
-    assert mesh._packable(2**32)
-    assert not mesh._packable(2**32 + 1)
+def test_the_packed_key_keeps_ids_and_slot_numbers_at_the_limit():
+    top = mesh.MAX_SLOTS
+    high = np.array([top, 0, top, 1], dtype=np.int32)
+    low = np.array([top, top, 0, 1], dtype=np.int64)  # slot numbers, as np.flatnonzero gives them
+    keys = mesh._packed(high, low)
+    assert (keys >> 32).tolist() == high.tolist()
+    assert (keys & 0xFFFFFFFF).tolist() == low.tolist()
+    src = np.array([0, top, top, top], dtype=np.int32)
+    dst = np.array([top, top, 0, top - 1], dtype=np.int32)
+    slots, keys = mesh._backward_half(src, dst)
+    assert slots.dtype == np.int32 and slots.tolist() == [2, 3, 1]
+    assert (keys >> 32).tolist() == [0, top - 1, top]
+    assert (keys & 0xFFFFFFFF).tolist() == [top, top, top]
 
 
 @settings(max_examples=60, deadline=None)
 @given(edges=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=60))
-def test_the_packed_and_the_stable_backward_order_agree(edges):
+def test_the_backward_half_is_in_dst_then_src_order(edges):
     # slots ascend with src, as rows do; within a row dst comes in any order
     pairs = np.array(sorted(edges, key=lambda e: e[0]), dtype=np.int32).reshape(-1, 2)
     src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
-    packed = mesh._backward_half(src, dst, np.int32, True)
-    stable = mesh._backward_half(src, dst, np.int32, False)
-    assert packed[0].tolist() == stable[0].tolist()
-    assert packed[1].tolist() == stable[1].tolist()
+    slots, keys = mesh._backward_half(src, dst)
     back = src >= dst
     expected = sorted(zip(dst[back].tolist(), src[back].tolist(), np.flatnonzero(back).tolist()))
-    assert packed[0].tolist() == [slot for _, _, slot in expected]
+    assert slots.tolist() == [slot for _, _, slot in expected]
+    assert keys.tolist() == [d << 32 | s for d, s, _ in expected]
 
 
 def test_count_explicit_peaks_under_25_bytes_per_slot():
