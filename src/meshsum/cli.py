@@ -15,7 +15,7 @@ from typing import TextIO
 
 from . import __version__
 from .exact import brief, int_from_text
-from .growth import DEFAULT_VERTEX_BUDGET, check_layer_count
+from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, check_layer_count
 from .report import (
     FAULT_MODES,
     canonical_json,
@@ -118,22 +118,19 @@ def _layer_table(report: dict, out: TextIO) -> None:
         source = ex if ex is not None else pred["cum"]
         census = rec["census"] or (pred if pred and "a" in pred else None)
         census_txt = f"({census['a']},{census['b']})" if census else "-"
-        if rec["match"] is None:
-            match_txt = "analytic" if ex is None else "-"
-        else:
-            match_txt = "ok" if rec["match"] else "MISMATCH"
+        match_txt = {True: "ok", False: "MISMATCH", None: "-" if ex else "analytic"}[rec["match"]]
         cells = "".join(f" {source[key]:>10}" for key in "vefs")
         out.write(f"{rec['layer']:>5}{cells}  {census_txt:<13}{match_txt:>9}\n")
-    inv = report["invariants"]
-    out.write(
-        f"invariants r={inv['r']}: vM={_rat(inv['vM'])} eM={_rat(inv['eM'])} "
-        f"fM={_rat(inv['fM'])} euler={'ok' if inv['euler_check'] else 'BROKEN'} "
-        f"seed={'ok' if inv['seed_match'] else 'MISMATCH'}\n"
-    )
+    out.write(f"invariants {_invariants_line(report['invariants'])}\n")
 
 
-def _rat(obj: dict) -> str:
-    return obj["num"] if obj["den"] == "1" else f"{obj['num']}/{obj['den']}"
+def _invariants_line(entry: dict) -> str:
+    """An ``invariants_entry`` as a table line, with the seed's verdict if it has one."""
+    vM, eM, fM = (q["num"] if q["den"] == "1" else f"{q['num']}/{q['den']}"
+                  for q in (entry["vM"], entry["eM"], entry["fM"]))
+    euler = "ok" if entry["euler_check"] else "BROKEN"
+    seed = {True: " seed=ok", False: " seed=MISMATCH", None: ""}[entry.get("seed_match")]
+    return f"r={entry['r']}: vM={vM} eM={eM} fM={fM} euler={euler}{seed}"
 
 
 def cmd_grow(args) -> int:
@@ -180,14 +177,8 @@ def _sum_table(degrees, seed, out: TextIO) -> bool:
     all_match = True
     for r in degrees:
         entry = invariants_entry(r, seed)
-        line = (
-            f"r={entry['r']}: vM={_rat(entry['vM'])} eM={_rat(entry['eM'])} "
-            f"fM={_rat(entry['fM'])} euler={'ok' if entry['euler_check'] else 'BROKEN'}"
-        )
-        if "seed_match" in entry:
-            line += f" seed={'ok' if entry['seed_match'] else 'MISMATCH'}"
-            all_match = all_match and entry["seed_match"]
-        out.write(line + "\n")
+        out.write(_invariants_line(entry) + "\n")
+        all_match = all_match and entry.get("seed_match", True)
     return all_match
 
 
@@ -270,9 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write the JSON report to this file")
         p.add_argument("--json", action="store_true", help="print JSON instead of a table")
 
+    any_seed = ", ".join([*reversed(CANONICAL_SEEDS), "or t:d"])  # named vertex first
     p = sub.add_parser("grow", help="grow a disk and reconcile with predictions")
     p.add_argument("-r", "--degree", required=True, help="ambient degree (>= 7)")
-    p.add_argument("--seed", default="face", help="vertex or face")
+    p.add_argument("--seed", default="face", help=" or ".join(reversed(CANONICAL_SEEDS)))
     p.add_argument("-n", "--layers", default=4, help="expansion layers")
     p.add_argument("--budget", help="vertex budget (or MESHSUM_BUDGET)")
     p.add_argument("--emit-disk", help="also write the final disk JSON here")
@@ -281,14 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="analytic layer table for any valid seed")
     p.add_argument("-r", "--degree", required=True)
-    p.add_argument("--seed", default="face", help="vertex, face, or t:d")
+    p.add_argument("--seed", default="face", help=any_seed)
     p.add_argument("-n", "--layers", default=5)
     add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sum", help="regularized mesh invariants")
     p.add_argument("-r", "--degree", required=True, help="degree or lo:hi range")
-    p.add_argument("--seed", help="optional seed to cross-check: vertex, face, or t:d")
+    p.add_argument("--seed", help=f"optional seed to cross-check: {any_seed}")
     add_common(p)
     p.set_defaults(func=cmd_sum)
 

@@ -11,11 +11,12 @@ vertices and b = t new degree-4 vertices.  Later layers follow the linear
 census recursion, or equivalently a single second-order recurrence
 x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 
-``census_stream`` is the one census loop, in ``int`` or exact ``Decimal``:
-``predict_layers`` reads it as ints, and ``report.layer_texts`` turns its
-``Decimal`` layers into the one text stream that every report and table
+``CANONICAL_SEEDS`` is the one seed table, ``seed_descriptor_for`` the one
+seed parser and ``census_stream`` the one census loop, in ``int`` or exact
+``Decimal``: ``predict_layers`` reads it as ints, and ``report.layer_texts``
+turns its ``Decimal`` layers into the one text stream every report and table
 writes.  ``census_step``, ``deltas_from_census`` and ``second_order_step``
-are the textbook steps, kept as the independent route it is checked against.
+are the textbook steps, the independent route it is checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .exact import EXACT, brief
+from .exact import EXACT, brief, int_from_text
 
 MAX_PREDICT_LAYERS = 10_000
 DEFAULT_VERTEX_BUDGET = 1_000_000
@@ -97,6 +98,29 @@ class SeedDescriptor:
                 )
             if q < 0:
                 raise InvalidSeedError(f"count {name} = {brief(q)} is negative")
+
+
+# The seeds grow builds, face then vertex: layer 0's rotation rows and ccw boundary, the
+# analytic base layer (the first nondegenerate disk) and its boundary profile (t, d) at r.
+CANONICAL_SEEDS = {
+    "face": (((1, 2), (2, 0), (0, 1)), (0, 1, 2), 0, lambda r: (3, 6)),
+    "vertex": (((),), (), 1, lambda r: (r, 3 * r)),
+}
+
+
+def seed_descriptor_for(text: str, r: int) -> SeedDescriptor:
+    """A ``CANONICAL_SEEDS`` name (its base's profile) or an explicit t:d profile."""
+    if text in CANONICAL_SEEDS:
+        return SeedDescriptor(r, *CANONICAL_SEEDS[text][3](r))
+    t_text, sep, d_text = text.partition(":")
+    if not sep:
+        names = ", ".join(map(repr, reversed(CANONICAL_SEEDS)))
+        raise ValueError(f"seed must be {names}, or t:d, got {brief(text)}")
+    try:
+        t, d = int_from_text(t_text), int_from_text(d_text)
+    except ValueError:
+        raise ValueError(f"seed t:d must be integers, got {brief(text)}") from None
+    return SeedDescriptor(r, t, d)
 
 
 def _count_numerators(r: int, t: int, d: int):

@@ -60,13 +60,14 @@ from itertools import chain
 
 import numpy as np
 
-from .growth import DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
+from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
 from .textcells import int_cells, row, text
 
 MIN_DEGREE = 7
 # Ids and slot numbers are int32; a vertex has 2 slots or more, so ids stay below 2^30.
 INT32 = np.iinfo(np.int32)
 MAX_SLOTS = int(INT32.max)
+_FACE, _VERTEX = CANONICAL_SEEDS.values()  # the rows seed_face and seed_vertex build
 
 
 class ConvexityError(ValueError):
@@ -250,17 +251,19 @@ def convexity_bound(r: int) -> int:
     return 1 + r // 2
 
 
+def _seed_disk(r: int, rows, boundary, *_) -> CombinatorialDisk:
+    _require_degree(r)
+    return CombinatorialDisk(RotationGraph(rows), r, boundary, 0)
+
+
 def seed_face(r: int) -> CombinatorialDisk:
     """Single triangle: vertices 0,1,2 counterclockwise."""
-    _require_degree(r)
-    graph = RotationGraph([[1, 2], [2, 0], [0, 1]])
-    return CombinatorialDisk(graph, r, (0, 1, 2), 0)
+    return _seed_disk(r, *_FACE)
 
 
 def seed_vertex(r: int) -> CombinatorialDisk:
     """Single vertex, no faces; degenerate until the first expansion."""
-    _require_degree(r)
-    return CombinatorialDisk(RotationGraph([[]]), r, (), 0)
+    return _seed_disk(r, *_VERTEX)
 
 
 def _fan(r: int, layer_index: int) -> CombinatorialDisk:
@@ -505,10 +508,10 @@ def measured_layers(
     or CensusContradiction (or a MemoryError) with "r=<r> seed=<kind> layer=<k>: " in front.
     Only the current disk and its predecessor are kept alive.
     """
-    seeds = {"face": seed_face, "vertex": seed_vertex}
-    if seed_kind not in seeds:
-        raise ValueError(f"only the canonical seeds face and vertex can grow, got {seed_kind!r}")
-    disk = seeds[seed_kind](r)
+    if seed_kind not in CANONICAL_SEEDS:
+        names = " and ".join(CANONICAL_SEEDS)
+        raise ValueError(f"only the canonical seeds {names} can grow, got {seed_kind!r}")
+    disk = _seed_disk(r, *CANONICAL_SEEDS[seed_kind])
     prev = None
     for layer in range(n_layers + 1):
         where = f"r={r} seed={seed_kind} layer={layer}"
@@ -611,8 +614,9 @@ def _face_problem(offsets, nbr, rev, outer) -> str | None:
     successor of x at v, that is u, as x precedes u at v.  Then next(x -> u)
     = u -> z with z the predecessor of x at u, which is v by the test on
     u -> v, so next^3(u -> v) = u -> v.  Conversely a triangle u -> v ->
-    x -> u has v before x at u.  No loops also rule out next = id.  Only
-    when the test fails is next^3 composed, to name the first offender.
+    x -> u has v before x at u.  No loops also rule out next = id, as
+    next(u -> v) lies in the row of v, not of u.  Only when the test fails
+    is next^3 composed, to name the first offender.
     """
     rows = np.diff(offsets) > 0
     starts, ends = offsets[:-1][rows], offsets[1:][rows] - 1
@@ -633,7 +637,6 @@ def _face_problem(offsets, nbr, rev, outer) -> str | None:
     del head, bad
     slot = np.arange(nbr.size, dtype=nxt.dtype)
     bad = nxt[nxt[nxt]] != slot
-    bad |= nxt == slot
     bad[outer] = False
     return f"interior face through edge slot {int(np.argmax(bad))} is not a triangle"
 

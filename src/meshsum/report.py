@@ -8,6 +8,7 @@ at a time, in exactly the bytes ``canonical_json`` would give the whole
 dict.  Every predicted layer ``grow`` and ``predict`` print, as JSON or as
 a table, comes from one text stream of ``census_stream`` layers,
 ``layer_texts``.  The disk file is ``mesh``'s: ``mesh.disk_json`` writes it.
+Seeds are ``growth``'s: ``CANONICAL_SEEDS`` and ``seed_descriptor_for``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ from decimal import Decimal
 from itertools import chain
 from typing import TYPE_CHECKING, TextIO
 
-from .exact import brief, int_from_text, int_to_json, rational_to_json
+from .exact import int_to_json, rational_to_json
 from .growth import (
+    CANONICAL_SEEDS,
     DEFAULT_VERTEX_BUDGET,
     DiskCounts,
     SeedDescriptor,
     census_stream,
     check_layer_count,
     counts_from_boundary,
+    seed_descriptor_for,
 )
 from .summation import euler_formula_check, mesh_invariants, mesh_invariants_from_seed
 
@@ -75,23 +78,6 @@ def profile_to_json_obj(profile: BoundaryProfile | SeedDescriptor) -> dict:
     return {"t": int_to_json(profile.t), "d": int_to_json(profile.d)}
 
 
-def seed_descriptor_for(text: str, r: int) -> SeedDescriptor:
-    """'face' or 'vertex' (the profile of a canonical seed's first
-    nondegenerate disk) or an explicit t:d boundary profile."""
-    if text == "face":
-        return SeedDescriptor(r, 3, 6)
-    if text == "vertex":
-        return SeedDescriptor(r, r, 3 * r)
-    t_text, sep, d_text = text.partition(":")
-    if not sep:
-        raise ValueError(f"seed must be 'vertex', 'face', or t:d, got {brief(text)}")
-    try:
-        t, d = int_from_text(t_text), int_from_text(d_text)
-    except ValueError:
-        raise ValueError(f"seed t:d must be integers, got {brief(text)}") from None
-    return SeedDescriptor(r, t, d)
-
-
 def growth_report(
     r: int,
     seed_kind: str,
@@ -103,19 +89,19 @@ def growth_report(
     Returns the report dict and the largest disk actually built.  The
     report's "layers" is an iterator, to be read once: the built layers'
     records are held, and the layers the budget rules out follow one at a
-    time from the analytic side alone, with a null match flag.  The
-    analytic base for the vertex seed is its first expansion (the fan), so
-    explicit layer k matches analytic layer k-1.  Every layer, built or
-    not, is predicted by ``layer_texts``, the stream ``predict`` writes: a
-    built layer is checked against the very digits the report prints, and
-    no digit limit applies.
+    time from the analytic side alone, with a null match flag.  Explicit
+    layer k matches analytic layer k minus the seed's base layer in
+    ``CANONICAL_SEEDS`` (the vertex seed's is 1, the fan).  Every layer,
+    built or not, is predicted by ``layer_texts``, the stream ``predict``
+    writes: a built layer is checked against the very digits the report
+    prints, and no digit limit applies.
     """
     from .mesh import measured_layers
     if n_layers < 0:
         raise ValueError(f"layer count must be >= 0, got {n_layers}")
     layers = measured_layers(r, seed_kind, n_layers, budget)
-    first = next(layers)  # checks the seed kind before anything else
-    base_layer = 0 if seed_kind == "face" else 1
+    first = next(layers)  # mesh checks the seed name, then the degree, before anything else
+    base_layer = CANONICAL_SEEDS[seed_kind][2]
     descriptor = seed_descriptor_for(seed_kind, r)
     n_analytic = n_layers - base_layer
     if n_analytic > 0:

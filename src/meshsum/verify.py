@@ -1,12 +1,13 @@
 """Cross-verification battery: explicit growth against every closed form.
 
-Each degree gets an independent, deterministically seeded run.  The calling
-thread and, for two degrees on two usable CPUs, one helper take degrees
-largest first (numpy drops the GIL in its sorts and gathers); after an error
-or Ctrl-C neither takes another, and the caller waits for the helper's degree
-before it raises.  Tallies merge in sorted degree order.  The explicit layers
-come from mesh.measured_layers, whose count_explicit call also checks every
-disk invariant; a malformed disk fails the disk-invariants check and a census
+Each degree gets an independent, deterministically seeded run, over the seeds
+of ``growth.CANONICAL_SEEDS`` in order.  The calling thread and, for two
+degrees on two usable CPUs, one helper take degrees largest first (numpy drops
+the GIL in its sorts and gathers); after an error or Ctrl-C neither takes
+another, and the caller waits for the helper's degree before it raises.
+Tallies merge in sorted degree order.  The explicit layers come from
+mesh.measured_layers, whose count_explicit call also checks every disk
+invariant; a malformed disk fails the disk-invariants check and a census
 contradiction fails census-degrees, and either ends its seed's layers.  Counts
 and boundary profile carry into the next layer's delta and census checks.
 Fault injection corrupts one comparison to prove the harness can fail.
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 from . import exact, mesh
 from .growth import (
+    CANONICAL_SEEDS,
     SeedDescriptor,
     census_step,
     counts_from_boundary,
@@ -123,10 +125,10 @@ def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
     inv = mesh_invariants(r)
     tally.record("invariants-euler-formula", euler_formula_check(inv), f"{where}: v - e + f != 1")
 
-    for seed_kind in ("face", "vertex"):
+    for seed_kind in CANONICAL_SEEDS:
         descriptor = seed_descriptor_for(seed_kind, r)
         from_seed = mesh_invariants_from_seed(descriptor)
-        if fault == "invariants" and seed_kind == "face":
+        if fault == "invariants" and seed_kind == next(iter(CANONICAL_SEEDS)):
             from_seed = type(from_seed)(from_seed.v + 1, from_seed.e, from_seed.f)
         tally.record(
             "seed-independence",
@@ -181,7 +183,7 @@ def verify_degree(
 ) -> dict:
     """Full battery for one degree; returns its tally as JSON-ready dict."""
     tally = _Tally()
-    for seed_kind in ("face", "vertex"):
+    for seed_kind in CANONICAL_SEEDS:
         _verify_layers(r, seed_kind, layers, budget, tally, fault)
     _verify_analytics(r, trials, rng_seed, tally, fault)
     return {

@@ -59,6 +59,26 @@ def test_grow_rejects_custom_seed(capsys):
     assert "canonical seeds" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-r", "7", "-n", "-1", "--seed", "3:6"], "layer count must be >= 0, got -1"),
+        (["-r", "6", "--seed", "3:6"],
+         "only the canonical seeds face and vertex can grow, got '3:6'"),
+        (["-r", "6"], "ambient degree must be an integer >= 7, got 6"),
+        (["-r", "7", "-n", "20000", "--seed", "vertex"], "n_max must be in [1, 10000], got 19999"),
+    ],
+    ids=["layer-count", "seed", "degree", "n-max"],
+)
+def test_grow_checks_its_input_in_order(capsys, tmp_path, argv, message):
+    # the layer count, then the seed name, then the degree (mesh's words, not the
+    # analytic seed's), then the analytic depth past the base layer
+    output = tmp_path / "report.json"
+    for form in ([], ["--json"], ["-o", str(output)]):
+        assert run_cli(capsys, "grow", *argv, *form) == (2, "", f"error: {message}\n")
+    assert not output.exists()
+
+
 def test_grow_json_is_canonical_and_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "grow", "-r", "8", "-n", "3", "--json")
     code2, out2, _ = run_cli(capsys, "grow", "-r", "8", "-n", "3", "--json")
@@ -846,6 +866,29 @@ def test_sum_writes_a_seed_mismatch_canonically(capsys, monkeypatch):
     assert code == 1
     assert out == canonical_json(json.loads(out))
     assert json.loads(out)["degrees"][0]["seed_match"] is False
+
+
+def test_the_tables_write_a_failed_invariant_check_in_words(capsys, monkeypatch):
+    monkeypatch.setattr("meshsum.report.euler_formula_check", lambda inv: False)
+    monkeypatch.setattr(
+        "meshsum.report.mesh_invariants_from_seed", lambda seed: mesh_invariants(8)
+    )
+    line = "r=10: vM=-3/2 eM=-15/2 fM=-5 euler=BROKEN"
+    assert run_cli(capsys, "sum", "-r", "10") == (0, line + "\n", "")
+    assert run_cli(capsys, "sum", "-r", "10", "--seed", "vertex") == (
+        1, line + " seed=MISMATCH\n", ""
+    )
+    code, out, _ = run_cli(capsys, "grow", "-r", "10", "-n", "1")
+    assert (code, out.splitlines()[-1]) == (1, f"invariants {line} seed=MISMATCH")
+
+
+def test_an_invariants_report_with_no_degrees_is_canonical():
+    out = io.StringIO()
+    assert report.invariants_report([], None, out) is True
+    assert out.getvalue() == canonical_json(
+        {"schema_version": "meshsum/1", "kind": "invariants-report", "all_match": True,
+         "degrees": []}
+    )
 
 
 def test_version_and_usage(capsys):

@@ -14,7 +14,8 @@ read.  No module reads or sets the thread's
 decimal context: exact decimal arithmetic goes through ``EXACT``'s own
 methods, so no context can leak into a caller.  Every private
 module-level name is read somewhere in the package, so no dead helper
-stays behind.
+stays behind.  Only ``growth.CANONICAL_SEEDS`` names a seed: no other
+module holds a seed's name as a string, but for ``--seed``'s default.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import meshsum
+from meshsum.growth import CANONICAL_SEEDS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "meshsum"
@@ -212,6 +214,43 @@ def test_the_check_finds_a_private_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_another_module_s_private_name(path):
     assert private_imports(path.read_text(encoding="utf-8")) == [], path
+
+
+def seed_names(source: str, names=tuple(CANONICAL_SEEDS)) -> list[str]:
+    """'line: name' for each string constant in a module that equals one of
+    ``names``, the canonical seeds, other than an ``add_argument("--seed",
+    ...)`` call's ``default``."""
+    tree = ast.parse(source)
+    defaults = {
+        id(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument" and node.args
+        and isinstance(node.args[0], ast.Constant) and node.args[0].value == "--seed"
+        for keyword in node.keywords
+        if keyword.arg == "default"
+    }
+    found = sorted(
+        (node.lineno, node.col_offset, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in defaults
+    )
+    return [f"{line}: {name}" for line, _, name in found]
+
+
+def test_the_check_finds_a_seed_name():
+    source = 'p.add_argument("--seed", default="face", help="vertex or face")\n'
+    source += 'p.add_argument("-n", default="vertex")\nseeds = {"face": 1}\n'
+    source += 'def f(kind):\n    return kind == "vertex" or f"{kind}" == "face"\n'
+    assert seed_names(source) == ["2: vertex", "3: face", "5: vertex", "5: face"]
+    assert seed_names('x = ("faces", "Face", "vertex ")\n') == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(SRC.glob("*.py")) - {SRC / "growth.py"}), ids=lambda path: path.name
+)
+def test_only_the_seed_table_names_a_seed(path):
+    assert seed_names(path.read_text(encoding="utf-8")) == [], path
 
 
 def context_uses(source: str) -> list[str]:

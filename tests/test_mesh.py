@@ -349,7 +349,7 @@ def relabelled_disks(draw):
 
 CORRUPTIONS = (
     "drop", "duplicate", "double", "loop", "swap", "reverse", "out-of-range", "cut-boundary",
-    "mirror",
+    "mirror", "empty-boundary-row",
 )
 
 
@@ -384,6 +384,10 @@ def corrupted_disks(draw, bases=st.sampled_from(SMALL_DISKS), ops=CORRUPTIONS):
         elif op == "cut-boundary" and boundary:
             skip = draw(st.integers(min_value=0, max_value=len(boundary) - 1))
             boundary = boundary[:skip] + boundary[skip + 1 :]
+        elif op == "empty-boundary-row" and boundary:  # degree 0, and still symmetric
+            lone = boundary[draw(st.integers(min_value=0, max_value=len(boundary) - 1))]
+            rows = [[] if u == lone else [x for x in rot if x != lone]
+                    for u, rot in enumerate(rows)]
         elif op == "out-of-range" and row:
             bad = draw(st.sampled_from([nv, nv + 3, -1, -5]))
             row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = bad
@@ -452,6 +456,24 @@ def test_validate_reports_each_kind_with_its_first_offender():
     assert [(v.kind, v.detail) for v in found[:2]] == [
         ("id-range", "vertex 25 lists an out-of-range neighbor"),
         ("loop", "vertex 20 lists itself"),
+    ]
+
+
+def test_a_boundary_vertex_with_an_empty_row_is_reported_not_indexed():
+    # vertex 3 has no row entries, and its row starts past the last slot
+    disk = CombinatorialDisk(RotationGraph([[1, 2], [2, 0], [0, 1], []]), 7, (0, 1, 2, 3), 0)
+    assert [(v.kind, v.detail) for v in validate_disk(disk)] == [
+        ("boundary-cycle", "boundary edge (2, 3) is missing"),
+        ("boundary-degree", "boundary vertex 3 has degree 0, outside [2, 4]"),
+    ]
+
+
+def test_a_lone_edge_in_one_half_breaks_symmetry():
+    # 0 -> 1 is the only slot: the backward half is empty
+    disk = CombinatorialDisk(RotationGraph([[1], []]), 7, (0, 1), 0)
+    assert [(v.kind, v.detail) for v in validate_disk(disk)] == [
+        ("symmetry", "edge (0, 1) has no reverse entry"),
+        ("boundary-cycle", "boundary is not a simple cycle"),
     ]
 
 

@@ -193,6 +193,19 @@ def test_layout_rejects_a_boundary_it_cannot_peel(extra):
             layout(bad)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [2, 0], [0, 5]], "a rotation lists a vertex outside the disk"),
+        ([[1, 2], [2, 0], [0, 1], []], "disk is not connected to its boundary"),
+    ],
+    ids=["id-past-the-disk", "isolated-vertex"],
+)
+def test_layout_rejects_a_disk_it_cannot_peel(rows, message):
+    with pytest.raises(LayoutError, match=f"^{message}$"):
+        layout_disk(CombinatorialDisk(RotationGraph(rows), 7, (0, 1, 2), 0))
+
+
 def test_layout_peaks_under_a_bound_per_vertex():
     # the per-vertex loop and its tuples peaked at 142 traced bytes per vertex,
     # the whole-array layout at 56

@@ -193,6 +193,16 @@ def test_the_largest_failing_degree_s_error_comes_out(monkeypatch, two_cpus):
         run_verification([38, 39, 40])
 
 
+def test_wrong_platonic_counts_fail_the_report(monkeypatch):
+    monkeypatch.setattr(verify, "platonic_counts", lambda r: (0, 0, 0))
+    report = run_verification([7], layers=1, trials=0)
+    assert report["checks"]["platonic"] == {"pass": 0, "fail": 1}
+    assert report["violations"] == [
+        "platonic: closed surfaces disagree with the reference counts"
+    ]
+    assert report["all_pass"] is False
+
+
 def test_trials_past_the_bound_are_refused_before_any_degree_runs(monkeypatch):
     class Started(Exception):
         pass
