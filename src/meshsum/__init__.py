@@ -16,15 +16,15 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "growth": "DeltaCounts DiskCounts InvalidSeedError LayerCensus LayerPrediction "
-        "SeedDescriptor census_step counts_from_boundary deltas_from_census initial_census "
-        "platonic_counts predict_layers second_order_step",
+        "SeedDescriptor census_step convexity_bound counts_from_boundary deltas_from_census "
+        "initial_census platonic_counts predict_layers second_order_step",
         "summation": "MeshInvariants PoleError RecurrenceSeries UndefinedSumError "
         "euler_formula_check euler_sum euler_sum_by_lemma generating_value mesh_invariants "
         "mesh_invariants_from_seed partial_sum",
         "mesh": "BoundaryProfile BudgetExceededError CensusContradiction CombinatorialDisk "
         "ConvexityError MalformedDiskError MeasuredLayer RotationGraph boundary_profile "
-        "convexity_bound count_explicit delta_counts disk_from_json_obj expand grow is_convex "
-        "layer_census measured_layers seed_face seed_vertex validate_disk",
+        "count_explicit delta_counts disk_from_json_obj expand grow is_convex layer_census "
+        "measured_layers seed_face seed_vertex validate_disk",
         "render": "DiskLayout LayoutError emit_svg layout_disk",
     }.items()
     for name in names.split()

@@ -15,7 +15,7 @@ from typing import TextIO
 
 from . import __version__
 from .exact import brief, int_from_text
-from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, check_layer_count
+from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, check_degree, check_layer_count
 from .report import (
     FAULT_MODES,
     canonical_json,
@@ -27,7 +27,6 @@ from .report import (
     seed_descriptor_for,
     write_growth_report,
 )
-from .summation import mesh_invariants
 
 # Bad input (seed, sum, disk JSON, layout: all ValueErrors) or a budget past memory.
 _INPUT_ERRORS = (ValueError, OSError, MemoryError)
@@ -191,7 +190,7 @@ def cmd_sum(args) -> int:
         seed = seed_descriptor_for(args.seed, degrees[0])
     if degrees[-1] - degrees[0] >= MAX_SUM_DEGREES:  # len() overflows past sys.maxsize
         raise ValueError(f"-r spans more than {MAX_SUM_DEGREES} degrees: {brief(args.degree)}")
-    mesh_invariants(degrees[0])  # rejects a degree below 7 before -o creates its file
+    check_degree(degrees[0])  # before -o creates its file
     all_match = _emit_stream(
         args,
         lambda out: invariants_report(degrees, seed, out),
@@ -263,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     any_seed = ", ".join([*reversed(CANONICAL_SEEDS), "or t:d"])  # named vertex first
     p = sub.add_parser("grow", help="grow a disk and reconcile with predictions")
-    p.add_argument("-r", "--degree", required=True, help="ambient degree (>= 7)")
+    p.add_argument("-r", "--degree", required=True, help="ambient degree")
     p.add_argument("--seed", default="face", help=" or ".join(reversed(CANONICAL_SEEDS)))
     p.add_argument("-n", "--layers", default=4, help="expansion layers")
     p.add_argument("--budget", help="vertex budget (or MESHSUM_BUDGET)")

@@ -70,10 +70,10 @@ def int_from_text(text: str) -> int:
         return int(Decimal(text))
 
 
-def brief(value: int | str, width: int = 40) -> str:
-    """An int's decimal digits or a str's repr for an error message, cut
-    after ``width`` characters; no digit limit applies."""
-    text = repr(value) if isinstance(value, str) else int_to_json(value)
+def brief(value, width: int = 40) -> str:
+    """An int's decimal digits or any other value's repr for an error
+    message, cut after ``width`` characters; no digit limit applies."""
+    text = int_to_json(value) if type(value) is int else repr(value)
     return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 

@@ -11,7 +11,8 @@ vertices and b = t new degree-4 vertices.  Later layers follow the linear
 census recursion, or equivalently a single second-order recurrence
 x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 
-``CANONICAL_SEEDS`` is the one seed table, ``seed_descriptor_for`` the one
+``check_degree`` is the one degree rule, ``convexity_bound`` the one convexity
+bound, ``CANONICAL_SEEDS`` the one seed table, ``seed_descriptor_for`` the one
 seed parser and ``census_stream`` the one census loop, in ``int`` or exact
 ``Decimal``: ``predict_layers`` reads it as ints, and ``report.layer_texts``
 turns its ``Decimal`` layers into the one text stream every report and table
@@ -30,6 +31,19 @@ from .exact import EXACT, brief, int_from_text
 
 MAX_PREDICT_LAYERS = 10_000
 DEFAULT_VERTEX_BUDGET = 1_000_000
+MIN_DEGREE = 7
+
+
+def check_degree(r: int) -> None:
+    """Reject an ambient degree that is not an integer >= MIN_DEGREE."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < MIN_DEGREE:
+        raise ValueError(f"ambient degree must be an integer >= {MIN_DEGREE}, got {brief(r)}")
+
+
+def convexity_bound(r: int) -> int:
+    """Largest boundary degree allowed in a convex disk: floor(1 + r/2)."""
+    check_degree(r)
+    return 1 + r // 2
 
 
 @dataclass(frozen=True)
@@ -67,9 +81,9 @@ class InvalidSeedError(ValueError):
 class SeedDescriptor:
     """Abstract disk: ambient degree r, boundary length t, degree sum d.
 
-    Validity is checked on construction: the degree bounds
-    2 t <= d <= t * floor(1 + r/2) and the integrality/nonnegativity of
-    all four derived counts.
+    Validity is checked on construction: ``check_degree``, the degree
+    bounds 2 t <= d <= t * convexity_bound(r) and the integrality and
+    nonnegativity of all four derived counts.
     """
 
     r: int
@@ -78,17 +92,19 @@ class SeedDescriptor:
 
     def __post_init__(self):
         r, t, d = self.r, self.t, self.d
-        for name, value in (("r", r), ("t", t), ("d", d)):
+        try:
+            bound = convexity_bound(r)
+        except ValueError as exc:
+            raise InvalidSeedError(exc) from None
+        for name, value in (("t", t), ("d", d)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidSeedError(f"{name} must be an integer, got {value!r}")
-        if r < 7:
-            raise InvalidSeedError(f"ambient degree r = {brief(r)} must be >= 7")
         if t < 3:
             raise InvalidSeedError(f"boundary length t = {brief(t)} must be >= 3")
-        if not 2 * t <= d <= t * (1 + r // 2):
+        if not 2 * t <= d <= t * bound:
             raise InvalidSeedError(
-                f"degree sum d = {brief(d)} outside [{brief(2 * t)}, "
-                f"{brief(t * (1 + r // 2))}] for t = {brief(t)}"
+                f"degree sum d = {brief(d)} outside [{brief(2 * t)}, {brief(t * bound)}] "
+                f"for t = {brief(t)}"
             )
         for name, numerator in _count_numerators(r, t, d):
             q, rem = divmod(numerator, r - 6)
@@ -140,17 +156,14 @@ def counts_from_boundary(seed: SeedDescriptor) -> DiskCounts:
 
 
 def initial_census(seed: SeedDescriptor) -> LayerCensus:
-    """Census of the first expansion layer: a = t(r-2) - d, b = t."""
-    a = seed.t * (seed.r - 2) - seed.d
-    if a < 0:
-        raise InvalidSeedError(f"first-layer census a = {brief(a)} is negative")
-    return LayerCensus(a, seed.t)
+    """Census of the first expansion layer: a = t(r-2) - d, b = t.  A valid seed
+    has d <= t floor(1 + r/2), so a >= t(ceil(r/2) - 3) >= t: never negative."""
+    return LayerCensus(seed.t * (seed.r - 2) - seed.d, seed.t)
 
 
 def census_step(r: int, census: LayerCensus) -> LayerCensus:
     """Census of the next layer from the current one."""
-    if r < 7:
-        raise ValueError(f"ambient degree r = {r} must be >= 7")
+    check_degree(r)
     a, b = census.a, census.b
     return LayerCensus((r - 5) * a + (r - 6) * b, a + b)
 
@@ -163,8 +176,7 @@ def deltas_from_census(census: LayerCensus) -> DeltaCounts:
 
 def second_order_step(r: int, x_n: int, x_n1: int) -> int:
     """x_{n+2} = (r-4) x_{n+1} - x_n, shared by all three delta sequences."""
-    if r < 7:
-        raise ValueError(f"ambient degree r = {r} must be >= 7")
+    check_degree(r)
     return (r - 4) * x_n1 - x_n
 
 

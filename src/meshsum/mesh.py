@@ -4,7 +4,7 @@ A disk is a finite planar triangulated graph given by a rotation system:
 for every vertex, the cyclic counterclockwise order of its neighbors.  The
 boundary is a simple cycle listed counterclockwise (outer face on the left
 of reversed boundary edges).  Interior vertices have degree exactly r;
-boundary vertices keep degree at most floor(1 + r/2), which is the
+boundary vertices keep degree at most ``growth.convexity_bound(r)``, the
 convexity condition that makes one more growth layer well defined.
 
 The rotation system is stored in CSR form ("compressed sparse row"): an
@@ -61,9 +61,9 @@ from itertools import chain
 import numpy as np
 
 from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
+from .growth import check_degree, convexity_bound
 from .textcells import int_cells, row, text
 
-MIN_DEGREE = 7
 # Ids and slot numbers are int32; a vertex has 2 slots or more, so ids stay below 2^30.
 INT32 = np.iinfo(np.int32)
 MAX_SLOTS = int(INT32.max)
@@ -240,19 +240,8 @@ class BoundaryProfile:
     d: int
 
 
-def _require_degree(r: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool) or r < MIN_DEGREE:
-        raise ValueError(f"ambient degree must be an integer >= {MIN_DEGREE}, got {r!r}")
-
-
-def convexity_bound(r: int) -> int:
-    """Largest boundary degree allowed in a convex disk: floor(1 + r/2)."""
-    _require_degree(r)
-    return 1 + r // 2
-
-
 def _seed_disk(r: int, rows, boundary, *_) -> CombinatorialDisk:
-    _require_degree(r)
+    check_degree(r)
     return CombinatorialDisk(RotationGraph(rows), r, boundary, 0)
 
 
@@ -308,7 +297,7 @@ def boundary_profile(disk: CombinatorialDisk) -> BoundaryProfile:
 def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> CombinatorialDisk:
     """One growth layer; the input disk is left untouched.
 
-    Raises ConvexityError if a boundary vertex exceeds floor(1 + r/2),
+    Raises ConvexityError if a boundary vertex exceeds convexity_bound(r),
     BudgetExceededError if the result would exceed ``budget`` vertices
     or ``MAX_SLOTS`` slots, and MalformedDiskError if the boundary is not
     a simple cycle of ids whose rotations have an outer gap.
@@ -764,7 +753,7 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
 def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
     """Parse the portable form {"r", "layer", "boundary", "rotation"} that
     ``disk_json`` writes; ids must be integers (not booleans) in
-    [0, len(rotation)), r at least MIN_DEGREE and layer at least 0."""
+    [0, len(rotation)), r passing ``growth.check_degree`` and layer at least 0."""
     if not isinstance(obj, dict):
         raise MalformedDiskError("disk JSON must be an object")
     missing = {"r", "layer", "boundary", "rotation"} - set(obj)
@@ -786,7 +775,7 @@ def _checked_disk(disk: CombinatorialDisk) -> CombinatorialDisk:
     for ids in (disk.graph.neighbors, disk.boundary):
         if ids.size and (ids.min() < 0 or ids.max() >= nv):
             raise MalformedDiskError(f"rotation or boundary lists a vertex id outside [0, {nv})")
-    _require_degree(disk.ambient_degree)
+    check_degree(disk.ambient_degree)
     if disk.layer_index < 0:
         raise MalformedDiskError("'layer' must not be negative")
     return disk

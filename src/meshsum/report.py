@@ -293,9 +293,8 @@ def _prediction(texts: tuple) -> dict:
 
 
 def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
-    """Write the pure analytic layer table for an arbitrary valid seed as
-    canonical JSON, one layer at a time."""
-    check_layer_count(n_layers)  # before anything is written
+    """Write the pure analytic layer table for an arbitrary valid seed as canonical
+    JSON, one layer at a time; ``census_stream`` checks ``n_layers`` first."""
     profile, base = profile_to_json_obj(seed), counts_to_json_obj(counts_from_boundary(seed))
     head = {
         "schema_version": SCHEMA_VERSION,

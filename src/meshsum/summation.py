@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalLike
-from .growth import SeedDescriptor, counts_from_boundary, predict_layers
+from .growth import SeedDescriptor, check_degree, counts_from_boundary, predict_layers
 
 
 class UndefinedSumError(ValueError):
@@ -103,8 +103,7 @@ class MeshInvariants:
 
 def mesh_invariants(r: int) -> MeshInvariants:
     """Closed forms v_M = -6/(r-6), e_M = -3r/(r-6), f_M = -2r/(r-6)."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 7:
-        raise ValueError(f"mesh degree must be an integer >= 7, got {r!r}")
+    check_degree(r)
     return MeshInvariants(
         Fraction(-6, r - 6), Fraction(-3 * r, r - 6), Fraction(-2 * r, r - 6)
     )

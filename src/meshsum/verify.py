@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import exact, mesh
 from .growth import (
     CANONICAL_SEEDS,
+    MIN_DEGREE,
     SeedDescriptor,
     census_step,
     counts_from_boundary,
@@ -152,11 +153,11 @@ def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
         gamma = r - 4
         probe = RecurrenceSeries(gamma, deltas[0].dv, deltas[1].dv)
         t = Fraction(1, 2 * gamma)
-        exact = generating_value(probe, t)
-        gap = abs(partial_sum(probe, t, 40) - exact)
+        value = generating_value(probe, t)
+        gap = abs(partial_sum(probe, t, 40) - value)
         tally.record(
             "convergence",
-            gap <= abs(exact) * CONVERGENCE_GAP,
+            gap <= abs(value) * CONVERGENCE_GAP,
             f"{where} seed={seed_kind}: partial sums stall away from F(t)",
         )
 
@@ -209,10 +210,8 @@ def run_verification(
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {exact.brief(trials)}")
     # any() stops at the first bad degree, so a huge range is never materialised
-    if any(r < mesh.MIN_DEGREE or r > MAX_VERIFY_DEGREE for r in degrees):
-        raise ValueError(
-            f"verification degrees must lie within {mesh.MIN_DEGREE}..{MAX_VERIFY_DEGREE}"
-        )
+    if any(r < MIN_DEGREE or r > MAX_VERIFY_DEGREE for r in degrees):
+        raise ValueError(f"verification degrees must lie within {MIN_DEGREE}..{MAX_VERIFY_DEGREE}")
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("no degrees to verify")

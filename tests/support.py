@@ -22,6 +22,7 @@ from meshsum import (
     platonic_counts,
     verify,
 )
+from meshsum.growth import MIN_DEGREE
 from meshsum.mesh import Violation
 from meshsum.render import CANVAS, DiskLayout, LayoutError
 from meshsum.report import SCHEMA_VERSION, canonical_json
@@ -618,7 +619,7 @@ def reference_run_verification(
     if layers < 0 or trials < 0:
         raise ValueError("layers and trials must be >= 0")
     degrees = sorted(set(degrees))
-    if not degrees or degrees[0] < mesh.MIN_DEGREE or degrees[-1] > verify.MAX_VERIFY_DEGREE:
+    if not degrees or degrees[0] < MIN_DEGREE or degrees[-1] > verify.MAX_VERIFY_DEGREE:
         raise ValueError("no degrees, or a degree outside the range")
     results = [verify.verify_degree(r, layers, budget, trials, rng_seed, fault) for r in degrees]
 

@@ -307,6 +307,31 @@ def test_sum_rejects_bad_domains(capsys, tmp_path):
     assert code == 2 and "range" in err
 
 
+DEGREE_ERROR = "error: ambient degree must be an integer >= 7, got 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["grow"], ["predict"], ["predict", "--seed", "3:6"], ["sum"], ["sum", "--seed", "3:6"]],
+    ids=["grow", "predict", "predict-seed", "sum", "sum-seed"],
+)
+def test_every_command_states_the_one_degree_rule(capsys, tmp_path, argv):
+    output = tmp_path / "report.json"
+    for form in ([], ["--json"], ["-o", str(output)]):
+        assert run_cli(capsys, *argv, "-r", "6", *form) == (2, "", DEGREE_ERROR)
+    assert not output.exists()
+
+
+def test_render_states_the_one_degree_rule_and_verify_its_own_range(capsys, tmp_path):
+    disk = tmp_path / "disk.json"
+    disk.write_text(mesh.disk_json(mesh.seed_face(7)).replace('"r": 7,', '"r": 6,'))
+    assert run_cli(capsys, "render", str(disk)) == (2, "", DEGREE_ERROR)
+    assert not (tmp_path / "disk.svg").exists()
+    assert run_cli(capsys, "verify", "-r", "6") == (
+        2, "", "error: verification degrees must lie within 7..1000\n"
+    )
+
+
 def test_sum_refuses_more_than_max_sum_degrees(capsys, monkeypatch, tmp_path):
     def written(*args):
         raise AssertionError("the report was written")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import decimal
+import re
 from decimal import Decimal
 
 import pytest
@@ -15,8 +16,10 @@ from meshsum import (
     SeedDescriptor,
     boundary_profile,
     census_step,
+    convexity_bound,
     counts_from_boundary,
     deltas_from_census,
+    disk_from_json_obj,
     expand,
     grow,
     initial_census,
@@ -32,7 +35,8 @@ from meshsum import (
     seed_vertex,
     validate_disk,
 )
-from meshsum.growth import MAX_PREDICT_LAYERS, census_stream
+from meshsum.growth import MAX_PREDICT_LAYERS, census_stream, check_degree
+from meshsum.mesh import disk_json, read_disk
 from support import convex_disks, reference_layers, valid_seeds
 
 
@@ -55,6 +59,33 @@ def test_invalid_seed_reports_failing_component():
         SeedDescriptor(6, 3, 6)
     with pytest.raises(InvalidSeedError):
         SeedDescriptor(7, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "r, shown",
+    [(6, "6"), (-10**5000, "-1" + "0" * 38 + "... (5002 characters)"), (7.0, "7.0"),
+     (True, "True")],
+    ids=["six", "past-the-digit-limit", "float", "bool"],
+)
+def test_every_entry_point_states_the_one_degree_rule(r, shown):
+    message = "^" + re.escape(f"ambient degree must be an integer >= 7, got {shown}") + "$"
+    for call in (
+        check_degree, convexity_bound, seed_face, seed_vertex, mesh_invariants,
+        lambda r: census_step(r, LayerCensus(3, 3)),
+        lambda r: second_order_step(r, 1, 2),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call(r)
+    with pytest.raises(InvalidSeedError, match=message):
+        SeedDescriptor(r, 3, 6)
+    if type(r) is int:  # a disk file's r that is no integer makes the disk malformed
+        obj = {"r": r, "layer": 0, "boundary": [0, 1, 2], "rotation": [[1, 2], [2, 0], [0, 1]]}
+        with pytest.raises(ValueError, match=message):
+            disk_from_json_obj(obj)
+    if r == 6:  # the byte reader, on a disk file laid out as written
+        data = disk_json(seed_face(7)).replace('"r": 7,', '"r": 6,').encode()
+        with pytest.raises(ValueError, match=message):
+            read_disk(data)
 
 
 def test_initial_census_examples():

@@ -16,6 +16,8 @@ methods, so no context can leak into a caller.  Every private
 module-level name is read somewhere in the package, so no dead helper
 stays behind.  Only ``growth.CANONICAL_SEEDS`` names a seed: no other
 module holds a seed's name as a string, but for ``--seed``'s default.
+Only ``growth`` states the degree rule: no other module holds the integer
+literal ``MIN_DEGREE``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 import pytest
 
 import meshsum
-from meshsum.growth import CANONICAL_SEEDS
+from meshsum.growth import CANONICAL_SEEDS, MIN_DEGREE
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "meshsum"
@@ -253,6 +255,30 @@ def test_only_the_seed_table_names_a_seed(path):
     assert seed_names(path.read_text(encoding="utf-8")) == [], path
 
 
+def degree_literals(source: str, value: int = MIN_DEGREE) -> list[str]:
+    """'line: value' for each integer constant in a module that equals
+    ``value``, the minimum degree; booleans, floats and strings do not count."""
+    return [
+        f"{node.lineno}: {value}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value == value
+    ]
+
+
+def test_the_check_finds_a_degree_literal():
+    source = 'MIN = 7\nx = (7.0, "7", "r >= 7", 17, 70)\n'
+    source += 'def f(r):\n    return r < 7 or f"{r:<7}" or -7\n'
+    assert degree_literals(source) == ["1: 7", "4: 7", "4: 7"]
+    assert degree_literals("x = True\n", 1) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(SRC.glob("*.py")) - {SRC / "growth.py"}), ids=lambda path: path.name
+)
+def test_only_growth_states_the_minimum_degree(path):
+    assert degree_literals(path.read_text(encoding="utf-8")) == [], path
+
+
 def context_uses(source: str) -> list[str]:
     """'line: name' for each mention, anywhere in the module, of the decimal
     module's thread-context functions: as a name, an attribute or an
@@ -339,6 +365,7 @@ def test_every_public_name_resolves():
         assert getattr(meshsum, name) is not None, name
     assert set(meshsum.__all__) <= set(dir(meshsum))
     assert meshsum.DiskCounts is meshsum.mesh.DiskCounts
+    assert meshsum.convexity_bound is meshsum.mesh.convexity_bound
     assert meshsum.expand is meshsum.mesh.expand
     message = "module 'meshsum' has no attribute 'no_such_name'"
     with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):

@@ -60,6 +60,16 @@ def test_an_error_in_one_degree_comes_out_unchanged_and_cancels_the_rest(monkeyp
     assert threading.active_count() == threads
 
 
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt while the test runs, even where the
+    shell that started the tests ignores it (as in a background job)."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
+@pytest.mark.usefixtures("sigint_raises")
 def test_ctrl_c_cancels_the_degrees_not_yet_started(monkeypatch):
     started = _failing_degree(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGINT))
     threads = threading.active_count()
@@ -129,6 +139,7 @@ def test_ctrl_c_inside_thread_start_leaves_no_degree_running(monkeypatch, two_cp
     assert threading.active_count() == threads
 
 
+@pytest.mark.usefixtures("sigint_raises")
 def test_ctrl_c_while_the_caller_waits_leaves_no_degree_running(monkeypatch, two_cpus):
     helper_busy = threading.Event()
 
