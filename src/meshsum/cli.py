@@ -52,9 +52,9 @@ def _parse_degrees(text: str) -> range:
         first = int_from_text(lo)
         last = int_from_text(hi) if sep else first
     except ValueError:
-        raise ValueError(f"degree must be an integer or lo:hi range, got {text!r}") from None
+        raise ValueError(f"degree must be an integer or lo:hi range, got {brief(text)}") from None
     if last < first:
-        raise ValueError(f"empty degree range {text!r}")
+        raise ValueError(f"empty degree range {brief(text)}")
     return range(first, last + 1)
 
 

@@ -42,9 +42,9 @@ next-edge permutation next(u -> v) = (v, predecessor of u in the rotation
 at v) (Mohar & Thomassen, Graphs on Surfaces, 2001), so every count here
 is independent of the gap-at-end invariant and of the closed-form layer
 predictions it is later checked against.  The measurement pass pairs each
-directed edge with its reverse by sorting the two halves apart: the slots
-u -> v with u < v by (u, v), the others by (v, u).  Triangles are then
-tested by value, one gather per slot instead of composing next three times.
+directed edge with its reverse by sorting the two halves apart, u -> v with
+u < v by (u, v) and the rest by (v, u), a run of rows at a time; triangles
+are then tested by value, one gather per slot, not by composing next thrice.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from itertools import chain
 
 import numpy as np
 
+from .exact import brief
 from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
 from .growth import check_degree, convexity_bound
 from .textcells import int_cells, row, text
@@ -67,6 +68,8 @@ from .textcells import int_cells, row, text
 # Ids and slot numbers are int32; a vertex has 2 slots or more, so ids stay below 2^30.
 INT32 = np.iinfo(np.int32)
 MAX_SLOTS = int(INT32.max)
+# Index entries per gather or scatter in the measurement pass: numpy copies an int32 index to intp.
+_CHUNK = 1 << 16
 _FACE, _VERTEX = CANONICAL_SEEDS.values()  # the rows seed_face and seed_vertex build
 
 
@@ -460,14 +463,14 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
     Faces are counted as orbits of the next-edge permutation; the outer
     face is identified with the (reversed) boundary cycle and excluded.
     The two halves of the directed edges, u -> v with u < v and the rest,
-    are sorted apart; the rows are symmetric without repeats iff the two
-    sorted key lists are equal and ascend, and then they pair each slot
-    with its reverse.  Every face off the boundary is a triangle iff, for
-    each slot u -> v there, next(u -> v) points at the successor of v in
-    the row of u (``_face_problem`` has the proof).
-    Raises MalformedDiskError("<kind>: <detail>") naming the first
-    violation that validate_disk reports, so it raises for exactly the
-    disks that validate_disk rejects.
+    are sorted apart and paired in order; the rows are symmetric without
+    repeats iff each slot's partner points back at the slot's tail, and
+    then it is the reverse.  Every face off the boundary is a triangle iff,
+    for each slot u -> v there, next(u -> v) points at the successor of v
+    in the row of u (``_face_problem`` has the proof).  The pass peaks near
+    12 bytes per slot.  Raises MalformedDiskError("<kind>: <detail>")
+    naming the first violation that validate_disk reports, so it raises
+    for exactly the disks that validate_disk rejects.
     """
     counts, violations = _inspect(disk)
     if violations:
@@ -499,7 +502,7 @@ def measured_layers(
     """
     if seed_kind not in CANONICAL_SEEDS:
         names = " and ".join(CANONICAL_SEEDS)
-        raise ValueError(f"only the canonical seeds {names} can grow, got {seed_kind!r}")
+        raise ValueError(f"only the canonical seeds {names} can grow, got {brief(seed_kind)}")
     disk = _seed_disk(r, *CANONICAL_SEEDS[seed_kind])
     prev = None
     for layer in range(n_layers + 1):
@@ -528,39 +531,68 @@ def _packed(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return key
 
 
-def _forward_half(src: np.ndarray, dst: np.ndarray):
-    """The slots with src < dst in (src, dst) order, and their keys src << 32 | dst.
+def _row_runs(offsets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Runs of whole rows of about _CHUNK slots: each run's first slot and the row of each slot."""
+    cuts = np.searchsorted(offsets, range(0, offsets[-1], _CHUNK)).tolist() + [offsets.size - 1]
+    for v0, v1 in zip(cuts, cuts[1:]):
+        rows = np.arange(v0, v1, dtype=np.int32)
+        yield int(offsets[v0]), np.repeat(rows, np.diff(offsets[v0 : v1 + 1]))
 
-    Slot numbers ascend with src, so the stable sort only has to order the
-    entries of each row by dst, and rows from expand mostly list them so.
+
+def _forward_half(src: np.ndarray, dst: np.ndarray, lo: int) -> tuple[np.ndarray, bool]:
+    """The slots lo + i with src < dst in (src, dst) order, ties in slot order, and
+    whether a row lists one dst twice.  ``src`` ascends and holds whole rows, which
+    expand lists in dst order but for a few: only a run where some dst fail to ascend is sorted.
     """
     slots = np.flatnonzero(src < dst)
-    keys = _packed(src[slots], dst[slots])
+    src, dst = src[slots], dst[slots]
+    slots += lo
+    if not ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])).any():
+        return slots, False
+    keys = _packed(src, dst)
+    del src, dst
     order = np.argsort(keys, kind="stable")
-    return slots[order].astype(np.int32), keys[order]
+    keys = keys[order]
+    return slots[order], bool((keys[1:] == keys[:-1]).any())
 
 
-def _backward_half(src: np.ndarray, dst: np.ndarray):
-    """The slots with src >= dst in (dst, src) order, and their keys dst << 32 | src.
-
-    Slot numbers ascend with src, so ordering by dst with ties kept in slot
-    order is ordering by (dst, src): one sort of the values dst << 32 | slot.
-    """
-    slots = np.flatnonzero(src >= dst)
-    keys = _packed(dst[slots], slots)
+def _backward_half(nbr: np.ndarray, slots: np.ndarray) -> None:
+    """Sort ``slots`` (int32, those with src >= dst) in place into (dst, src) order:
+    by dst << 32 | slot, as slot numbers ascend with src."""
+    keys = np.empty(slots.size, dtype=np.int64)
+    for lo in range(0, slots.size, _CHUNK):
+        keys[lo : lo + _CHUNK] = _packed(nbr[slots[lo : lo + _CHUNK]], slots[lo : lo + _CHUNK])
     keys.sort()
-    np.bitwise_and(keys, 0xFFFFFFFF, out=slots)
-    keys &= -(1 << 32)
-    keys |= src[slots]
-    return slots.astype(np.int32), keys
+    np.bitwise_and(keys, 0xFFFFFFFF, out=slots, casting="unsafe")
 
 
-def _lone_slots(slots: np.ndarray, keys: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """The slots whose key the other half (sorted) does not hold: no reverse edge."""
-    if not other.size:
-        return slots
-    pos = np.minimum(np.searchsorted(other, keys), other.size - 1)
-    return slots[other[pos] != keys]
+def _halves(offsets: np.ndarray, nbr: np.ndarray):
+    """The slots with src < dst in (src, dst) order and the others in (dst, src) order,
+    read a run of rows at a time into the two ends of one int32 buffer, and whether
+    the first half repeats an edge."""
+    buf = np.empty(nbr.size, dtype=np.int32)
+    f, b, tied = 0, nbr.size, False
+    for lo, src in _row_runs(offsets):
+        dst = nbr[lo : lo + src.size]
+        ahead, repeats = _forward_half(src, dst, lo)
+        buf[f : f + ahead.size] = ahead
+        f, b, tied = f + ahead.size, b - src.size + ahead.size, tied or repeats
+        buf[b : b + src.size - ahead.size] = np.flatnonzero(src >= dst) + lo
+        del src, ahead
+    _backward_half(nbr, buf[f:])
+    return buf[:f], buf[f:], tied
+
+
+def _reverse_slots(offsets, nbr, first, second) -> np.ndarray | None:
+    """rev[first[i]] = second[i] and back, for halves of one size: the slot of each
+    edge's reverse, or None if the halves do not pair up.  rev pairs every slot, and
+    halves that repeat no edge pair up iff the head of slot rev[x] is the tail of x."""
+    rev = np.empty(nbr.size, dtype=np.int32)
+    for lo in range(0, first.size, _CHUNK):
+        rev[first[lo : lo + _CHUNK]] = second[lo : lo + _CHUNK]
+        rev[second[lo : lo + _CHUNK]] = first[lo : lo + _CHUNK]
+    paired = all((nbr[rev[lo : lo + src.size]] == src).all() for lo, src in _row_runs(offsets))
+    return rev if paired else None
 
 
 def _outer_slots(offsets, nbr, rev, w, degs):
@@ -616,14 +648,15 @@ def _face_problem(offsets, nbr, rev, outer) -> str | None:
     del wrap
     if not np.array_equal(nxt[outer], np.roll(outer, 1)):
         return "outer face does not trace the boundary"
-    head = np.take(nbr, nxt)
     bad = np.empty(nbr.size, dtype=bool)
-    np.not_equal(head[:-1], nbr[1:], out=bad[:-1])
-    bad[ends] = head[ends] != nbr[starts]
+    for lo in range(0, nbr.size - 1, _CHUNK):  # the last slot ends a row
+        hi = min(lo + _CHUNK, nbr.size - 1)
+        np.not_equal(nbr[nxt[lo:hi]], nbr[lo + 1 : hi + 1], out=bad[lo:hi])
+    bad[ends] = nbr[nxt[ends]] != nbr[starts]
     bad[outer] = False
     if not bad.any():
         return None
-    del head, bad
+    del bad
     slot = np.arange(nbr.size, dtype=nxt.dtype)
     bad = nxt[nxt[nxt]] != slot
     bad[outer] = False
@@ -653,31 +686,32 @@ def validate_disk(disk: CombinatorialDisk) -> list[Violation]:
 def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation]]:
     """The one measurement pass: the violations, and the counts if there are none.
 
-    The two halves of the directed edges are sorted apart and paired; an
-    offender is looked up only after a cheap whole-array test failed.
+    The halves of the directed edges are sorted apart and paired, each gather
+    a chunk at a time; an offender is looked up only after a cheap test failed.
     """
     out: list[Violation] = []
     graph = disk.graph
     nv = graph.vertex_count
     offsets, nbr = graph.offsets, graph.neighbors
-    src = graph.slot_sources()
+    rows = offsets  # the rows the edges are paired from: those with every id in range
 
     if nbr.size and (nbr.min() < 0 or nbr.max() >= nv):
+        src = graph.slot_sources()
         out_of_range = (nbr < 0) | (nbr >= nv)
         out.append(Violation(
             "id-range", f"vertex {src[out_of_range][0]} lists an out-of-range neighbor"
         ))
         bad_row = np.zeros(nv, dtype=bool)
         bad_row[src[out_of_range]] = True
-        keep = ~bad_row[src]
-        src, nbr = src[keep], nbr[keep]
-    if (src == nbr).any():
-        out.append(Violation("loop", f"vertex {src[src == nbr][0]} lists itself"))
-    first, forward = _forward_half(src, nbr)
-    second, backward = _backward_half(src, nbr)
-    # the disk is symmetric without repeats iff the two sorted halves are equal and ascend
-    paired = np.array_equal(forward, backward) and bool((forward[1:] > forward[:-1]).all())
-    if not paired:
+        nbr = nbr[~bad_row[src]]
+        rows = np.concatenate([[0], np.cumsum(np.where(bad_row, 0, np.diff(offsets)))])
+    first, second, tied = _halves(rows, nbr)
+    rev = None if tied or first.size != second.size else _reverse_slots(rows, nbr, first, second)
+    if rev is None:  # a loop, a repeat or a lone edge
+        src = np.repeat(np.arange(nv, dtype=np.int32), np.diff(rows))
+        if (src == nbr).any():
+            out.append(Violation("loop", f"vertex {src[src == nbr][0]} lists itself"))
+        forward, backward = _packed(src[first], nbr[first]), _packed(nbr[second], src[second])
         repeated = np.concatenate([  # the tails of the edges listed twice
             forward[1:][forward[1:] == forward[:-1]] >> 32,
             backward[1:][backward[1:] == backward[:-1]] & 0xFFFFFFFF,
@@ -687,19 +721,15 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
                 Violation("duplicate-neighbor", f"vertex {repeated.min()} repeats a neighbor")
             )
         if not out:
-            slot = np.concatenate([
-                _lone_slots(first, forward, backward), _lone_slots(second, backward, forward)
+            slot = np.concatenate([  # the slots with no reverse entry
+                first[~np.isin(forward, backward)], second[~np.isin(backward, forward)]
             ]).min()
             out.append(
                 Violation("symmetry", f"edge ({src[slot]}, {nbr[slot]}) has no reverse entry")
             )
-    clean = not out
-    del src, forward, backward
-    if clean:
-        rev = np.empty(nbr.size, dtype=np.int32)
-        rev[first] = second
-        rev[second] = first
+        del src, forward, backward
     del first, second
+    clean = not out
 
     if disk.is_degenerate:
         if nv != 1 or offsets[1]:

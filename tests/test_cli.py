@@ -71,8 +71,8 @@ def test_grow_rejects_custom_seed(capsys):
     ids=["layer-count", "seed", "degree", "n-max"],
 )
 def test_grow_checks_its_input_in_order(capsys, tmp_path, argv, message):
-    # the layer count, then the seed name, then the degree (mesh's words, not the
-    # analytic seed's), then the analytic depth past the base layer
+    # the layer count, then the seed name, then the degree (in growth.check_degree's
+    # words, as at every entry point), then the analytic depth past the base layer
     output = tmp_path / "report.json"
     for form in ([], ["--json"], ["-o", str(output)]):
         assert run_cli(capsys, "grow", *argv, *form) == (2, "", f"error: {message}\n")
@@ -731,6 +731,23 @@ def test_a_degree_range_past_sys_maxsize_is_still_a_range(capsys):
     assert run_cli(capsys, "sum", "-r", huge, "--seed", "3:6") == (
         2, "", "error: --seed needs a single degree, not a range\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "-r", "y" * 3000],
+        ["predict", "-r", "y" * 3000],
+        ["sum", "-r", "9" * 3000 + ":8"],
+        ["grow", "-r", "7", "--seed", "y" * 3000],
+    ],
+    ids=["sum-r", "predict-r", "empty-range", "grow-seed"],
+)
+def test_a_long_argument_is_cut_in_its_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert "... (300" in err  # the length of what was cut
 
 
 @given(

@@ -649,12 +649,13 @@ def test_the_packed_key_keeps_ids_and_slot_numbers_at_the_limit():
     keys = mesh._packed(high, low)
     assert (keys >> 32).tolist() == high.tolist()
     assert (keys & 0xFFFFFFFF).tolist() == low.tolist()
-    src = np.array([0, top, top, top], dtype=np.int32)
-    dst = np.array([top, top, 0, top - 1], dtype=np.int32)
-    slots, keys = mesh._backward_half(src, dst)
-    assert slots.dtype == np.int32 and slots.tolist() == [2, 3, 1]
-    assert (keys >> 32).tolist() == [0, top - 1, top]
-    assert (keys & 0xFFFFFFFF).tolist() == [top, top, top]
+    # the backward half sorts its slots by dst, then slot, in place
+    slots = np.array([3, 1, 0, 2], dtype=np.int32)
+    mesh._backward_half(np.array([top, top - 1, 0, top], dtype=np.int32), slots)
+    assert slots.dtype == np.int32 and slots.tolist() == [2, 1, 0, 3]
+    slots = np.array([top - 1, 5, top - 2], dtype=np.int32)
+    mesh._backward_half(np.broadcast_to(np.int32(top), top), slots)  # top in all top slots
+    assert slots.tolist() == [5, top - 2, top - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -663,23 +664,92 @@ def test_the_backward_half_is_in_dst_then_src_order(edges):
     # slots ascend with src, as rows do; within a row dst comes in any order
     pairs = np.array(sorted(edges, key=lambda e: e[0]), dtype=np.int32).reshape(-1, 2)
     src, dst = pairs[:, 0].copy(), pairs[:, 1].copy()
-    slots, keys = mesh._backward_half(src, dst)
+    _, second, _ = mesh._halves(np.searchsorted(src, np.arange(14)), dst)
     back = src >= dst
     expected = sorted(zip(dst[back].tolist(), src[back].tolist(), np.flatnonzero(back).tolist()))
-    assert slots.tolist() == [slot for _, _, slot in expected]
-    assert keys.tolist() == [d << 32 | s for d, s, _ in expected]
+    assert second.dtype == np.int32
+    assert second.tolist() == [slot for _, _, slot in expected]
 
 
-def test_count_explicit_peaks_under_25_bytes_per_slot():
-    # int64 slot indices peaked at 41.8 bytes per slot and one global sort at
-    # 24.3; two measurements run at once in verify, so each must stay small
+@st.composite
+def forward_runs(draw):
+    """Whole rows in ascending id order, ids missing between them standing
+    for empty rows; dst in any order, repeats allowed, every row out of order
+    if drawn so, ids up to MAX_SLOTS and slot numbers up to its last one."""
+    top = mesh.MAX_SLOTS
+    ids = sorted(draw(st.sets(st.sampled_from([*range(12), top - 2, top - 1]), max_size=8)))
+    pool = st.sampled_from([*range(12), top - 1, top])
+    rows = [draw(st.lists(pool, max_size=6)) for _ in ids]
+    if draw(st.booleans()):
+        rows = [sorted(row, reverse=True) for row in rows]
+    src = np.array([v for v, row in zip(ids, rows) for _ in row], dtype=np.int32)
+    dst = np.array([u for row in rows for u in row], dtype=np.int32)
+    return src, dst, draw(st.sampled_from([0, 5, top - src.size]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=forward_runs())
+def test_the_forward_half_matches_a_stable_argsort(run):
+    src, dst, lo = run
+    slots, tied = mesh._forward_half(src, dst, lo)
+    ahead = [(s, d, lo + i) for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())) if s < d]
+    order = sorted(range(len(ahead)), key=lambda i: ahead[i][:2])  # a stable argsort
+    assert slots.tolist() == [ahead[i][2] for i in order]
+    assert tied == any(ahead[i][:2] == ahead[j][:2] for i, j in zip(order, order[1:]))
+
+
+def test_a_row_out_of_order_and_a_broken_face_across_a_chunk_edge():
+    disk = grow(seed_face(7), 9)
+    offsets, rows = disk.graph.offsets, disk.graph.rotations
+    edge = mesh._CHUNK
+    v = int(np.searchsorted(offsets, edge, side="right")) - 1
+    assert offsets[v] < edge - 1 and offsets[v + 1] > edge + 1  # slots edge - 1, edge in row v
+    row = rows[v]
+    turn = row.index(max(row))  # the same rotation, from its largest entry on
+    rows[v] = row[turn:] + row[:turn]
+    ahead = [u for u in rows[v] if u > v]
+    assert ahead[0] > ahead[1]  # out of order
+    turned = CombinatorialDisk(RotationGraph(rows), 7, disk.boundary, disk.layer_index)
+    assert validate_disk(turned) == []
+    assert count_explicit(turned) == reference_inspect(turned)[0] == count_explicit(disk)
+    at = edge - int(offsets[v])  # swap the entries in slots edge - 1 and edge
+    rows[v][at - 1], rows[v][at] = rows[v][at], rows[v][at - 1]
+    broken = CombinatorialDisk(RotationGraph(rows), 7, disk.boundary, disk.layer_index)
+    violations = reference_inspect(broken)[1]
+    assert [x.kind for x in violations] == ["face-structure"]
+    assert validate_disk(broken) == violations
+    with pytest.raises(MalformedDiskError, match="face-structure: interior face through"):
+        count_explicit(broken)
+
+
+def _traced_peak(measure, disk) -> int:
+    tracemalloc.start()
+    try:
+        measure(disk)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_explicit_peaks_under_13_35_bytes_per_slot():
+    # int64 slot indices peaked at 41.8 bytes per slot, one global sort at 24.3
+    # and the two sorted halves at 22.0; the pass read in runs of rows peaks at
+    # 12.14; two measurements run at once in verify, so each must stay small
     disk = grow(seed_face(7), 9)
     slots = disk.graph.neighbors.size
     assert slots == 216_150
-    tracemalloc.start()
-    try:
-        count_explicit(disk)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25 * slots
+    assert _traced_peak(count_explicit, disk) < 13.35 * slots
+
+
+def test_validate_disk_peaks_under_25_bytes_per_slot_with_every_row_out_of_order():
+    # ids reversed: each run of rows is sorted whole, the worst case of the
+    # row-local sort, which a disk file with ids of its own may bring
+    disk = grow(seed_face(7), 9)
+    nv = disk.graph.vertex_count
+    rows = [[nv - 1 - u for u in rot] for rot in reversed(disk.graph.rotations)]
+    for v, rot in enumerate(rows):  # every row lists its larger neighbors out of order
+        ahead = [u for u in rot if u > v]
+        assert len(ahead) < 2 or ahead != sorted(ahead)
+    flipped = CombinatorialDisk(RotationGraph(rows), 7, nv - 1 - disk.boundary, disk.layer_index)
+    assert _traced_peak(validate_disk, flipped) < 25 * flipped.graph.neighbors.size
+    assert validate_disk(flipped) == []
