@@ -229,17 +229,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .mesh import MalformedDiskError, read_disk, validate_disk
+    from .mesh import read_disk
     from .render import emit_svg, layout_disk
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
     with open(args.input, "rb") as fh:
         disk = read_disk(fh.read())  # the bytes are freed here, before validation and drawing
-    violations = validate_disk(disk)
-    if violations:
-        first = violations[0]
-        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
-        raise MalformedDiskError(f"malformed disk: {first.kind}: {first.detail}{more}")
     svg = emit_svg(disk, layout_disk(disk))  # before the SVG file is created
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)

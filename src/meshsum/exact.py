@@ -77,25 +77,8 @@ def brief(value, width: int = 40) -> str:
     return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
 
 
-def int_from_json(text: str) -> int:
-    """Decode a decimal string exactly as int_to_json writes it; rejects anything else."""
-    if not isinstance(text, str):
-        raise ValueError(f"integer field must be a string, got {type(text).__name__}")
-    return int_from_text(text)
-
-
 def rational_to_json(q: RationalLike) -> dict[str, str]:
     """Encode a rational as {"num", "den"} decimal strings, lowest terms."""
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
-
-def rational_from_json(obj: dict) -> Fraction:
-    """Decode a {"num", "den"} object; normalizes on the way in."""
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise ValueError(f"not a rational object: {obj!r}")
-    num = int_from_json(obj["num"])
-    den = int_from_json(obj["den"])
-    if den == 0:
-        raise ValueError(f"rational denominator is zero: {obj!r}")
-    return Fraction(num, den)

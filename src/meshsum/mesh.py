@@ -469,8 +469,8 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
     for each slot u -> v there, next(u -> v) points at the successor of v
     in the row of u (``_face_problem`` has the proof).  The pass peaks near
     12 bytes per slot.  Raises MalformedDiskError("<kind>: <detail>")
-    naming the first violation that validate_disk reports, so it raises
-    for exactly the disks that validate_disk rejects.
+    naming the first violation that validate_disk reports: it returns
+    counts, with v - e + f = 1, for exactly the disks validate_disk accepts.
     """
     counts, violations = _inspect(disk)
     if violations:
@@ -678,7 +678,9 @@ def validate_disk(disk: CombinatorialDisk) -> list[Violation]:
     boundary cycle shape, interior degrees (= r), boundary degree bounds,
     and the face structure (one outer face of length t, all others
     triangles).  Each broken kind is reported once, naming its first
-    offender.
+    offender.  A disk that passes them all must have v - e + f = 1 (kind
+    "euler-characteristic"): a handle lowers v - e + f by 2, and a closed
+    component, all of degree r >= 7, adds v (6 - r) / 6 < 0 to it.
     """
     return _inspect(disk)[1]
 
@@ -777,6 +779,9 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
     if out:
         return None, out
     total, t = nbr.size, w.size
+    chi = nv - total // 2 + (total - t) // 3  # below 1 for a handle or a closed component
+    if chi != 1:
+        return None, [Violation("euler-characteristic", f"v - e + f = {chi} != 1")]
     return DiskCounts(nv, total // 2, (total - t) // 3, nv - t), out
 
 

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CombinatorialDisk
+from .mesh import CombinatorialDisk, validate_disk
 from .textcells import fixed2_cells, row, text
 
 CANVAS = 1000.0
 
 
 class LayoutError(ValueError):
-    """The disk does not expose usable layer structure."""
+    """The disk is not valid or does not expose usable layer structure."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,39 +47,37 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> np.ndarray:
 
     Every vertex of the current outermost ring was created by one
     expansion, and its neighbors not on that ring form the previous
-    boundary.  Each step reads only the rows of the current ring.  Works
-    for any disk built by repeated expansion; anything else raises
-    LayoutError.
+    boundary.  Each step reads only the rows of the current ring.  A disk
+    that passes ``validate_disk`` is connected, so peeling reaches every vertex.
     """
-    nv, dst, current = disk.graph.vertex_count, disk.graph.neighbors, disk.boundary
-    if dst.size and (dst.min() < 0 or dst.max() >= nv):
-        raise LayoutError("a rotation lists a vertex outside the disk")
-    if current.min() < 0 or current.max() >= nv:
-        raise LayoutError("the boundary lists a vertex outside the disk")
-    ring = np.full(nv, -1, dtype=np.int64)
+    current = disk.boundary
+    ring = np.full(disk.graph.vertex_count, -1, dtype=np.int64)
     ring[current] = 0
-    if np.count_nonzero(ring == 0) != current.size:
-        raise LayoutError("boundary peeling revisited a vertex")
     depth = 0
     while current.size:
         reached = disk.graph.neighbors_of(current)
         ring[reached[ring[reached] == -1]] = depth + 1
         depth += 1
         current = np.flatnonzero(ring == depth)
-    if (ring == -1).any():
-        raise LayoutError("disk is not connected to its boundary")
     return depth - 1 - ring
 
 
 def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     """Place layer-k vertices on ring k (id order fixes angles).
 
-    Layers are recovered by boundary peeling.  A single innermost vertex
-    sits at the center; otherwise the innermost layer already occupies
-    ring 1.  Each ring must be a contiguous id range, which holds for
-    every disk produced by expansion.
+    A disk that ``validate_disk`` rejects raises LayoutError("malformed
+    disk: <kind>: <detail>") for its first violation.  Layers are recovered
+    by boundary peeling.  A single innermost vertex sits at the center;
+    otherwise the innermost layer already occupies ring 1.  Each ring must
+    be a contiguous id range, which holds for every disk produced by
+    expansion.
     """
-    layers = np.zeros(1, np.int64) if disk.is_degenerate else _rings_by_peeling(disk)
+    violations = validate_disk(disk)
+    if violations:
+        first = violations[0]
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise LayoutError(f"malformed disk: {first.kind}: {first.detail}{more}")
+    layers = _rings_by_peeling(disk)  # a bare vertex, with no boundary, is layer 0
     if (np.diff(layers) < 0).any():
         raise LayoutError("layers are not contiguous id ranges; no growth provenance")
     sizes = np.bincount(layers)

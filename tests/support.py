@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
@@ -54,6 +55,20 @@ def reference_face_lengths(rotations: list[list[int]]) -> list[int]:
                 edge = (b, rot_b[(position[(b, a)] - 1) % len(rot_b)])
             lengths.append(steps)
     return sorted(lengths)
+
+
+# A triangular embedding of K19 (genus 20, v - e + f = -38): vertex i's rotation
+# lists i + s mod 19 for these steps s, so every vertex has degree 18.
+K19_STEPS = (1, 3, 7, 6, 14, 10, 2, 18, 12, 15, 5, 11, 9, 4, 16, 17, 8, 13)
+
+
+def beside_k19(disk: CombinatorialDisk) -> CombinatorialDisk:
+    """``disk`` with a closed K19 surface on 19 more vertices, disjoint from
+    it: for r = 18 every check but v - e + f = 1 passes, and v - e + f = -37."""
+    nv = disk.graph.vertex_count
+    surface = [[nv + (i + s) % 19 for s in K19_STEPS] for i in range(19)]
+    graph = RotationGraph(disk.graph.rotations + surface)
+    return CombinatorialDisk(graph, disk.ambient_degree, disk.boundary, disk.layer_index)
 
 
 def pentagon_fan(r: int) -> CombinatorialDisk:
@@ -138,7 +153,9 @@ def reference_validate_kinds(disk: CombinatorialDisk) -> set[str]:
     The pre-array validate_disk rule for rule; the face structure is
     traced with dicts as in reference_face_lengths: the orbit through
     w_1 -> w_0 must be exactly the reversed boundary and every other
-    orbit a triangle.
+    orbit a triangle.  A disk that breaks nothing else must be one planar
+    disk, by its own route: a breadth-first search from the boundary
+    reaches every vertex, and the traced orbits give v - e + f = 2.
     """
     kinds: set[str] = set()
     rotations = disk.graph.rotations
@@ -196,7 +213,22 @@ def reference_validate_kinds(disk: CombinatorialDisk) -> set[str]:
 
     if clean and edges_present and not _reference_faces_ok(rotations, boundary):
         kinds.add("face-structure")
+    if not kinds and not _reference_one_disk(rotations, boundary.tolist()):
+        kinds.add("euler-characteristic")
     return kinds
+
+
+def _reference_one_disk(rotations: list[list[int]], boundary: list[int]) -> bool:
+    """Whether a breadth-first search from the boundary reaches every vertex
+    and the traced faces, the outer one included, give v - e + f = 2."""
+    seen, queue = set(boundary), deque(boundary)
+    while queue:
+        for u in rotations[queue.popleft()]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    v, e = len(rotations), sum(map(len, rotations)) // 2
+    return len(seen) == v and v - e + len(reference_face_lengths(rotations)) == 2
 
 
 def _reference_faces_ok(rotations: list[list[int]], boundary: tuple[int, ...]) -> bool:
@@ -237,7 +269,8 @@ def reference_inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[
     composed on every slot.  The violations, and the counts if there are none.
 
     An offender is looked up only after a cheap whole-array test failed,
-    and the sort keys are dropped before the face trace.
+    and the sort keys are dropped before the face trace.  The counts of a
+    disk that breaks nothing else must give v - e + f = 1.
     """
     out: list[Violation] = []
     graph = disk.graph
@@ -320,7 +353,11 @@ def reference_inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[
     if out:
         return None, out
     total, t = len(order), len(w)
-    return DiskCounts(nv, total // 2, (total - t) // 3, nv - t), out
+    counts = DiskCounts(nv, total // 2, (total - t) // 3, nv - t)
+    chi = counts.v - counts.e + counts.f
+    if chi != 1:
+        return None, [Violation("euler-characteristic", f"v - e + f = {chi} != 1")]
+    return counts, out
 
 
 def _reference_boundary_degrees(disk: CombinatorialDisk) -> np.ndarray:

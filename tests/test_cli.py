@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from meshsum import SeedDescriptor, cli, counts_from_boundary, mesh, mesh_invariants, report, verify
 from meshsum.cli import main
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
-from support import cli_seeds, reference_layers, reference_prediction_json
+from support import beside_k19, cli_seeds, reference_layers, reference_prediction_json
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +194,18 @@ def test_render_rejects_bad_input(capsys, tmp_path):
         assert "error:" in err
         assert kind in err
         assert not (tmp_path / "baddisk.svg").exists()
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_render_rejects_a_closed_surface_beside_the_disk(capsys, tmp_path, layers):
+    # it passes every other check of validate_disk
+    host = mesh.grow(mesh.seed_face(18), layers)
+    disk = tmp_path / "d.json"
+    disk.write_text(mesh.disk_json(beside_k19(host)))
+    assert run_cli(capsys, "render", str(disk)) == (
+        2, "", "error: malformed disk: euler-characteristic: v - e + f = -37 != 1\n"
+    )
+    assert not (tmp_path / "d.svg").exists()
 
 
 def test_render_reports_deeply_nested_json_as_malformed(capsys, tmp_path):

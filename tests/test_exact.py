@@ -13,10 +13,8 @@ from meshsum import predict_layers
 from meshsum.exact import (
     EXACT,
     brief,
-    int_from_json,
     int_from_text,
     int_to_json,
-    rational_from_json,
     rational_to_json,
 )
 from meshsum.growth import census_stream
@@ -26,19 +24,19 @@ from support import valid_seeds
 def test_big_integer_arithmetic_is_exact():
     n = 10**40
     assert (n + 1) * (n - 1) == n * n - 1
-    assert int_from_json(int_to_json(n * n + 7)) == n * n + 7
+    assert int_from_text(int_to_json(n * n + 7)) == n * n + 7
 
 
 def test_int_json_strict():
     assert int_to_json(-12) == "-12"
-    assert int_from_json("-12") == -12
-    assert int_from_json("0") == 0
+    assert int_from_text("-12") == -12
+    assert int_from_text("0") == 0
     for bad in (
-        "1.5", "0x10", "", "-", "1e3", 12, None, "+4",
+        "1.5", "0x10", "", "-", "1e3", "+4",
         "007", "-007", "-0", "00", "\u0663\u0664", " 7", "7\n",
     ):
-        with pytest.raises((ValueError, TypeError)):
-            int_from_json(bad)
+        with pytest.raises(ValueError):
+            int_from_text(bad)
     with pytest.raises(TypeError):
         int_to_json(1.5)
     with pytest.raises(TypeError):
@@ -84,21 +82,15 @@ def test_exact_predictions_equal_predict_layers_and_leave_the_context_alone(seed
             assert [int(x) for x in got] == list(vars(want).values())
 
 
+def _rational_from_text(obj: dict[str, str]) -> Fraction:
+    assert set(obj) == {"num", "den"}
+    return Fraction(int_from_text(obj["num"]), int_from_text(obj["den"]))
+
+
 def test_rational_json_form():
     obj = rational_to_json(Fraction(-6, 4))
     assert obj == {"num": "-3", "den": "2"}
-    assert rational_from_json(obj) == Fraction(-3, 2)
-    # normalizes denormalized input on the way in
-    assert rational_from_json({"num": "2", "den": "-4"}) == Fraction(-1, 2)
-    for bad in (
-        {"num": "1"},
-        {"num": "1", "den": "0.5"},
-        ["1", "2"],
-        {"n": "1", "d": "2"},
-        {"num": "1", "den": "0"},
-    ):
-        with pytest.raises(ValueError):
-            rational_from_json(bad)
+    assert _rational_from_text(obj) == Fraction(-3, 2)
 
 
 ints = st.integers(min_value=-(10**12), max_value=10**12)
@@ -109,7 +101,7 @@ nonzero = ints.filter(bool)
 def test_rational_json_round_trip(a, b):
     q = Fraction(a, b)
     obj = rational_to_json(q)
-    assert rational_from_json(obj) == q
+    assert _rational_from_text(obj) == q
     # canonical: lowest terms, positive denominator
     assert int(obj["den"]) > 0
     from math import gcd
@@ -119,7 +111,7 @@ def test_rational_json_round_trip(a, b):
 
 @given(st.integers(min_value=-(10**60), max_value=10**60))
 def test_int_json_round_trip(n):
-    assert int_from_json(int_to_json(n)) == n
+    assert int_from_text(int_to_json(n)) == n
     assert int_to_json(Decimal(n)) == int_to_json(n)
 
 
@@ -132,7 +124,7 @@ def test_int_json_round_trip(n):
 )
 def test_int_json_accepts_only_what_it_writes(text):
     try:
-        value = int_from_json(text)
+        value = int_from_text(text)
     except ValueError:
         return
     assert int_to_json(value) == text

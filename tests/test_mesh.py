@@ -36,6 +36,7 @@ from meshsum import (
     validate_disk,
 )
 from support import (
+    beside_k19,
     convex_disks,
     pentagon_fan,
     reference_disk_to_json_obj,
@@ -418,6 +419,7 @@ def test_validate_matches_reference(disk):
     relabelled_disks(),
     corrupted_disks(relabelled_disks()),
     corrupted_disks(relabelled_disks(), ops=["mirror"]),
+    corrupted_disks(st.sampled_from([beside_k19(seed_face(18))])),
 ))
 def test_the_pass_matches_the_global_sort_reference(disk):
     counts, violations = reference_inspect(disk)
@@ -439,6 +441,20 @@ def test_a_disk_reads_its_boundary_degrees_once():
     assert not degs.flags.writeable
     assert boundary_profile(disk) == BoundaryProfile(degs.size, int(degs.sum()))
     assert disk._boundary_degrees is degs
+
+
+@pytest.mark.parametrize("host", [seed_face(18), expand(seed_face(18))], ids=["seed", "layer-1"])
+def test_a_closed_surface_beside_the_disk_breaks_euler(host):
+    # every other check passes: only v - e + f = 1 rejects it
+    disk = beside_k19(host)
+    violations = validate_disk(disk)
+    assert [(v.kind, v.detail) for v in violations] == [
+        ("euler-characteristic", "v - e + f = -37 != 1")
+    ]
+    assert reference_validate_kinds(disk) == {"euler-characteristic"}
+    assert reference_inspect(disk) == (None, violations)
+    with pytest.raises(MalformedDiskError, match=r"^euler-characteristic: v - e \+ f = -37 != 1$"):
+        count_explicit(disk)
 
 
 def test_count_explicit_rejects_an_empty_graph():
@@ -720,6 +736,33 @@ def test_a_row_out_of_order_and_a_broken_face_across_a_chunk_edge():
     assert validate_disk(broken) == violations
     with pytest.raises(MalformedDiskError, match="face-structure: interior face through"):
         count_explicit(broken)
+
+
+@pytest.fixture
+def poison_empty(monkeypatch):
+    """A call that makes np.empty fill each new buffer with poison (True for
+    bool, -1 otherwise), so a slot left unwritten cannot pass for the zeroed
+    page that the allocator usually hands back."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.int64(-1).astype(out.dtype))  # True for bool
+        return out
+
+    return lambda: monkeypatch.setattr(np, "empty", poisoned)
+
+
+def test_the_pass_reads_no_slot_it_has_not_written(poison_empty):
+    # zeroed pages read as clean: a face test skipping one slot per chunk passed on them
+    shapes = [(seed_face, 7, 9), (seed_vertex, 8, 7), (seed_face, 12, 5)]
+    disks = [grow(seed(r), n) for seed, r, n in shapes]
+    assert [disk.graph.neighbors.size // mesh._CHUNK for disk in disks] == [3, 2, 7]
+    want = [(count_explicit(disk), validate_disk(disk)) for disk in disks]
+    poison_empty()
+    again = [grow(seed(r), n) for seed, r, n in shapes]
+    assert again == disks
+    assert [(count_explicit(disk), validate_disk(disk)) for disk in again] == want
 
 
 def _traced_peak(measure, disk) -> int:

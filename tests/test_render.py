@@ -30,6 +30,7 @@ from meshsum.mesh import disk_json
 from meshsum.render import CANVAS
 from meshsum.textcells import fixed2_cells, int_cells, row, text
 from support import (
+    beside_k19,
     convex_disks,
     reference_disk_json,
     reference_disk_to_json_obj,
@@ -194,16 +195,21 @@ def test_layout_rejects_a_boundary_it_cannot_peel(extra):
 
 
 @pytest.mark.parametrize(
-    "rows, message",
+    "disk, message",
     [
-        ([[1, 2], [2, 0], [0, 5]], "a rotation lists a vertex outside the disk"),
-        ([[1, 2], [2, 0], [0, 1], []], "disk is not connected to its boundary"),
+        (CombinatorialDisk(RotationGraph([[1, 2], [2, 0], [0, 5]]), 7, (0, 1, 2), 0),
+         "id-range: vertex 2 lists an out-of-range neighbor"),
+        (CombinatorialDisk(RotationGraph([[1, 2], [2, 0], [0, 1], []]), 7, (0, 1, 2), 0),
+         "interior-degree: interior vertex 3 has degree 0 != 7"),
+        (beside_k19(seed_face(18)), "euler-characteristic: v - e + f = -37 != 1"),
+        (beside_k19(expand(seed_face(18))), "euler-characteristic: v - e + f = -37 != 1"),
     ],
-    ids=["id-past-the-disk", "isolated-vertex"],
+    ids=["id-past-the-disk", "isolated-vertex", "k19-beside-the-seed", "k19-beside-layer-1"],
 )
-def test_layout_rejects_a_disk_it_cannot_peel(rows, message):
-    with pytest.raises(LayoutError, match=f"^{message}$"):
-        layout_disk(CombinatorialDisk(RotationGraph(rows), 7, (0, 1, 2), 0))
+def test_layout_rejects_a_disk_it_cannot_peel(disk, message):
+    # validate_disk's first violation, in the words `meshsum render` prints
+    with pytest.raises(LayoutError, match=f"^{re.escape('malformed disk: ' + message)}$"):
+        layout_disk(disk)
 
 
 def test_layout_peaks_under_a_bound_per_vertex():
