@@ -148,7 +148,7 @@ def cmd_grow(args) -> int:
         args, lambda out: write_growth_report(report, out), lambda out: _layer_table(report, out)
     )
     if args.emit_disk:
-        with open(args.emit_disk, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.emit_disk, "wb") as fh:
             fh.write(disk_json(disk))
     return 0 if report["all_match"] else 1
 
@@ -236,7 +236,7 @@ def cmd_render(args) -> int:
     with open(args.input, "rb") as fh:
         disk = read_disk(fh.read())  # the bytes are freed here, before validation and drawing
     svg = emit_svg(disk, layout_disk(disk))  # before the SVG file is created
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out, "wb") as fh:
         fh.write(svg)
     print(f"wrote {out}")
     return 0

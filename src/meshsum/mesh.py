@@ -691,6 +691,7 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
     The halves of the directed edges are sorted apart and paired, each gather
     a chunk at a time; an offender is looked up only after a cheap test failed.
     """
+    check_degree(disk.ambient_degree)  # first: a degree it refuses raises, whatever the rows
     out: list[Violation] = []
     graph = disk.graph
     nv = graph.vertex_count
@@ -788,7 +789,7 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
 def disk_from_json_obj(obj: dict) -> CombinatorialDisk:
     """Parse the portable form {"r", "layer", "boundary", "rotation"} that
     ``disk_json`` writes; ids must be integers (not booleans) in
-    [0, len(rotation)), r passing ``growth.check_degree`` and layer at least 0."""
+    [0, len(rotation)), r passing ``growth.check_degree`` and layer in [0, MAX_SLOTS]."""
     if not isinstance(obj, dict):
         raise MalformedDiskError("disk JSON must be an object")
     missing = {"r", "layer", "boundary", "rotation"} - set(obj)
@@ -813,6 +814,8 @@ def _checked_disk(disk: CombinatorialDisk) -> CombinatorialDisk:
     check_degree(disk.ambient_degree)
     if disk.layer_index < 0:
         raise MalformedDiskError("'layer' must not be negative")
+    if disk.layer_index > MAX_SLOTS:  # a disk grown k layers holds more than k slots
+        raise MalformedDiskError(f"'layer' must be at most {MAX_SLOTS}")
     return disk
 
 
@@ -822,31 +825,44 @@ _HEAD, _MIDDLE, _TAIL = _DISK.replace(b"%s", b"[%s]").split(b"%s")
 _DISK_MIDDLE = re.compile(re.escape(_MIDDLE).replace(b"%d", rb"(0|-?[1-9][0-9]{0,8})"))
 
 
-def _json_int_list(ids, indent: int, offsets=None) -> bytes:
-    """Canonical JSON of the int32 array ``ids`` with its items at ``indent``:
-    one list or, cut into rows at CSR ``offsets``, the list of those rows."""
+def _write_int_list(out: io.BytesIO, ids, indent: int, offsets=None) -> None:
+    """Write canonical JSON of the int32 array ``ids`` with its items at ``indent``:
+    one list or, cut into rows at CSR ``offsets``, the list of those rows, a run of
+    whole rows of about _CHUNK slots at a time."""
     bounds = np.asarray([0, ids.size] if offsets is None else offsets)
     if bounds.size == 1:
-        return b"[]"
+        out.write(b"[]")
+        return
     item, close, outer = (b"\n" + b" " * k for k in (indent, indent - 2, indent - 4))
-    sizes = np.diff(bounds)
-    empty, counts = sizes == 0, np.maximum(sizes, 1)  # an empty row is one cell: "["
-    first = np.cumsum(counts) - counts
-    cells = row(counts.sum(), bytes(1), b"," + item,  # a lead byte, ",item", the digits
-                int_cells(np.insert(ids, bounds[:-1][empty], 0)))  # "0" for an empty row
-    cells[first, 1] = ord("[")
-    cells[first[empty], 2:] = 0
-    # a row's lead byte closes the row before it: ";" after items, ":" after "["
-    cells[first[1:], 0] = np.where(empty[:-1], ord(":"), ord(";"))
-    body = text(cells).replace(b";", close + b"]," + close).replace(b":", b"]," + close)
-    end = b"]" if empty[-1] else close + b"]"
-    return body + end if offsets is None else b"[%s%s%s%s]" % (close, body, end, outer)
+    empty = bounds[1:] == bounds[:-1]
+    out.write(b"" if offsets is None else b"[" + close)
+    cuts = np.searchsorted(bounds, range(0, max(bounds[-1], 1), _CHUNK)).tolist() + [empty.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        part, run_empty = bounds[lo : hi + 1], empty[lo:hi]
+        counts = np.maximum(np.diff(part), 1)  # an empty row is one cell: "["
+        first = np.cumsum(counts) - counts
+        cells = row(counts.sum(), bytes(1), b"," + item,  # a lead byte, ",item", the digits
+                    int_cells(np.insert(ids[part[0] : part[-1]], part[:-1][run_empty] - part[0], 0)))
+        cells[first, 1] = ord("[")
+        cells[first[run_empty], 2:] = 0
+        # a row's lead byte closes the row before it: ";" after items, ":" after "["
+        before = empty[max(lo - 1, 0) : hi - 1]
+        cells[first[first.size - before.size :], 0] = np.where(before, ord(":"), ord(";"))
+        out.write(text(cells).replace(b";", close + b"]," + close).replace(b":", b"]," + close))
+    out.write(b"]" if empty[-1] else close + b"]")
+    out.write(b"" if offsets is None else outer + b"]")
 
 
-def disk_json(disk: CombinatorialDisk) -> str:
+def disk_json(disk: CombinatorialDisk) -> bytes:
     """The disk file: ``report.canonical_json`` of the portable form, straight from the arrays."""
-    return (_DISK % (_json_int_list(disk.boundary, 4), disk.layer_index, disk.ambient_degree,
-                     _json_int_list(disk.graph.neighbors, 6, disk.graph.offsets))).decode("ascii")
+    head, middle, tail = _DISK.split(b"%s")
+    out = io.BytesIO()
+    out.write(head)
+    _write_int_list(out, disk.boundary, 4)
+    out.write(middle % (disk.layer_index, disk.ambient_degree))
+    _write_int_list(out, disk.graph.neighbors, 6, disk.graph.offsets)
+    out.write(tail)
+    return out.getvalue()
 
 
 def _canonical_lines(buf: np.ndarray, lo: int, hi: int, indent: int, rows: bool):

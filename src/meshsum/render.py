@@ -99,8 +99,8 @@ def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     return DiskLayout(positions, ring)
 
 
-def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
-    """Serialize the disk: one <line> per edge, one <circle> per vertex.  A position
+def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> bytes:
+    """The SVG file: one <line> per edge, one <circle> per vertex.  A position
     not finite or off the canvas [0, CANVAS]^2 raises LayoutError."""
     if layout is None:
         layout = layout_disk(disk)
@@ -109,10 +109,7 @@ def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
         raise LayoutError("layout does not cover every vertex of the disk")
     if not ((pos >= 0) & (pos <= CANVAS)).all():  # NaN fails both
         raise LayoutError(f"a vertex position is not finite or off the canvas [0, {CANVAS:.0f}]^2")
-    x, y = fixed2_cells(pos[:, 0]), fixed2_cells(pos[:, 1])
-    # an edge v -> u is head[v] + tail[u]: each coordinate is formatted once
-    head = row(n, b'<line x1="', x, b'" y1="', y, b'" x2="')
-    tail = row(n, x, b'" y2="', y, b'" stroke="#556" stroke-width="1"/>\n')
+    x, y = fixed2_cells(pos[:, 0]), fixed2_cells(pos[:, 1])  # each coordinate formatted once
     src, dst = disk.graph.slot_sources().astype(np.int64), disk.graph.neighbors
     span = int(dst.max(initial=0)) + 1  # an id past the disk still fails, as an index
     edges = np.sort((src * span + dst)[src < dst])  # by (src, dst), as lexsort would
@@ -120,8 +117,10 @@ def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> str:
     out.write(b'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
               b'width="%s" height="%s" viewBox="0 0 %s %s">\n' % ((b"%.0f" % CANVAS,) * 4))
     for chunk in np.split(edges, range(1 << 14, edges.size, 1 << 14)):
-        out.write(text(np.hstack((head[chunk // span], tail[chunk % span]))))
-    out.write(text(row(n, b'<circle cx="', x, b'" cy="', y, b'" r="3" fill="#223"/>\n')))
+        v, u = chunk // span, chunk % span
+        out.write(text(row(chunk.size, b'<line x1="', x[v], b'" y1="', y[v], b'" x2="', x[u],
+                           b'" y2="', y[u], b'" stroke="#556" stroke-width="1"/>\n')))
+    for v in np.split(np.arange(n), range(1 << 14, n, 1 << 14)):
+        out.write(text(row(v.size, b'<circle cx="', x[v], b'" cy="', y[v], b'" r="3" fill="#223"/>\n')))
     out.write(b"</svg>\n")
-    del head, tail, edges, src  # before the text is copied into a str
-    return out.getvalue().decode("ascii")
+    return out.getvalue()

@@ -201,7 +201,7 @@ def test_render_rejects_a_closed_surface_beside_the_disk(capsys, tmp_path, layer
     # it passes every other check of validate_disk
     host = mesh.grow(mesh.seed_face(18), layers)
     disk = tmp_path / "d.json"
-    disk.write_text(mesh.disk_json(beside_k19(host)))
+    disk.write_bytes(mesh.disk_json(beside_k19(host)))
     assert run_cli(capsys, "render", str(disk)) == (
         2, "", "error: malformed disk: euler-characteristic: v - e + f = -37 != 1\n"
     )
@@ -334,9 +334,23 @@ def test_every_command_states_the_one_degree_rule(capsys, tmp_path, argv):
     assert not output.exists()
 
 
+def test_render_refuses_a_layer_no_growth_reaches(capsys, tmp_path):
+    # a disk grown k layers holds more than k slots, so its layer is at most MAX_SLOTS
+    disk, svg = tmp_path / "disk.json", tmp_path / "disk.svg"
+    face = mesh.disk_json(mesh.seed_face(7))
+    for layer in (mesh.MAX_SLOTS + 1, 10**30):
+        disk.write_bytes(face.replace(b'"layer": 0', b'"layer": %d' % layer))
+        assert run_cli(capsys, "render", str(disk)) == (
+            2, "", f"error: 'layer' must be at most {mesh.MAX_SLOTS}\n"
+        )
+        assert not svg.exists()
+    disk.write_bytes(face.replace(b'"layer": 0', b'"layer": %d' % mesh.MAX_SLOTS))
+    assert run_cli(capsys, "render", str(disk))[0] == 0 and svg.exists()
+
+
 def test_render_states_the_one_degree_rule_and_verify_its_own_range(capsys, tmp_path):
     disk = tmp_path / "disk.json"
-    disk.write_text(mesh.disk_json(mesh.seed_face(7)).replace('"r": 7,', '"r": 6,'))
+    disk.write_bytes(mesh.disk_json(mesh.seed_face(7)).replace(b'"r": 7,', b'"r": 6,'))
     assert run_cli(capsys, "render", str(disk)) == (2, "", DEGREE_ERROR)
     assert not (tmp_path / "disk.svg").exists()
     assert run_cli(capsys, "verify", "-r", "6") == (

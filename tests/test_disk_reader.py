@@ -29,7 +29,7 @@ from meshsum.cli import main
 from meshsum.mesh import MalformedDiskError, disk_from_canonical_json, disk_json
 from support import convex_disks
 
-BASE = disk_json(expand(seed_face(7))).encode("ascii")  # 15 vertices, layer 1
+BASE = disk_json(expand(seed_face(7)))  # 15 vertices, layer 1
 FIRST_ID = BASE.index(b'"rotation": [\n    [\n      ') + len(b'"rotation": [\n    [\n      ')
 
 
@@ -88,7 +88,7 @@ def render(data: bytes, reader: bool = True) -> tuple[int, str, str, bytes | Non
 
 def test_the_reader_reads_what_disk_json_writes():
     for disk in (seed_face(7), grow(seed_vertex(7), 2), grow(seed_face(8), 3), seed_vertex(9)):
-        got = read_both(disk_json(disk).encode())
+        got = read_both(disk_json(disk))
         assert got is None if disk.is_degenerate else got == disk  # its one row is empty
 
 
@@ -111,7 +111,7 @@ def test_both_readers_refuse_a_file_past_the_slot_limit(monkeypatch):
         first_id(b"123456789"),  # past the reader's 8 digits: the json path reads it
         BASE.replace(b'"r": 7', b'"r": 07'),
         BASE[:-1],
-        disk_json(seed_vertex(7)).encode().replace(b"\n    []\n", b"\n    [\n    ]\n"),
+        disk_json(seed_vertex(7)).replace(b"\n    []\n", b"\n    [\n    ]\n"),
         BASE.replace(b"\n    ],\n    [", b"\n    ],\n      5,\n    [", 1),
         BASE.replace(b"\n    ],\n    [", b"\n    ]\n    ],\n    [", 1),
         BASE.replace(b"\n      1,", b"\n    [\n      1,", 1),
@@ -179,6 +179,8 @@ NAMED = {
     ),
     "negative-layer": (BASE.replace(b'"layer": 1', b'"layer": -1'), 2,
                        "error: 'layer' must not be negative\n"),
+    "huge-layer": (BASE.replace(b'"layer": 1', b'"layer": 1' + b"0" * 30), 2,
+                   "error: 'layer' must be at most 2147483647\n"),
     "negative-layer-compact": (
         json.dumps({**json.loads(BASE), "layer": -1}).encode(), 2,
         "error: 'layer' must not be negative\n",
@@ -218,7 +220,7 @@ BYTES = [b"0", b"1", b"9", b" ", b"\n", b",", b"[", b"]", b"-", b"+", b".", b"e"
 def test_reader_and_render_agree_with_the_json_path(disk, layer, edit, data):
     if layer is not None:
         disk = CombinatorialDisk(disk.graph, disk.ambient_degree, disk.boundary, layer)
-    text = disk_json(disk).encode()
+    text = disk_json(disk)
     i = data.draw(st.integers(min_value=0, max_value=len(text) - 2))
     byte = data.draw(st.sampled_from(BYTES))
     text = {
@@ -254,7 +256,7 @@ def test_every_grown_disk_renders_without_the_json_module(r, tmp_path):
 def test_the_reader_peaks_no_higher_than_the_json_path_per_byte():
     # on this 9.6 MB file of 118,803 vertices the json path peaks at 5.0
     # traced bytes per file byte and the reader at 3.3
-    data = disk_json(grow(seed_face(7), 10)).encode()
+    data = disk_json(grow(seed_face(7), 10))
     assert len(data) == 9_595_465
     peaks = []
     tracemalloc.start()

@@ -83,7 +83,7 @@ def test_every_entry_point_states_the_one_degree_rule(r, shown):
         with pytest.raises(ValueError, match=message):
             disk_from_json_obj(obj)
     if r == 6:  # the byte reader, on a disk file laid out as written
-        data = disk_json(seed_face(7)).replace('"r": 7,', '"r": 6,').encode()
+        data = disk_json(seed_face(7)).replace(b'"r": 7,', b'"r": 6,')
         with pytest.raises(ValueError, match=message):
             read_disk(data)
 

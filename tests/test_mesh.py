@@ -457,6 +457,20 @@ def test_a_closed_surface_beside_the_disk_breaks_euler(host):
         count_explicit(disk)
 
 
+@pytest.mark.parametrize(
+    "rows, r, boundary",
+    [([[1, 2], [2, 0], [0, 1]], 6, (0, 1, 2)), ([[1, 2], [2, 0], [0, 1]], 6, (0, 1, 1)), ([[]], 5, ())],
+    ids=["triangle", "triangle-bad-boundary", "bare-vertex"],
+)
+def test_the_pass_applies_the_degree_rule_first(rows, r, boundary):
+    # these raised the degree error, listed a boundary-cycle violation, and
+    # passed as DiskCounts(1, 0, 0, 1): the rule now comes before any other check
+    disk = CombinatorialDisk(RotationGraph(rows), r, boundary, 0)
+    for check in (validate_disk, count_explicit):
+        with pytest.raises(ValueError, match=f"^ambient degree must be an integer >= 7, got {r}$"):
+            check(disk)
+
+
 def test_count_explicit_rejects_an_empty_graph():
     with pytest.raises(MalformedDiskError, match="^degenerate: "):
         count_explicit(CombinatorialDisk(RotationGraph([]), 7, (), 0))
