@@ -25,7 +25,7 @@ _MODULE_OF = {
         "ConvexityError MalformedDiskError MeasuredLayer RotationGraph boundary_profile "
         "count_explicit delta_counts disk_from_json_obj expand grow is_convex layer_census "
         "measured_layers seed_face seed_vertex validate_disk",
-        "render": "DiskLayout LayoutError emit_svg layout_disk",
+        "render": "LayoutError emit_svg layout_disk",
     }.items()
     for name in names.split()
 }

@@ -2,8 +2,9 @@
 
 Subcommands: grow (explicit layers vs predictions), predict (analytics
 only), sum (mesh invariants), verify (cross-check battery), render
-(disk JSON to SVG).  The disk file is ``mesh``'s to write and read.  Exit
-codes: 0 success and all comparisons match, 1 a comparison failed, 2 bad input.
+(disk JSON to SVG).  The disk file is ``mesh``'s to write and read.  Every
+integer, ``-r``'s ends included, is read by ``_integer``.  Exit codes: 0
+success and all comparisons match, 1 a comparison failed, 2 bad input.
 """
 
 from __future__ import annotations
@@ -28,53 +29,47 @@ from .report import (
     write_growth_report,
 )
 
-# Bad input (seed, sum, disk JSON, layout: all ValueErrors) or a budget past memory.
+# Bad input (seed, sum, disk JSON, drawing: all ValueErrors) or a budget past memory.
 _INPUT_ERRORS = (ValueError, OSError, MemoryError)
 MAX_SHOWN_VIOLATIONS = 20
 MAX_SUM_DEGREES = 1_000_000  # about 25 s and 265 MB of JSON on a 2-core host
+_ONE_DEGREE = "this command takes a single degree, not a range"
 
 
-def _check_digit_limit(text: str, name: str) -> None:
-    """Refuse an option's text past the interpreter's integer digit limit
-    before anything runs, not after the run when a report prints the number."""
+def _integer(text: str | int, name: str, wrong: str = "") -> int:
+    """A command-line integer (a default is one already) in its one spelling,
+    as ``exact.int_from_text`` reads it.  Text past the interpreter's digit
+    limit is refused before anything runs, not after the run when a report
+    prints the number; other text raises ``wrong``, or an error naming ``name``."""
+    if isinstance(text, int):
+        return text
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or < 3.10.7)
     if limit and len(text.removeprefix("-")) > limit:
         message = f"{name} has more than {limit} digits, the interpreter's limit"
         raise ValueError(f"{message}: {brief(text)}")
-
-
-def _parse_degrees(text: str) -> range:
-    """'7' or '7:12' (inclusive)."""
-    lo, sep, hi = text.partition(":")
-    for end in (lo, hi):
-        _check_digit_limit(end, "-r")
-    try:
-        first = int_from_text(lo)
-        last = int_from_text(hi) if sep else first
-    except ValueError:
-        raise ValueError(f"degree must be an integer or lo:hi range, got {brief(text)}") from None
-    if last < first:
-        raise ValueError(f"empty degree range {brief(text)}")
-    return range(first, last + 1)
-
-
-def _single_degree(text: str) -> int:
-    degrees = _parse_degrees(text)
-    if degrees[-1] != degrees[0]:  # len() overflows past sys.maxsize
-        raise ValueError("this command takes a single degree, not a range")
-    return degrees[0]
-
-
-def _integer(text: str | int, name: str) -> int:
-    """A command-line integer (a default is one already) in its one spelling,
-    as ``exact.int_from_text`` reads it, or a one-line error naming it."""
-    if isinstance(text, int):
-        return text
-    _check_digit_limit(text, name)
     try:
         return int_from_text(text)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {brief(text)}") from None
+        raise ValueError(wrong or f"{name} must be an integer, got {brief(text)}") from None
+
+
+def _degrees(text: str, single: str = "") -> range:
+    """'7' or '7:12' (inclusive); with ``single``, the error for a range of
+    more than one degree.  Both ends are length-checked before either is parsed."""
+    lo, sep, hi = text.partition(":")
+    wrong = f"degree must be an integer or lo:hi range, got {brief(text)}"
+    try:
+        first = _integer(lo, "-r", wrong)
+    except ValueError as exc:
+        if sep and str(exc) == wrong:  # lo is no integer, yet hi past the digit limit goes first
+            _integer(hi, "-r", wrong)
+        raise
+    last = _integer(hi, "-r", wrong) if sep else first
+    if last < first:
+        raise ValueError(f"empty degree range {brief(text)}")
+    if single and last != first:  # len() overflows past sys.maxsize
+        raise ValueError(single)
+    return range(first, last + 1)
 
 
 def _resolve_budget(args) -> int:
@@ -134,7 +129,7 @@ def _invariants_line(entry: dict) -> str:
 
 def cmd_grow(args) -> int:
     from .mesh import CensusContradiction, MalformedDiskError, disk_json
-    r = _single_degree(args.degree)
+    r = _degrees(args.degree, _ONE_DEGREE)[0]
     budget = _resolve_budget(args)
     if args.emit_disk and args.output:
         _require_distinct(args.output, args.emit_disk)
@@ -160,7 +155,7 @@ def _prediction_table(seed, n_layers: int, out: TextIO) -> None:
 
 
 def cmd_predict(args) -> int:
-    r = _single_degree(args.degree)
+    r = _degrees(args.degree, _ONE_DEGREE)[0]
     seed = seed_descriptor_for(args.seed, r)
     layers = _integer(args.layers, "-n")
     check_layer_count(layers)  # before -o creates its file
@@ -182,12 +177,9 @@ def _sum_table(degrees, seed, out: TextIO) -> bool:
 
 
 def cmd_sum(args) -> int:
-    degrees = _parse_degrees(args.degree)
-    seed = None
-    if args.seed is not None:
-        if degrees[-1] != degrees[0]:  # len() overflows past sys.maxsize
-            raise ValueError("--seed needs a single degree, not a range")
-        seed = seed_descriptor_for(args.seed, degrees[0])
+    seeded = args.seed is not None
+    degrees = _degrees(args.degree, "--seed needs a single degree, not a range" if seeded else "")
+    seed = seed_descriptor_for(args.seed, degrees[0]) if seeded else None
     if degrees[-1] - degrees[0] >= MAX_SUM_DEGREES:  # len() overflows past sys.maxsize
         raise ValueError(f"-r spans more than {MAX_SUM_DEGREES} degrees: {brief(args.degree)}")
     check_degree(degrees[0])  # before -o creates its file
@@ -201,7 +193,7 @@ def cmd_sum(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_verification
-    degrees = _parse_degrees(args.degree)
+    degrees = _degrees(args.degree)
     budget = _resolve_budget(args)
     report = run_verification(
         degrees,
@@ -230,12 +222,12 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     from .mesh import read_disk
-    from .render import emit_svg, layout_disk
+    from .render import emit_svg
     out = args.output or (os.path.splitext(args.input)[0] + ".svg")
     _require_distinct(args.input, out)
     with open(args.input, "rb") as fh:
         disk = read_disk(fh.read())  # the bytes are freed here, before validation and drawing
-    svg = emit_svg(disk, layout_disk(disk))  # before the SVG file is created
+    svg = emit_svg(disk)  # validated, laid out and drawn before the SVG file is created
     with open(out, "wb") as fh:
         fh.write(svg)
     print(f"wrote {out}")

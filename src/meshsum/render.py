@@ -1,16 +1,15 @@
 """Deterministic schematic rendering of a grown disk as SVG.
 
-Vertices sit on concentric rings, one ring per growth layer, evenly
-spaced in id order; edges are straight lines.  The output is a pure
-function of the disk: same disk, same bytes.  Coordinates are fixed to
-two decimals so the byte stream never depends on float formatting quirks.
+``emit_svg(disk)`` draws the disk as ``layout_disk`` validates and places it:
+vertices evenly spaced in id order on concentric rings, one per growth layer,
+and straight edges.  Same disk, same bytes: coordinates are fixed to two
+decimals so the byte stream never depends on float formatting quirks.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +21,6 @@ CANVAS = 1000.0
 
 class LayoutError(ValueError):
     """The disk is not valid or does not expose usable layer structure."""
-
-
-@dataclass(frozen=True, eq=False)
-class DiskLayout:
-    """Vertex positions, an (n, 2) float64 array, plus the ring index assigned to
-    each vertex, an int64 array; ``layout_disk`` makes both read-only."""
-
-    positions: np.ndarray
-    ring: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, DiskLayout):
-            return NotImplemented
-        return np.array_equal(self.positions, other.positions) and np.array_equal(
-            self.ring, other.ring
-        )
-
-    __hash__ = None
 
 
 def _rings_by_peeling(disk: CombinatorialDisk) -> np.ndarray:
@@ -62,8 +43,9 @@ def _rings_by_peeling(disk: CombinatorialDisk) -> np.ndarray:
     return depth - 1 - ring
 
 
-def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
-    """Place layer-k vertices on ring k (id order fixes angles).
+def layout_disk(disk: CombinatorialDisk) -> np.ndarray:
+    """Vertex positions, a read-only (n, 2) float64 array on the canvas
+    [0, CANVAS]^2: layer-k vertices on ring k, id order fixing angles.
 
     A disk that ``validate_disk`` rejects raises LayoutError("malformed
     disk: <kind>: <detail>") for its first violation.  Layers are recovered
@@ -93,31 +75,22 @@ def layout_disk(disk: CombinatorialDisk) -> DiskLayout:
     positions = np.empty((layers.size, 2))
     positions[:, 0] = center + radius * np.cos(angle)
     positions[:, 1] = center + radius * np.sin(angle)
-    ring = layers + shift
     positions.flags.writeable = False
-    ring.flags.writeable = False
-    return DiskLayout(positions, ring)
+    return positions
 
 
-def emit_svg(disk: CombinatorialDisk, layout: DiskLayout | None = None) -> bytes:
-    """The SVG file: one <line> per edge, one <circle> per vertex.  A position
-    not finite or off the canvas [0, CANVAS]^2 raises LayoutError."""
-    if layout is None:
-        layout = layout_disk(disk)
-    n, pos = disk.graph.vertex_count, np.asarray(layout.positions, float)
-    if pos.shape != (n, 2):
-        raise LayoutError("layout does not cover every vertex of the disk")
-    if not ((pos >= 0) & (pos <= CANVAS)).all():  # NaN fails both
-        raise LayoutError(f"a vertex position is not finite or off the canvas [0, {CANVAS:.0f}]^2")
+def emit_svg(disk: CombinatorialDisk) -> bytes:
+    """The SVG file: one <line> per edge, one <circle> per vertex, placed by
+    ``layout_disk``, whose LayoutError a disk it cannot lay out raises."""
+    n, pos = disk.graph.vertex_count, layout_disk(disk)
     x, y = fixed2_cells(pos[:, 0]), fixed2_cells(pos[:, 1])  # each coordinate formatted once
     src, dst = disk.graph.slot_sources().astype(np.int64), disk.graph.neighbors
-    span = int(dst.max(initial=0)) + 1  # an id past the disk still fails, as an index
-    edges = np.sort((src * span + dst)[src < dst])  # by (src, dst), as lexsort would
+    edges = np.sort((src * n + dst)[src < dst])  # by (src, dst), as lexsort would
     out = io.BytesIO()
     out.write(b'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
               b'width="%s" height="%s" viewBox="0 0 %s %s">\n' % ((b"%.0f" % CANVAS,) * 4))
     for chunk in np.split(edges, range(1 << 14, edges.size, 1 << 14)):
-        v, u = chunk // span, chunk % span
+        v, u = chunk // n, chunk % n
         out.write(text(row(chunk.size, b'<line x1="', x[v], b'" y1="', y[v], b'" x2="', x[u],
                            b'" y2="', y[u], b'" stroke="#556" stroke-width="1"/>\n')))
     for v in np.split(np.arange(n), range(1 << 14, n, 1 << 14)):

@@ -25,7 +25,7 @@ from meshsum import (
 )
 from meshsum.growth import MIN_DEGREE
 from meshsum.mesh import Violation
-from meshsum.render import CANVAS, DiskLayout, LayoutError
+from meshsum.render import CANVAS, LayoutError
 from meshsum.report import SCHEMA_VERSION, canonical_json
 
 
@@ -581,13 +581,13 @@ def reference_disk_json(disk: CombinatorialDisk) -> str:
     return canonical_json(reference_disk_to_json_obj(disk))
 
 
-def reference_layout_disk(disk: CombinatorialDisk) -> DiskLayout:
-    """The layout as ``render.layout_disk`` computed it before it worked on
-    whole arrays: layers by peeling the rotation lists ring by ring, then one
-    ``math.cos`` and ``math.sin`` per vertex in id order."""
+def reference_layout_disk(disk: CombinatorialDisk) -> tuple[np.ndarray, list[int]]:
+    """The positions ``render.layout_disk`` computed before it worked on whole
+    arrays, and each vertex's ring: layers by peeling the rotation lists ring
+    by ring, then one ``math.cos`` and ``math.sin`` per vertex in id order."""
     center = CANVAS / 2
     if disk.is_degenerate:
-        return DiskLayout(np.array([[center, center]]), np.array([0]))
+        return np.array([[center, center]]), [0]
     rows, nv = disk.graph.rotations, disk.graph.vertex_count
     if any(not 0 <= u < nv for row in rows for u in row):
         raise LayoutError("a rotation lists a vertex outside the disk")
@@ -616,13 +616,13 @@ def reference_layout_disk(disk: CombinatorialDisk) -> DiskLayout:
         radius, step = (k + shift) * spacing, 2 * math.pi / size
         for a in (idx * step for idx in range(size)):
             positions.append((center + radius * math.cos(a), center + radius * math.sin(a)))
-    return DiskLayout(np.array(positions), np.array([k + shift for k in layers]))
+    return np.array(positions), [k + shift for k in layers]
 
 
-def reference_emit_svg(disk: CombinatorialDisk, layout: DiskLayout) -> str:
-    """The SVG as it was drawn before ``render.emit_svg`` formatted each
-    vertex once: one f-string per edge and per vertex, joined at the end."""
-    pos = layout.positions
+def reference_emit_svg(disk: CombinatorialDisk, pos: np.ndarray) -> str:
+    """The SVG of the vertex positions ``pos`` as it was drawn before
+    ``render.emit_svg`` formatted each vertex once: one f-string per edge and
+    per vertex, joined at the end."""
     src, dst = disk.graph.slot_sources(), disk.graph.neighbors
     forward = src < dst
     src, dst = src[forward], dst[forward]

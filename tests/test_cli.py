@@ -759,6 +759,26 @@ def test_a_degree_range_past_sys_maxsize_is_still_a_range(capsys):
     )
 
 
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "degree",
+    ["x:" + PAST_THE_LIMIT, PAST_THE_LIMIT + ":x", PAST_THE_LIMIT + ":" + PAST_THE_LIMIT + "0"],
+    ids=["bad-lo-long-hi", "long-lo-bad-hi", "both-long"],
+)
+def test_both_ends_of_a_degree_range_are_length_checked_before_either_is_parsed(capsys, degree):
+    # an end past the limit is named before a bad end is parsed; lo first if both are
+    with _int_max_str_digits(640):
+        result = run_cli(capsys, "predict", "-r", degree)
+    shown = f"'{PAST_THE_LIMIT[:39]}... (643 characters)"
+    assert result == (2, "", f"error: -r has more than 640 digits, the interpreter's limit: {shown}\n")
+
+
+def test_an_empty_degree_range_is_refused_before_a_seed_asks_for_one_degree(capsys):
+    assert run_cli(capsys, "sum", "-r", "8:7", "--seed", "face") == (
+        2, "", "error: empty degree range '8:7'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

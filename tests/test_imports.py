@@ -376,10 +376,10 @@ def test_every_public_name_resolves():
 # public name in sorted order.  Changing it changes the API.
 PUBLIC_NAMES = [
     "__version__", "BoundaryProfile", "BudgetExceededError", "CensusContradiction",
-    "CombinatorialDisk", "ConvexityError", "DeltaCounts", "DiskCounts", "DiskLayout",
-    "InvalidSeedError", "LayerCensus", "LayerPrediction", "LayoutError", "MalformedDiskError",
-    "MeasuredLayer", "MeshInvariants", "PoleError", "RecurrenceSeries", "RotationGraph",
-    "SeedDescriptor", "UndefinedSumError", "boundary_profile", "census_step",
+    "CombinatorialDisk", "ConvexityError", "DeltaCounts", "DiskCounts", "InvalidSeedError",
+    "LayerCensus", "LayerPrediction", "LayoutError", "MalformedDiskError", "MeasuredLayer",
+    "MeshInvariants", "PoleError", "RecurrenceSeries", "RotationGraph", "SeedDescriptor",
+    "UndefinedSumError", "boundary_profile", "census_step",
     "convexity_bound", "count_explicit", "counts_from_boundary", "delta_counts",
     "deltas_from_census", "disk_from_json_obj", "emit_svg", "euler_formula_check",
     "euler_sum", "euler_sum_by_lemma", "expand", "generating_value", "grow",
