@@ -10,11 +10,13 @@ convexity condition that makes one more growth layer well defined.
 The rotation system is stored in CSR form ("compressed sparse row"): an
 int64 array ``offsets`` of length nv + 1 and an int32 array ``neighbors``
 of length 2e, so that ``neighbors[offsets[v]:offsets[v + 1]]`` is the
-rotation at v.  Every function here works on these two arrays with
-whole-array numpy operations; ``RotationGraph.rotations`` is a derived
-list-of-lists copy for tests.  This module alone knows the disk file:
-``disk_json`` writes it from the arrays through one byte template, and
-``read_disk`` reads it back, straight into arrays when laid out as written.
+rotation at v.  Every function here works on these two arrays with numpy
+operations; ``expand`` builds each layer in place, and it and the measurement
+pass read a block of _CHUNK rows or slots at a time, so that no temporary grows
+with the disk.  ``RotationGraph.rotations`` is a list-of-lists copy for tests.
+This module alone knows the disk file: ``disk_json`` writes it from the arrays
+through one byte template, and ``read_disk`` reads it back, straight into
+arrays when laid out as written.
 Slot numbers (positions in ``neighbors``) are int32: a disk has at most MAX_SLOTS slots.
 
 Expansion attaches every face of the ambient mesh that shares a vertex
@@ -298,7 +300,7 @@ def boundary_profile(disk: CombinatorialDisk) -> BoundaryProfile:
 
 
 def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> CombinatorialDisk:
-    """One growth layer; the input disk is left untouched.
+    """One growth layer, built in place a block at a time; the input disk is left untouched.
 
     Raises ConvexityError if a boundary vertex exceeds convexity_bound(r),
     BudgetExceededError if the result would exceed ``budget`` vertices
@@ -325,50 +327,56 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
     t, d = len(w), int(degs.sum())
     v_new = v_old + t * (r - 1) - d
     _require_room(v_new, disk.graph.neighbors.size + 4 * t * r - 2 * t - 4 * d, budget)
-    w_next = np.roll(w, -1)
-    neighbors = _gaps_last(offsets, disk.graph.neighbors, w, degs, np.roll(w, 1), w_next)
+    neighbors = _gaps_last(offsets, disk.graph.neighbors, w, degs, np.roll(w, 1), np.roll(w, -1))
 
     # Creation order fixes ids: for each boundary slot j, the private
     # vertices of w_j, then u_j, shared with slot j + 1.  The new boundary
-    # is then the plain id range in ccw order.
-    private = r - 2 - degs
-    u = v_old - 1 + np.cumsum(private + 1)
-
-    # Old rows keep their order; row w_j grows by the run u_{j-1} .. u_j.
-    run = private + 2
-    extra = np.zeros(v_old, dtype=np.int64)
-    extra[w] = run
-    shift = np.zeros(v_old + 1, dtype=np.int64)
-    np.cumsum(extra, out=shift[1:])
-    head = offsets + shift
-    new_degree = np.full(v_new - v_old, 3, dtype=np.int64)
-    new_degree[u - v_old] = 4
-    out_offsets = np.concatenate([head, head[-1] + np.cumsum(new_degree)])
+    # is then the plain id range in ccw order.  The row lengths, summed in
+    # place: row w_j grows by its run u_{j-1} .. u_j, a new row holds 3
+    # entries, and 4 for u_j.
+    run = r - degs
+    u = np.cumsum(run - 1) + (v_old - 1)
+    out_offsets = np.full(v_new + 1, 3, dtype=np.int64)
+    out_offsets[0] = 0
+    np.subtract(offsets[1:], offsets[:-1], out=out_offsets[1 : v_old + 1])
+    out_offsets[w + 1] += run
+    out_offsets[u + 1] = 4
+    np.cumsum(out_offsets, out=out_offsets)
     out = np.empty(int(out_offsets[-1]), dtype=np.int32)
 
-    low = int(w.min())  # rows before the first boundary vertex do not move
-    cut = int(offsets[low])
-    out[:cut] = neighbors[:cut]
-    moved = np.arange(cut, len(neighbors))
-    out[moved + np.repeat(shift[low:-1], np.diff(offsets[low:]))] = neighbors[cut:]
+    # Old rows keep their entries in order; from the first boundary row on
+    # they move to their new starts, a column of at most _CHUNK rows at a time.
+    low = int(w.min())
+    out[: offsets[low]] = neighbors[: offsets[low]]
+    for a in range(low, v_old, _CHUNK):
+        b = min(a + _CHUNK, v_old)
+        old, new, degree = offsets[a:b], out_offsets[a:b], np.diff(offsets[a : b + 1])
+        for i in range(int(degree.max())):
+            rows = degree > i
+            out[new[rows] + i] = neighbors[old[rows] + i]
 
-    run_start = head[w + 1] - run
-    slots = _ranges(run_start, run)
-    out[slots] = slots + np.repeat(u - private - 1 - run_start, run)
-    out[run_start[0]] = v_new - 1  # the run of w_0 starts at u_{t-1}
+    # Each block of _CHUNK boundary slots writes its runs and its new rows, one id
+    # range: [successor on the new cycle, boundary vertices hung from, predecessor].
+    for lo in range(0, t, _CHUNK):
+        hi = min(lo + _CHUNK, t)
+        wb, rb, ub = w[lo:hi], run[lo:hi], u[lo:hi]
+        a, b = int(ub[0] - rb[0]) + 2, int(ub[-1]) + 1  # the block's new ids
+        out[out_offsets[wb + 1] - rb] = ub - rb + 1  # a run opens with u_{j-1}, then come
+        pos = np.repeat(out_offsets[wb + 1] - ub - 1, rb - 1)  # the ids up to u_j, last in the row
+        pos += np.arange(a, b)
+        out[pos] = np.arange(a, b, dtype=np.int32)
+        del pos
+        out[out_offsets[a:b]] = np.arange(a + 1, b + 1, dtype=np.int32)
+        out[out_offsets[a + 1 : b + 1] - 1] = np.arange(a - 1, b - 1, dtype=np.int32)
+        out[out_offsets[a:b] + 1] = np.repeat(wb, rb - 1)
+        out[out_offsets[ub] + 1] = w[lo + 1 : hi + 1] if hi < t else np.append(w[lo + 1 :], w[0])
+        out[out_offsets[ub] + 2] = wb
+    out[out_offsets[v_new - 1]] = v_old  # the new cycle closes
+    out[out_offsets[v_old + 1] - 1] = v_new - 1
+    out[out_offsets[w[0] + 1] - run[0]] = v_new - 1  # the run of w_0 starts at u_{t-1}
 
-    # New rows: successor on the new cycle, the boundary vertices the new
-    # vertex hangs from, predecessor on the new cycle.
     ids = np.arange(v_old, v_new, dtype=np.int32)
     ids.flags.writeable = False
-    row = out_offsets[v_old:-1]
-    out[row] = np.roll(ids, -1)
-    out[out_offsets[v_old + 1 :] - 1] = np.roll(ids, 1)
-    out[row + 1] = np.repeat(w, private + 1)
-    shared = row[u - v_old]
-    out[shared + 1] = w_next
-    out[shared + 2] = w
-
     return CombinatorialDisk(
         RotationGraph.from_arrays(out_offsets, out), r, ids, disk.layer_index + 1
     )
@@ -468,7 +476,7 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
     then it is the reverse.  Every face off the boundary is a triangle iff,
     for each slot u -> v there, next(u -> v) points at the successor of v
     in the row of u (``_face_problem`` has the proof).  The pass peaks near
-    12 bytes per slot.  Raises MalformedDiskError("<kind>: <detail>")
+    8.5 bytes per slot on the largest layers.  Raises MalformedDiskError("<kind>: <detail>")
     naming the first violation that validate_disk reports: it returns
     counts, with v - e + f = 1, for exactly the disks validate_disk accepts.
     """
@@ -531,12 +539,26 @@ def _packed(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return key
 
 
+def _row_spans(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs of whole rows of about _CHUNK slots, as (first row, row after the last)."""
+    cuts = np.searchsorted(offsets, range(0, offsets[-1], _CHUNK)).tolist() + [offsets.size - 1]
+    return zip(cuts, cuts[1:])
+
+
 def _row_runs(offsets: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Runs of whole rows of about _CHUNK slots: each run's first slot and the row of each slot."""
-    cuts = np.searchsorted(offsets, range(0, offsets[-1], _CHUNK)).tolist() + [offsets.size - 1]
-    for v0, v1 in zip(cuts, cuts[1:]):
+    for v0, v1 in _row_spans(offsets):
         rows = np.arange(v0, v1, dtype=np.int32)
         yield int(offsets[v0]), np.repeat(rows, np.diff(offsets[v0 : v1 + 1]))
+
+
+def _row_ends(offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The first and the last slot of each non-empty row, a run of rows at a time."""
+    for v0, v1 in _row_spans(offsets):
+        starts, ends = offsets[v0:v1], offsets[v0 + 1 : v1 + 1] - 1
+        full = ends >= starts
+        if full.any():
+            yield starts[full], ends[full]
 
 
 def _forward_half(src: np.ndarray, dst: np.ndarray, lo: int) -> tuple[np.ndarray, bool]:
@@ -600,22 +622,25 @@ def _outer_slots(offsets, nbr, rev, w, degs):
 
     The edge w_j -> w_j+1 is looked up in the row of w_j; its reverse is the
     outer slot.  Rows repeat no neighbor here, so each row holds it at most
-    once.  The first entry of every row is tried first (expand lists w_j+1
-    there), and only the rows where it is not are scanned in full.
+    once.  Of _CHUNK rows at a time, the first entry is tried first (expand
+    lists w_j+1 there), and only the rows where it is not are scanned in full.
     """
-    w_next = np.roll(w, -1)
-    start = offsets[w]
-    at_start = degs > 0
-    at_start[at_start] = nbr[start[at_start]] == w_next[at_start]
-    found = np.where(at_start, start, -1)
-    rest = np.flatnonzero(~at_start)
-    if rest.size:
-        slots = _ranges(start[rest], degs[rest])
-        hit = nbr[slots] == np.repeat(w_next[rest], degs[rest])
-        found[np.repeat(rest, degs[rest])[hit]] = slots[hit]
-    if (found < 0).any():
-        return None, int(np.argmax(found < 0))
-    return rev[found], None
+    outer, after = np.empty(w.size, dtype=np.int32), np.roll(w, -1)
+    for lo in range(0, w.size, _CHUNK):
+        w_next, deg = after[lo : lo + _CHUNK], degs[lo : lo + _CHUNK]
+        start = offsets[w[lo : lo + _CHUNK]]
+        at_start = deg > 0
+        at_start[at_start] = nbr[start[at_start]] == w_next[at_start]
+        found = np.where(at_start, start, -1)
+        rest = np.flatnonzero(~at_start)
+        if rest.size:
+            slots = _ranges(start[rest], deg[rest])
+            hit = nbr[slots] == np.repeat(w_next[rest], deg[rest])
+            found[np.repeat(rest, deg[rest])[hit]] = slots[hit]
+        if (found < 0).any():
+            return None, lo + int(np.argmax(found < 0))
+        outer[lo : lo + _CHUNK] = rev[found]
+    return outer, None
 
 
 def _face_problem(offsets, nbr, rev, outer) -> str | None:
@@ -639,20 +664,19 @@ def _face_problem(offsets, nbr, rev, outer) -> str | None:
     next(u -> v) lies in the row of v, not of u.  Only when the test fails
     is next^3 composed, to name the first offender.
     """
-    rows = np.diff(offsets) > 0
-    starts, ends = offsets[:-1][rows], offsets[1:][rows] - 1
     nxt = rev
-    wrap = nxt[starts]  # the slots whose reverse opens a row
-    nxt -= 1
-    nxt[wrap] = ends
+    wrap = [nxt[starts] for starts, _ in _row_ends(offsets)]  # the slots whose reverse opens a row
+    nxt -= 1  # only once every wrap slot is read: a wrap slot may itself open a row
+    for slots, (_, ends) in zip(wrap, _row_ends(offsets)):
+        nxt[slots] = ends
     del wrap
     if not np.array_equal(nxt[outer], np.roll(outer, 1)):
         return "outer face does not trace the boundary"
     bad = np.empty(nbr.size, dtype=bool)
-    for lo in range(0, nbr.size - 1, _CHUNK):  # the last slot ends a row
-        hi = min(lo + _CHUNK, nbr.size - 1)
+    for starts, ends in _row_ends(offsets):  # each slot against the next in its row
+        lo, hi = starts[0], ends[-1]  # the run's slots, of which the last ends a row
         np.not_equal(nbr[nxt[lo:hi]], nbr[lo + 1 : hi + 1], out=bad[lo:hi])
-    bad[ends] = nbr[nxt[ends]] != nbr[starts]
+        bad[ends] = nbr[nxt[ends]] != nbr[starts]
     bad[outer] = False
     if not bad.any():
         return None

@@ -560,6 +560,61 @@ def test_vertex_ids_never_wrap():
     assert RotationGraph([[2**31 - 1, -(2**31)]]).neighbors.tolist() == [2**31 - 1, -(2**31)]
 
 
+@st.composite
+def block_edge_disks(draw):
+    """Pairs (disk, the same disk with every boundary row gap-last) to cut at
+    block edges: grown, relabelled (so rows past the first boundary row move),
+    with boundary rows turned off their outer gap, the fan and the vertex seed."""
+    kind = draw(st.sampled_from(["grown", "relabelled", "turned", "fan", "vertex"]))
+    if kind == "relabelled":
+        disk = draw(relabelled_disks())
+        return disk, disk
+    r = draw(st.integers(min_value=7, max_value=12))
+    if kind in ("fan", "vertex"):
+        disk = grow(seed_vertex(r), kind == "fan")
+        return disk, disk
+    seed = draw(st.sampled_from([seed_face, seed_vertex]))(r)
+    disk = grow(seed, draw(st.integers(min_value=1, max_value=3)), budget=2000)
+    rows = disk.graph.rotations
+    for w in disk.boundary.tolist() if kind == "turned" else []:
+        k = draw(st.integers(min_value=0, max_value=len(rows[w]) - 1))
+        rows[w] = rows[w][k:] + rows[w][:k]
+    return CombinatorialDisk(RotationGraph(rows), r, disk.boundary, disk.layer_index), disk
+
+
+def _matches_the_references(disk: CombinatorialDisk, gaps_last: CombinatorialDisk, chunk: int):
+    """With ``_CHUNK`` set to ``chunk``: expand(disk) against reference_expand(gaps_last),
+    and the pass on disk and on its expansion against reference_inspect."""
+    expected = reference_expand(gaps_last)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh, "_CHUNK", chunk)
+        grown = expand(disk)
+        assert grown.graph.rotations == expected.graph.rotations
+        assert grown.boundary.tolist() == list(expected.boundary)
+        for measured in (disk, grown):
+            counts, violations = reference_inspect(measured)
+            assert violations == []
+            assert validate_disk(measured) == violations
+            assert count_explicit(measured) == counts
+
+
+@settings(max_examples=50, deadline=None)
+@given(disks=block_edge_disks(), chunk=st.sampled_from([7, 64]))
+def test_expand_and_the_pass_match_the_references_across_block_edges(disks, chunk):
+    _matches_the_references(*disks, chunk)
+
+
+@pytest.mark.parametrize(
+    "seed, r",
+    [(seed_vertex, 7), (seed_face, 8), (seed_vertex, 9), (seed_vertex, 10), (seed_face, 9),
+     (seed_face, 7), (seed_face, 12)],
+)
+def test_expand_and_the_pass_match_the_references_for_every_last_block(seed, r):
+    # boundaries of 7, 15, 9, 10, 18, 12 and 27 slots: the last block of 7 holds each of 7, 1 .. 6
+    disk = expand(seed(r))
+    _matches_the_references(disk, disk, 7)
+
+
 def test_id_range_caps_the_budget(monkeypatch):
     monkeypatch.setattr(mesh, "MAX_SLOTS", 59)  # the first face layer at r = 7 has 60 slots
     with pytest.raises(BudgetExceededError, match="needs 60 slots") as err:
@@ -788,14 +843,24 @@ def _traced_peak(measure, disk) -> int:
         tracemalloc.stop()
 
 
-def test_count_explicit_peaks_under_13_35_bytes_per_slot():
+def test_count_explicit_peaks_under_12_3_bytes_per_slot():
     # int64 slot indices peaked at 41.8 bytes per slot, one global sort at 24.3
-    # and the two sorted halves at 22.0; the pass read in runs of rows peaks at
-    # 12.14; two measurements run at once in verify, so each must stay small
+    # and the two sorted halves at 22.0; the pass read in runs of rows peaked
+    # at 12.14 in the face phase, and with no whole-row arrays there at 12.00,
+    # in the sort of the halves; two measurements run at once in verify, so
+    # each must stay small
     disk = grow(seed_face(7), 9)
     slots = disk.graph.neighbors.size
     assert slots == 216_150
-    assert _traced_peak(count_explicit, disk) < 13.35 * slots
+    assert _traced_peak(count_explicit, disk) < 12.3 * slots
+
+
+def test_expand_peaks_under_10_bytes_per_slot():
+    # whole-array shifts and slot indices peaked at 15.7 bytes per slot of the
+    # result; built in place, a block at a time, at 9.4
+    disk = grow(seed_face(7), 8)
+    assert _traced_peak(expand, disk) < 10 * 216_150
+    assert expand(disk).graph.neighbors.size == 216_150
 
 
 def test_validate_disk_peaks_under_25_bytes_per_slot_with_every_row_out_of_order():
