@@ -36,13 +36,11 @@ MAX_SUM_DEGREES = 1_000_000  # about 25 s and 265 MB of JSON on a 2-core host
 _ONE_DEGREE = "this command takes a single degree, not a range"
 
 
-def _integer(text: str | int, name: str, wrong: str = "") -> int:
-    """A command-line integer (a default is one already) in its one spelling,
+def _integer(text: str, name: str, wrong: str = "") -> int:
+    """A command-line integer, a default too, in its one spelling,
     as ``exact.int_from_text`` reads it.  Text past the interpreter's digit
     limit is refused before anything runs, not after the run when a report
     prints the number; other text raises ``wrong``, or an error naming ``name``."""
-    if isinstance(text, int):
-        return text
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or < 3.10.7)
     if limit and len(text.removeprefix("-")) > limit:
         message = f"{name} has more than {limit} digits, the interpreter's limit"
@@ -76,7 +74,7 @@ def _resolve_budget(args) -> int:
     if args.budget is not None:
         budget = _integer(args.budget, "--budget")
     else:
-        raw = os.environ.get("MESHSUM_BUDGET", DEFAULT_VERTEX_BUDGET)
+        raw = os.environ.get("MESHSUM_BUDGET", str(DEFAULT_VERTEX_BUDGET))
         budget = _integer(raw, "MESHSUM_BUDGET")
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -251,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grow", help="grow a disk and reconcile with predictions")
     p.add_argument("-r", "--degree", required=True, help="ambient degree")
     p.add_argument("--seed", default="face", help=" or ".join(reversed(CANONICAL_SEEDS)))
-    p.add_argument("-n", "--layers", default=4, help="expansion layers")
+    p.add_argument("-n", "--layers", default="4", help="expansion layers")
     p.add_argument("--budget", help="vertex budget (or MESHSUM_BUDGET)")
     p.add_argument("--emit-disk", help="also write the final disk JSON here")
     add_common(p)
@@ -260,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="analytic layer table for any valid seed")
     p.add_argument("-r", "--degree", required=True)
     p.add_argument("--seed", default="face", help=any_seed)
-    p.add_argument("-n", "--layers", default=5)
+    p.add_argument("-n", "--layers", default="5")
     add_common(p)
     p.set_defaults(func=cmd_predict)
 
@@ -272,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full cross-check battery")
     p.add_argument("-r", "--degree", required=True, help="degree or lo:hi range")
-    p.add_argument("-n", "--layers", default=6)
+    p.add_argument("-n", "--layers", default="6")
     p.add_argument("--budget", help="vertex budget (or MESHSUM_BUDGET)")
-    p.add_argument("--trials", default=100, help="random sum cross-checks per degree")
-    p.add_argument("--rng-seed", default=0)
+    p.add_argument("--trials", default="100", help="random sum cross-checks per degree")
+    p.add_argument("--rng-seed", default="0")
     p.add_argument("--inject-fault", choices=FAULT_MODES, help="prove the harness can fail")
     add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -295,7 +293,3 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # bare MemoryError too
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,6 +40,7 @@ EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
 )
 _UNIT = Decimal(1)
+_WIDTH = 40  # the characters of a value that brief keeps
 
 
 def int_to_json(n: int | Decimal) -> str:
@@ -70,11 +71,11 @@ def int_from_text(text: str) -> int:
         return int(Decimal(text))
 
 
-def brief(value, width: int = 40) -> str:
+def brief(value) -> str:
     """An int's decimal digits or any other value's repr for an error
-    message, cut after ``width`` characters; no digit limit applies."""
+    message, cut after ``_WIDTH`` characters; no digit limit applies."""
     text = int_to_json(value) if type(value) is int else repr(value)
-    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+    return text if len(text) <= _WIDTH else f"{text[:_WIDTH]}... ({len(text)} characters)"
 
 
 def rational_to_json(q: RationalLike) -> dict[str, str]:

@@ -406,25 +406,18 @@ def _gaps_last(offsets, neighbors, w, degs, w_prev, w_next) -> np.ndarray:
     if fits.all():
         return neighbors
 
-    off = np.flatnonzero(~fits)
-    lengths = degs[off]
-    slots = _ranges(start[off], lengths)
-    owner = np.repeat(np.arange(off.size), lengths)
-    row_start, row_len = start[off][owner], lengths[owner]
-    pos = slots - row_start
-    gap = (neighbors[slots] == w_prev[off][owner]) & (
-        neighbors[row_start + (pos + 1) % row_len] == w_next[off][owner]
-    )
-    found = np.bincount(owner[gap], minlength=off.size)
-    if (found != 1).any():
-        j = off[np.argmax(found != 1)]
-        raise MalformedDiskError(
-            f"boundary vertex {w[j]}: no outer gap between {w_prev[j]} and {w_next[j]}"
-        )
-    turn = np.zeros(off.size, dtype=np.int64)
-    turn[owner[gap]] = pos[gap] + 1
+    off = np.flatnonzero(~fits)  # turned one row at a time: only hand-built disks get here
+    slots = _ranges(start[off], degs[off])
+    values, s = neighbors[slots].tolist(), 0  # the turned rows alone, as one Python list
+    for v, k, p, n in zip(*(col[off].tolist() for col in (w, degs, w_prev, w_next))):
+        row = values[s : s + k]
+        gaps = [i for i in range(k) if row[i - 1] == p and row[i] == n]
+        if len(gaps) != 1:
+            raise MalformedDiskError(f"boundary vertex {v}: no outer gap between {p} and {n}")
+        values[s : s + k] = row[gaps[0] :] + row[: gaps[0]]
+        s += k
     rotated = neighbors.copy()
-    rotated[slots] = neighbors[row_start + (pos + turn[owner]) % row_len]
+    rotated[slots] = values
     return rotated
 
 

@@ -10,7 +10,8 @@ mesh.measured_layers, whose count_explicit call also checks every disk
 invariant; a malformed disk fails the disk-invariants check and a census
 contradiction fails census-degrees, and either ends its seed's layers.  Counts
 and boundary profile carry into the next layer's delta and census checks.
-Fault injection corrupts one comparison to prove the harness can fail.
+Fault injection corrupts one comparison to prove the harness can fail; a
+degree where it corrupts nothing fails an ``inject-fault`` check instead.
 """
 
 from __future__ import annotations
@@ -53,15 +54,12 @@ CONVERGENCE_GAP = Fraction(1, 10**12)
 
 class _Tally:
     def __init__(self):
-        self.checks: dict[str, list[int]] = {}
+        self.checks: dict[str, dict[str, int]] = {}  # the report's {"pass", "fail"} entries
         self.violations: list[str] = []
 
     def record(self, name: str, ok: bool, detail: str = ""):
-        slot = self.checks.setdefault(name, [0, 0])
-        if ok:
-            slot[0] += 1
-        else:
-            slot[1] += 1
+        self.checks.setdefault(name, {"pass": 0, "fail": 0})["pass" if ok else "fail"] += 1
+        if not ok:
             self.violations.append(f"{name}: {detail}" if detail else name)
 
 
@@ -187,11 +185,9 @@ def verify_degree(
     for seed_kind in CANONICAL_SEEDS:
         _verify_layers(r, seed_kind, layers, budget, tally, fault)
     _verify_analytics(r, trials, rng_seed, tally, fault)
-    return {
-        "r": r,
-        "checks": {name: {"pass": p, "fail": f} for name, (p, f) in sorted(tally.checks.items())},
-        "violations": tally.violations,
-    }
+    if fault is not None and not tally.violations:  # nothing measured was corrupted
+        tally.record("inject-fault", False, f"r={r}: the {fault} fault corrupted no check")
+    return {"r": r, "checks": dict(sorted(tally.checks.items())), "violations": tally.violations}
 
 
 def run_verification(
@@ -255,22 +251,18 @@ def run_verification(
         raise errors[max(errors)]
     results = [tallies[r] for r in degrees]
 
-    merged: dict[str, dict[str, int]] = {}
-    violations: list[str] = []
+    merged = _Tally()
     for res in results:
         for name, counts in res["checks"].items():
-            slot = merged.setdefault(name, {"pass": 0, "fail": 0})
+            slot = merged.checks.setdefault(name, {"pass": 0, "fail": 0})
             slot["pass"] += counts["pass"]
             slot["fail"] += counts["fail"]
-        violations.extend(res["violations"])
-
-    pv, pe, pf = platonic_counts(3), platonic_counts(4), platonic_counts(5)
-    platonic_ok = (pv, pe, pf) == ((4, 6, 4), (6, 12, 8), (12, 30, 20))
-    merged["platonic"] = {"pass": int(platonic_ok), "fail": int(not platonic_ok)}
-    if not platonic_ok:
-        violations.append("platonic: closed surfaces disagree with the reference counts")
-
-    all_pass = all(c["fail"] == 0 for c in merged.values())
+        merged.violations += res["violations"]
+    merged.record(
+        "platonic",
+        [platonic_counts(r) for r in (3, 4, 5)] == [(4, 6, 4), (6, 12, 8), (12, 30, 20)],
+        "closed surfaces disagree with the reference counts",
+    )
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verify-report",
@@ -282,8 +274,8 @@ def run_verification(
             "rng_seed": rng_seed,
             "fault": fault,
         },
-        "checks": {name: merged[name] for name in sorted(merged)},
+        "checks": dict(sorted(merged.checks.items())),
         "per_degree": results,
-        "violations": violations,
-        "all_pass": all_pass,
+        "violations": merged.violations,
+        "all_pass": not merged.violations,  # each failure records one violation
     }

@@ -535,6 +535,19 @@ def test_verify_fault_injection_fails(capsys, mode):
     assert report["violations"]
 
 
+@pytest.mark.parametrize("argv", [["-n", "0"], ["-n", "6", "--budget", "3"]])
+def test_verify_fails_a_census_fault_that_corrupts_nothing(capsys, argv):
+    # neither run measures face layer 1, the only layer the census fault corrupts
+    code, out, _ = run_cli(
+        capsys, "verify", "-r", "7", *argv, "--trials", "5", "--inject-fault", "census", "--json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["violations"] == ["inject-fault: r=7: the census fault corrupted no check"]
+    assert report["checks"]["inject-fault"] == {"pass": 0, "fail": 1}
+    assert report["all_pass"] is False
+
+
 def _corrupt(grown: mesh.CombinatorialDisk, how: str) -> mesh.CombinatorialDisk:
     if how == "drop":  # vertex 0 forgets one neighbor, which still lists it
         rows = grown.graph.rotations

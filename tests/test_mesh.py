@@ -528,9 +528,23 @@ def test_expand_rejects_a_boundary_without_outer_gap():
         expand(CombinatorialDisk(seed_face(7).graph, 7, (0, 1, 2, 1), 0))
 
 
+def test_expand_names_the_first_row_without_outer_gap_in_boundary_order():
+    disk = expand(seed_face(7))
+    rows, w = disk.graph.rotations, np.roll(disk.boundary, -5).tolist()
+    for v in (w[2], w[-3]):  # reversed, a row of degree 3 or 4 has no (w_prev, w_next) gap
+        rows[v].reverse()
+    assert w[-3] < w[2]  # the boundary starts past w[-3], so id order would name it first
+    broken = CombinatorialDisk(RotationGraph(rows), 7, w, 1)
+    gap = f"between {w[1]} and {w[3]}"
+    with pytest.raises(MalformedDiskError, match=rf"^boundary vertex {w[2]}: no outer gap {gap}$"):
+        expand(broken)
+
+
 @settings(max_examples=40, deadline=None)
-@given(shifts=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6))
-def test_expand_turns_shifted_boundary_rows(shifts):
+@given(
+    shifts=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6), data=st.data()
+)
+def test_expand_turns_shifted_boundary_rows(shifts, data):
     fan = pentagon_fan(8)
     rows = [rot[k % len(rot):] + rot[: k % len(rot)] for rot, k in zip(fan.graph.rotations, shifts)]
     shifted = CombinatorialDisk(RotationGraph(rows), 8, fan.boundary, 0)
@@ -538,6 +552,31 @@ def test_expand_turns_shifted_boundary_rows(shifts):
     assert count_explicit(shifted) == count_explicit(fan)
     assert expand(shifted).graph == expand(fan).graph
     assert shifted.graph.rotations == rows
+
+    grown = grow(seed_face(7), 3)  # every boundary row turned by its own drawn shift
+    rows = grown.graph.rotations
+    for w in grown.boundary.tolist():
+        k = data.draw(st.integers(min_value=0, max_value=len(rows[w]) - 1))
+        rows[w] = rows[w][k:] + rows[w][:k]
+    turned = CombinatorialDisk(RotationGraph(rows), 7, grown.boundary, grown.layer_index)
+    assert expand(turned) == expand(grown)
+
+
+@pytest.mark.parametrize("kind", ["face", "vertex"])
+@pytest.mark.parametrize("r", range(7, 13))
+def test_growth_never_turns_a_row(monkeypatch, r, kind):
+    # every grown layer is gap-last: _gaps_last hands back the very array it was given
+    gaps_last, given_back = mesh._gaps_last, []
+
+    def spy(offsets, neighbors, *rest):
+        turned = gaps_last(offsets, neighbors, *rest)
+        given_back.append(turned is neighbors)
+        return turned
+
+    monkeypatch.setattr(mesh, "_gaps_last", spy)
+    layers = list(measured_layers(r, kind, 4, 20_000))
+    assert given_back == [True] * sum(not m.disk.is_degenerate for m in layers[:-1])
+    assert len(given_back) >= 2
 
 
 def test_expand_turns_a_shifted_row_of_a_grown_disk():
