@@ -79,7 +79,10 @@ def brief(value) -> str:
 
 
 def rational_to_json(q: RationalLike) -> dict[str, str]:
-    """Encode a rational as {"num", "den"} decimal strings, lowest terms."""
+    """Encode a rational as {"num", "den"} decimal strings, lowest terms, with no digit limit."""
     q = Fraction(q)
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    try:
+        return {"num": str(q.numerator), "den": str(q.denominator)}
+    except ValueError:  # past the interpreter's digit limit
+        return {"num": int_to_json(q.numerator), "den": int_to_json(q.denominator)}
 

@@ -731,23 +731,18 @@ def _inspect(disk: CombinatorialDisk) -> tuple[DiskCounts | None, list[Violation
         src = np.repeat(np.arange(nv, dtype=np.int32), np.diff(rows))
         if (src == nbr).any():
             out.append(Violation("loop", f"vertex {src[src == nbr][0]} lists itself"))
-        forward, backward = _packed(src[first], nbr[first]), _packed(nbr[second], src[second])
-        repeated = np.concatenate([  # the tails of the edges listed twice
-            forward[1:][forward[1:] == forward[:-1]] >> 32,
-            backward[1:][backward[1:] == backward[:-1]] & 0xFFFFFFFF,
-        ])
+        keys = np.sort(_packed(src, nbr))
+        repeated = keys[1:][keys[1:] == keys[:-1]] >> 32  # the tails of the edges listed twice
         if repeated.size:
             out.append(
                 Violation("duplicate-neighbor", f"vertex {repeated.min()} repeats a neighbor")
             )
         if not out:
-            slot = np.concatenate([  # the slots with no reverse entry
-                first[~np.isin(forward, backward)], second[~np.isin(backward, forward)]
-            ]).min()
+            slot = np.argmin(np.isin(_packed(nbr, src), keys))  # the first with no reverse entry
             out.append(
                 Violation("symmetry", f"edge ({src[slot]}, {nbr[slot]}) has no reverse entry")
             )
-        del src, forward, backward
+        del src, keys
     del first, second
     clean = not out
 

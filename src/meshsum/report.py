@@ -5,10 +5,12 @@ newline.  Exact counts are decimal strings and rationals are {"num",
 "den"} objects, so a report round-trips byte for byte: parse,
 re-serialize, same bytes.  Reports are written to a stream one list entry
 at a time, in exactly the bytes ``canonical_json`` would give the whole
-dict.  Every predicted layer ``grow`` and ``predict`` print, as JSON or as
-a table, comes from one text stream of ``census_stream`` layers,
-``layer_texts``.  The disk file is ``mesh``'s: ``mesh.disk_json`` writes it.
-Seeds are ``growth``'s: ``CANONICAL_SEEDS`` and ``seed_descriptor_for``.
+dict; the ``%`` templates of the most common entries are ``canonical_json``
+of sample entries, made once at import.  Every predicted layer ``grow``
+and ``predict`` print, as JSON or as a table, comes from one text stream
+of ``census_stream`` layers, ``layer_texts``.  The disk file is
+``mesh``'s: ``mesh.disk_json`` writes it.  Seeds are ``growth``'s:
+``CANONICAL_SEEDS`` and ``seed_descriptor_for``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .exact import int_to_json, rational_to_json
 from .growth import (
     CANONICAL_SEEDS,
     DEFAULT_VERTEX_BUDGET,
-    DiskCounts,
     SeedDescriptor,
     census_stream,
     check_layer_count,
@@ -33,7 +34,7 @@ from .growth import (
 from .summation import euler_formula_check, mesh_invariants, mesh_invariants_from_seed
 
 if TYPE_CHECKING:
-    from .mesh import BoundaryProfile, CombinatorialDisk
+    from .mesh import CombinatorialDisk
 
 SCHEMA_VERSION = "meshsum/1"
 FAULT_MODES = ("census", "invariants")
@@ -44,7 +45,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-_ENTRIES = "@entries@"
+_HOLE = "@"  # a sample value that ``_template`` makes a bare %s
+# A growth record's fields before its layer is measured, and for good if it is not built.
+_UNMEASURED = dict.fromkeys(("explicit", "census", "match", "census_match"))
 
 
 def _write_canonical(out: TextIO, report: dict, key: str, entries: Iterable[str]) -> None:
@@ -58,7 +61,7 @@ def _write_canonical(out: TextIO, report: dict, key: str, entries: Iterable[str]
     if first is None:
         out.write(canonical_json({**report, key: []}))
         return
-    head, tail = canonical_json({**report, key: [_ENTRIES]}).split(f'    "{_ENTRIES}"')
+    head, tail = canonical_json({**report, key: [_HOLE]}).split(f'    "{_HOLE}"')
     out.write(head + first)
     for text in entries:
         out.write(",\n" + text)
@@ -70,12 +73,21 @@ def _entry_json(entry) -> str:
     return "    " + canonical_json(entry)[:-1].replace("\n", "\n    ")
 
 
-def counts_to_json_obj(counts: DiskCounts) -> dict:
-    return {key: int_to_json(getattr(counts, key)) for key in "vefs"}
+def _template(entry) -> str:
+    """``_entry_json`` of a sample entry, each ``_HOLE`` value a bare %s and each "%s" a
+    quoted one: the holes take their values in ``canonical_json``'s sorted key order."""
+    return _entry_json(entry).replace(f'"{_HOLE}"', "%s")
 
 
-def profile_to_json_obj(profile: BoundaryProfile | SeedDescriptor) -> dict:
-    return {"t": int_to_json(profile.t), "d": int_to_json(profile.d)}
+def _ints(obj, fields: str) -> dict:
+    """The integer attributes of ``obj`` named by the letters of ``fields``, as decimal strings."""
+    return {key: int_to_json(getattr(obj, key)) for key in fields}
+
+
+def _rationals(inv) -> dict:
+    """The vM, eM and fM objects of a ``MeshInvariants``."""
+    return {"vM": rational_to_json(inv.v), "eM": rational_to_json(inv.e),
+            "fM": rational_to_json(inv.f)}
 
 
 def growth_report(
@@ -107,13 +119,12 @@ def growth_report(
     if n_analytic > 0:
         check_layer_count(n_analytic)  # before growing anything
     texts = layer_texts(descriptor, n_analytic)  # read only past the base layer
-    base = {"n": None, "cum": counts_to_json_obj(counts_from_boundary(descriptor))}
+    base = {"n": None, "cum": _ints(counts_from_boundary(descriptor), "vefs")}
 
     def record(k: int) -> dict:
         """Layer k's record with what it is checked against, built or not."""
         pred = None if k < base_layer else base if k == base_layer else _prediction(next(texts))
-        return {"layer": k, "explicit": None, "census": None, "predicted": pred,
-                "match": None, "census_match": None}
+        return {"layer": k, "predicted": pred, **_UNMEASURED}
 
     records = []
     all_match = True
@@ -121,12 +132,12 @@ def growth_report(
         k, profile, census = measured.layer, measured.profile, measured.census
         rec = record(k)
         pred = rec["predicted"]
-        counts = counts_to_json_obj(measured.counts)
+        counts = _ints(measured.counts, "vefs")
         rec["explicit"] = dict(counts)
         if profile is not None:
-            rec["explicit"].update(profile_to_json_obj(profile))
+            rec["explicit"].update(_ints(profile, "td"))
         if census is not None:
-            rec["census"] = {"a": int_to_json(census.a), "b": int_to_json(census.b)}
+            rec["census"] = _ints(census, "ab")
         if pred is not None:
             rec["match"] = pred["cum"] == counts
             all_match = all_match and rec["match"]
@@ -176,47 +187,29 @@ def invariants_entry(r: int, seed: SeedDescriptor | None = None) -> dict:
     """Closed-form invariants of degree r; at the seed's degree also the
     seed-routed values and an exact equality flag, ``seed_match``."""
     closed = mesh_invariants(r)
-    entry = {
-        "r": r,
-        "vM": rational_to_json(closed.v),
-        "eM": rational_to_json(closed.e),
-        "fM": rational_to_json(closed.f),
-        "euler_check": euler_formula_check(closed),
-    }
+    entry = {"r": r, **_rationals(closed), "euler_check": euler_formula_check(closed)}
     if seed is not None and seed.r == r:
         via_seed = mesh_invariants_from_seed(seed)
-        entry["seed_descriptor"] = profile_to_json_obj(seed)
-        entry["via_seed"] = {
-            "vM": rational_to_json(via_seed.v),
-            "eM": rational_to_json(via_seed.e),
-            "fM": rational_to_json(via_seed.f),
-        }
+        entry["seed_descriptor"] = _ints(seed, "td")
+        entry["via_seed"] = _rationals(via_seed)
         entry["seed_match"] = via_seed == closed
     return entry
 
 
-# One unseeded "degrees" entry exactly as canonical_json lays it out.
-_INVARIANTS_ENTRY = """\
-    {
-      "eM": %s,
-      "euler_check": %s,
-      "fM": %s,
-      "r": %d,
-      "vM": %s
-    }"""
-
-
-def _rational(q: dict) -> str:
-    return f'{{\n        "den": "{q["den"]}",\n        "num": "{q["num"]}"\n      }}'
+# One unseeded "degrees" entry; its holes in key order: eM's den and num,
+# euler_check, fM's den and num, r, vM's den and num.
+_INVARIANTS_ENTRY = _template({"r": _HOLE, "euler_check": _HOLE,
+                               **dict.fromkeys(("vM", "eM", "fM"), {"num": "%s", "den": "%s"})})
 
 
 def _invariants_json(entry: dict) -> str:
     """An ``invariants_entry`` as ``canonical_json`` lays it out in the list."""
     if "seed_match" in entry:  # the seed's degree: at most once per report
         return _entry_json(entry)
-    eM, fM, vM = (_rational(entry[k]) for k in ("eM", "fM", "vM"))
+    eM, fM, vM = entry["eM"], entry["fM"], entry["vM"]
     euler = "true" if entry["euler_check"] else "false"
-    return _INVARIANTS_ENTRY % (eM, euler, fM, entry["r"], vM)
+    return _INVARIANTS_ENTRY % (eM["den"], eM["num"], euler, fM["den"], fM["num"], entry["r"],
+                                vM["den"], vM["num"])
 
 
 def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: TextIO) -> bool:
@@ -233,35 +226,6 @@ def invariants_report(degrees: Sequence[int], seed: SeedDescriptor | None, out: 
     entries = (_invariants_json(invariants_entry(r, seed)) for r in degrees)
     _write_canonical(out, head, "degrees", entries)
     return all_match
-
-
-# One "layers_predicted" entry exactly as canonical_json lays it out.
-_PREDICTED_LAYER = """\
-    {
-      "a": "%s",
-      "b": "%s",
-      "cum": {
-        "e": "%s",
-        "f": "%s",
-        "s": "%s",
-        "v": "%s"
-      },
-      "de": "%s",
-      "df": "%s",
-      "dv": "%s",
-      "n": %d
-    }"""
-
-
-# One analytic-only "layers" record of a growth report: _PREDICTED_LAYER at record depth.
-_ANALYTIC_RECORD = """\
-    {
-      "census": null,
-      "census_match": null,
-      "explicit": null,
-      "layer": %d,
-      "match": null,
-      "predicted": """ + _PREDICTED_LAYER.lstrip().replace("\n", "\n  ") + "\n    }"
 
 
 def layer_texts(seed: SeedDescriptor, n_layers: int, cumulative: bool = True) -> Iterator[tuple]:
@@ -292,15 +256,21 @@ def _prediction(texts: tuple) -> dict:
             "cum": {"v": v, "e": e, "f": f, "s": s}}
 
 
+# One "layers_predicted" entry; its holes in key order: a, b, cum's e, f, s, v, de, df, dv, n.
+_PREDICTION = _prediction((_HOLE,) + ("%s",) * 9)
+_PREDICTED_LAYER = _template(_PREDICTION)
+# One analytic-only growth record: layer, then _PREDICTED_LAYER's holes.
+_ANALYTIC_RECORD = _template({"layer": _HOLE, "predicted": _PREDICTION, **_UNMEASURED})
+
+
 def prediction_report(seed: SeedDescriptor, n_layers: int, out: TextIO) -> None:
     """Write the pure analytic layer table for an arbitrary valid seed as canonical
     JSON, one layer at a time; ``census_stream`` checks ``n_layers`` first."""
-    profile, base = profile_to_json_obj(seed), counts_to_json_obj(counts_from_boundary(seed))
     head = {
         "schema_version": SCHEMA_VERSION,
         "kind": "prediction-report",
-        "config": {"r": seed.r, "seed": profile, "layers": n_layers},
-        "base": base,
+        "config": {"r": seed.r, "seed": _ints(seed, "td"), "layers": n_layers},
+        "base": _ints(counts_from_boundary(seed), "vefs"),
     }
     entries = (
         _PREDICTED_LAYER % (a, b, e, f, s, v, de, df, dv, n)

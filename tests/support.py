@@ -26,7 +26,7 @@ from meshsum import (
 from meshsum.growth import MIN_DEGREE
 from meshsum.mesh import Violation
 from meshsum.render import CANVAS, LayoutError
-from meshsum.report import SCHEMA_VERSION, canonical_json
+from meshsum.report import SCHEMA_VERSION, canonical_json, invariants_entry
 
 
 def reference_face_lengths(rotations: list[list[int]]) -> list[int]:
@@ -548,6 +548,18 @@ def reference_prediction_json(seed: SeedDescriptor, n: int) -> str:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def reference_invariants_json(degrees, seed: SeedDescriptor | None) -> str:
+    """The invariants report as it was built before it was streamed: the
+    whole report dict of ``invariants_entry`` objects, then ``canonical_json``."""
+    entries = [invariants_entry(r, seed) for r in degrees]
+    return canonical_json({
+        "schema_version": SCHEMA_VERSION,
+        "kind": "invariants-report",
+        "all_match": all(entry.get("seed_match", True) for entry in entries),
+        "degrees": entries,
+    })
 
 
 @st.composite

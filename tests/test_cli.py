@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,15 @@ from hypothesis import strategies as st
 
 from meshsum import SeedDescriptor, cli, counts_from_boundary, mesh, mesh_invariants, report, verify
 from meshsum.cli import main
+from meshsum.exact import int_from_text
 from meshsum.report import canonical_json, growth_report, seed_descriptor_for
-from support import beside_k19, cli_seeds, reference_layers, reference_prediction_json
+from support import (
+    beside_k19,
+    cli_seeds,
+    reference_invariants_json,
+    reference_layers,
+    reference_prediction_json,
+)
 
 
 def run_cli(capsys, *argv):
@@ -829,6 +837,48 @@ def test_streamed_predict_report_matches_the_reference(case, to_file):
         else:
             written = out.getvalue()
     assert written == reference_prediction_json(seed, n)
+
+
+@given(
+    st.integers(min_value=7, max_value=10**60),
+    st.integers(min_value=0, max_value=49),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_sum_json_matches_the_whole_report_dict(lo, width, seeded, data):
+    degrees = range(lo, lo + 1 if seeded else lo + width + 1)
+    argv = ["sum", "-r", f"{lo}:{degrees[-1]}", "--json"]
+    seed = None
+    if seeded:  # --seed takes a single degree
+        text, seed = data.draw(cli_seeds(lo))
+        argv += ["--seed", text]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    assert out.getvalue() == reference_invariants_json(degrees, seed)
+
+
+@needs_digit_limit
+def test_sum_and_grow_write_invariants_past_the_digit_limit(capsys, tmp_path):
+    # r has as many digits as the limit allows, and e_M = -3r/(r - 6), reduced
+    # only by 2, has one more in its numerator
+    text = "7" + "0" * 4299
+    r = int_from_text(text)
+    e_m = Fraction(-3 * r, r - 6)
+    with _int_max_str_digits(4300):
+        code, out, err = run_cli(capsys, "sum", "-r", text, "--json")
+        assert (code, err) == (0, "")
+        assert out == reference_invariants_json([r], None)
+        eM = json.loads(out)["degrees"][0]["eM"]
+        assert Fraction(int_from_text(eM["num"]), int_from_text(eM["den"])) == e_m
+        for argv in (["sum", "-r", text, "--seed", "face"], ["grow", "-r", text, "-n", "0"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            num, den = out.rsplit(" eM=", 1)[1].split(" ", 1)[0].split("/")
+            assert Fraction(int_from_text(num), int_from_text(den)) == e_m, argv
+        path = tmp_path / "f.json"
+        assert run_cli(capsys, "sum", "-r", text, "-o", str(path)) == (0, f"wrote {path}\n", "")
+        assert path.read_text(encoding="utf-8") == reference_invariants_json([r], None)
 
 
 @given(

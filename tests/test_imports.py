@@ -17,7 +17,8 @@ module-level name is read somewhere in the package, so no dead helper
 stays behind.  Only ``growth.CANONICAL_SEEDS`` names a seed: no other
 module holds a seed's name as a string, but for ``--seed``'s default.
 Only ``growth`` states the degree rule: no other module holds the integer
-literal ``MIN_DEGREE``.
+literal ``MIN_DEGREE``.  Only ``report.canonical_json`` lays out JSON: no
+string constant holds a newline, spaces and then a quoted key.
 """
 
 from __future__ import annotations
@@ -310,6 +311,51 @@ def test_the_check_finds_a_thread_context_use():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_uses_the_thread_decimal_context(path):
     assert context_uses(path.read_text(encoding="utf-8")) == [], path
+
+
+def json_layouts(source: str) -> list[str]:
+    """'line: text' for each str constant in a module, docstrings aside and
+    f-string parts included, that lays out JSON by hand: a newline, spaces,
+    then a quoted key.  Bytes do not count."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    found = sorted(
+        (node.lineno, node.col_offset, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings and re.search(r'\n +"', node.value)
+    )
+    return [f"{line}: {text!r}" for line, _, text in found]
+
+
+def test_the_check_finds_a_hand_written_json_layout():
+    source = textwrap.dedent('''\
+        """Module docs:
+          "quoted" words stay."""
+        ENTRY = """\\
+            {
+              "a": %s
+            }"""
+        def f(q):
+            """Function docs:
+              "quoted" words stay."""
+            return f'{{\\n  "den": "{q}"}}' + "\\n  }" + '\\n"k"'
+        DISK = b'{\\n  "r": %d'
+        ''')
+    assert json_layouts(source) == [
+        "3: '    {\\n      \"a\": %s\\n    }'",
+        "10: '{\\n  \"den\": \"'",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_canonical_json_lays_out_json(path):
+    assert json_layouts(path.read_text(encoding="utf-8")) == [], path
 
 
 def _fresh(probe: str, cwd: Path):
