@@ -21,10 +21,10 @@ _MODULE_OF = {
         "summation": "MeshInvariants PoleError RecurrenceSeries UndefinedSumError "
         "euler_formula_check euler_sum euler_sum_by_lemma generating_value mesh_invariants "
         "mesh_invariants_from_seed partial_sum",
-        "mesh": "BoundaryProfile BudgetExceededError CensusContradiction CombinatorialDisk "
-        "ConvexityError MalformedDiskError MeasuredLayer RotationGraph boundary_profile "
-        "count_explicit delta_counts disk_from_json_obj expand grow is_convex layer_census "
-        "measured_layers seed_face seed_vertex validate_disk",
+        "mesh": "BudgetExceededError CensusContradiction CombinatorialDisk ConvexityError "
+        "MalformedDiskError MeasuredLayer RotationGraph boundary_profile count_explicit "
+        "delta_counts disk_from_json_obj expand grow is_convex layer_census measured_layers "
+        "seed_face seed_vertex validate_disk",
         "render": "LayoutError emit_svg layout_disk",
     }.items()
     for name in names.split()

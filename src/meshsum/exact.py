@@ -11,9 +11,9 @@ in their number and refuses past ``sys.get_int_max_str_digits()``, while
 ``str`` of an exponent-0 ``Decimal`` is linear and has no limit (the
 technique of CPython 3.12's ``Lib/_pylong.py``).  ``EXACT`` is used only
 through its own methods, never as the thread's context.  The one census
-loop, ``growth.census_stream``, runs in either ring: ``predict`` and every
+loop, ``growth.census_stream``, runs in it alone: ``predict`` and every
 layer of ``grow``, built or not, read its Decimals, so ``grow`` checks a
-built layer against the digits it prints, while ``verify`` stays ``int``.
+built layer against the digits it prints; ``predict_layers`` makes ints.
 An ``int`` past the digit limit is written, and a seed's integer text
 read, through ``Decimal`` as well.
 

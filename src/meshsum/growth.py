@@ -13,16 +13,15 @@ x_{n+2} = (r-4) x_{n+1} - x_n shared by the v, e, f delta sequences.
 
 ``check_degree`` is the one degree rule, ``convexity_bound`` the one convexity
 bound, ``CANONICAL_SEEDS`` the one seed table, ``seed_descriptor_for`` the one
-seed parser and ``census_stream`` the one census loop, in ``int`` or exact
-``Decimal``: ``predict_layers`` reads it as ints, and ``report.layer_texts``
-turns its ``Decimal`` layers into the one text stream every report and table
-writes.  ``census_step``, ``deltas_from_census`` and ``second_order_step``
-are the textbook steps, the independent route it is checked against.
+seed parser and ``census_stream`` the one census loop, in exact ``Decimal``:
+``predict_layers`` turns its layers into ints and ``report.layer_texts`` into
+the one text stream every report and table writes.  ``census_step``,
+``deltas_from_census`` and ``second_order_step`` are the textbook steps, the
+independent route it is checked against.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -196,28 +195,22 @@ def check_layer_count(n_max: int) -> None:
         raise ValueError(f"n_max must be in [1, {MAX_PREDICT_LAYERS}], got {n_max}")
 
 
-# Each ring's (add, multiply).  Decimal arithmetic goes through EXACT's
-# methods, so it neither reads nor changes the thread's context.
-_RING_OPS = {int: (operator.add, operator.mul), Decimal: (EXACT.add, EXACT.multiply)}
-
-
-def census_stream(seed: SeedDescriptor, n_max: int, ring: type = int) -> Iterator[tuple]:
+def census_stream(seed: SeedDescriptor, n_max: int) -> Iterator[tuple]:
     """The one census loop: layers 1..n_max of repeated expansion from
-    ``seed`` as plain tuples ``(n, a, b, dv, de, df, v, e, f)``, every value
-    of type ``ring``, ``int`` or ``Decimal`` (for linear-time decimal
-    output; a ``Decimal`` that would round raises instead).
+    ``seed`` as plain tuples ``(n, a, b, dv, de, df, v, e, f)``, every count
+    an exact ``Decimal`` (for linear-time decimal output; a ``Decimal`` that
+    would round raises instead).  The arithmetic goes through ``EXACT``'s
+    methods, so it neither reads nor changes the thread's context.
 
     Per layer: dv = a + b, df = dv + b, de = dv + df, the cumulative counts
     grow by them, and the next census is (a + (r-6) dv, dv).  So
     b_{n+1} = dv_n, and the interior count s_n = v_n - dv_n is v_{n-1}.
     """
     check_layer_count(n_max)
-    if ring not in _RING_OPS:
-        raise TypeError(f"ring must be int or Decimal, got {ring!r}")
-    add, mul = _RING_OPS[ring]
+    add, mul = EXACT.add, EXACT.multiply
     base, first = counts_from_boundary(seed), initial_census(seed)
-    v, e, f = ring(base.v), ring(base.e), ring(base.f)
-    a, b, k = ring(first.a), ring(first.b), ring(seed.r - 6)
+    v, e, f = Decimal(base.v), Decimal(base.e), Decimal(base.f)
+    a, b, k = Decimal(first.a), Decimal(first.b), Decimal(seed.r - 6)
     for n in range(1, n_max + 1):
         dv = add(a, b)
         df = add(dv, b)
@@ -229,9 +222,10 @@ def census_stream(seed: SeedDescriptor, n_max: int, ring: type = int) -> Iterato
 
 def predict_layers(seed: SeedDescriptor, n_max: int) -> list[LayerPrediction]:
     """Predict layers 1..n_max of repeated expansion from ``seed``, as ints."""
+    layers = (map(int, layer) for layer in census_stream(seed, n_max))
     return [
         LayerPrediction(n, LayerCensus(a, b), DeltaCounts(dv, de, df), DiskCounts(v, e, f, v - dv))
-        for n, a, b, dv, de, df, v, e, f in census_stream(seed, n_max)
+        for n, a, b, dv, de, df, v, e, f in layers
     ]
 
 

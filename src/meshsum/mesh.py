@@ -36,8 +36,8 @@ gap sits elsewhere is rotated into this form first, which leaves the
 rotation system unchanged.
 
 The one layer pipeline is ``measured_layers``: it expands a canonical seed
-under the vertex budget and yields each layer with its counts, boundary
-profile and census.  The grow and verify commands only compare and record.
+under the vertex budget and yields each layer with its counts, profile (a
+``growth.SeedDescriptor``) and census.  Grow and verify only compare and record.
 
 Face counts are measured, never assumed: faces are orbits of the
 next-edge permutation next(u -> v) = (v, predecessor of u in the rotation
@@ -64,7 +64,7 @@ import numpy as np
 
 from .exact import brief
 from .growth import CANONICAL_SEEDS, DEFAULT_VERTEX_BUDGET, DeltaCounts, DiskCounts, LayerCensus
-from .growth import check_degree, convexity_bound
+from .growth import SeedDescriptor, check_degree, convexity_bound
 from .textcells import int_cells, row, text
 
 # Ids and slot numbers are int32; a vertex has 2 slots or more, so ids stay below 2^30.
@@ -237,14 +237,6 @@ class CombinatorialDisk:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """Boundary length t and total boundary degree d = sum of deg(w_j)."""
-
-    t: int
-    d: int
-
-
 def _seed_disk(r: int, rows, boundary, *_) -> CombinatorialDisk:
     check_degree(r)
     return CombinatorialDisk(RotationGraph(rows), r, boundary, 0)
@@ -292,11 +284,13 @@ def is_convex(disk: CombinatorialDisk) -> bool:
     return bool((disk._boundary_degrees <= bound).all())
 
 
-def boundary_profile(disk: CombinatorialDisk) -> BoundaryProfile:
-    """Boundary length and degree sum, in boundary order."""
+def boundary_profile(disk: CombinatorialDisk) -> SeedDescriptor:
+    """``SeedDescriptor(r, t, d)``: the boundary length t and degree sum d.  Every
+    disk validate_disk accepts has one; for any other, it may raise InvalidSeedError."""
     if disk.is_degenerate:
         raise ValueError("degenerate disk has no boundary profile")
-    return BoundaryProfile(len(disk.boundary), int(disk._boundary_degrees.sum()))
+    degrees = disk._boundary_degrees
+    return SeedDescriptor(disk.ambient_degree, degrees.size, int(degrees.sum()))
 
 
 def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> CombinatorialDisk:
@@ -431,18 +425,13 @@ def grow(
     return disk
 
 
-def layer_census(prev: CombinatorialDisk, new: CombinatorialDisk) -> LayerCensus:
-    """Count degree-3 and degree-4 vertices on the new boundary.
+def layer_census(disk: CombinatorialDisk) -> LayerCensus:
+    """Count degree-3 and degree-4 vertices on the boundary of an expanded disk.
 
-    ``new`` must be expand(prev).  Any other boundary degree means the
-    construction contradicts the two-kinds classification and raises
-    CensusContradiction.
+    Any other boundary degree means the construction contradicts the
+    two-kinds classification and raises CensusContradiction.
     """
-    if new.layer_index != prev.layer_index + 1 or new.graph.vertex_count - len(
-        new.boundary
-    ) != prev.graph.vertex_count:
-        raise ValueError("census requires consecutive disks of one expansion")
-    w, degs = new.boundary, new._boundary_degrees
+    w, degs = disk.boundary, disk._boundary_degrees
     odd = np.flatnonzero((degs != 3) & (degs != 4))
     if odd.size:
         j = odd[0]
@@ -487,7 +476,7 @@ class MeasuredLayer:
     layer: int
     disk: CombinatorialDisk
     counts: DiskCounts
-    profile: BoundaryProfile | None
+    profile: SeedDescriptor | None
     census: LayerCensus | None
 
 
@@ -499,22 +488,20 @@ def measured_layers(
     Stops quietly before the first expansion past ``budget``.  A layer that
     fails measurement (or runs out of memory) re-raises its MalformedDiskError
     or CensusContradiction (or a MemoryError) with "r=<r> seed=<kind> layer=<k>: " in front.
-    Only the current disk and its predecessor are kept alive.
+    Only the current disk is kept here; a caller that holds the last layer keeps its disk.
     """
     if seed_kind not in CANONICAL_SEEDS:
         names = " and ".join(CANONICAL_SEEDS)
         raise ValueError(f"only the canonical seeds {names} can grow, got {brief(seed_kind)}")
     disk = _seed_disk(r, *CANONICAL_SEEDS[seed_kind])
-    prev = None
     for layer in range(n_layers + 1):
         where = f"r={r} seed={seed_kind} layer={layer}"
         try:
             if layer:
-                prev = disk  # drop the older disk before building the next one
-                disk = expand(prev, budget)
+                disk = expand(disk, budget)
             counts = count_explicit(disk)
             profile = None if disk.is_degenerate else boundary_profile(disk)
-            census = None if prev is None else layer_census(prev, disk)
+            census = layer_census(disk) if layer else None
         except BudgetExceededError:
             return
         except (MalformedDiskError, CensusContradiction) as exc:
@@ -838,35 +825,32 @@ _DISK_MIDDLE = re.compile(re.escape(_MIDDLE).replace(b"%d", rb"(0|-?[1-9][0-9]{0
 
 
 def _write_int_list(out: io.BytesIO, ids, indent: int, offsets=None) -> None:
-    """Write canonical JSON of the int32 array ``ids`` with its items at ``indent``:
-    one list or, cut into rows at CSR ``offsets``, the list of those rows, a run of
-    whole rows of about _CHUNK slots at a time."""
+    """Write canonical JSON of the int32 array ``ids``, not empty, with its items at
+    ``indent``: one list or, cut into rows at CSR ``offsets`` with none empty, the list
+    of those rows, a run of whole rows of about _CHUNK slots at a time."""
     bounds = np.asarray([0, ids.size] if offsets is None else offsets)
-    if bounds.size == 1:
-        out.write(b"[]")
-        return
     item, close, outer = (b"\n" + b" " * k for k in (indent, indent - 2, indent - 4))
-    empty = bounds[1:] == bounds[:-1]
     out.write(b"" if offsets is None else b"[" + close)
-    cuts = np.searchsorted(bounds, range(0, max(bounds[-1], 1), _CHUNK)).tolist() + [empty.size]
-    for lo, hi in zip(cuts, cuts[1:]):
-        part, run_empty = bounds[lo : hi + 1], empty[lo:hi]
-        counts = np.maximum(np.diff(part), 1)  # an empty row is one cell: "["
-        first = np.cumsum(counts) - counts
-        cells = row(counts.sum(), bytes(1), b"," + item,  # a lead byte, ",item", the digits
-                    int_cells(np.insert(ids[part[0] : part[-1]], part[:-1][run_empty] - part[0], 0)))
+    for lo, hi in _row_spans(bounds):
+        part = bounds[lo : hi + 1]
+        first = part[:-1] - part[0]
+        cells = row(part[-1] - part[0], bytes(1), b"," + item,  # a lead byte, ",item", the digits
+                    int_cells(ids[part[0] : part[-1]]))
         cells[first, 1] = ord("[")
-        cells[first[run_empty], 2:] = 0
-        # a row's lead byte closes the row before it: ";" after items, ":" after "["
-        before = empty[max(lo - 1, 0) : hi - 1]
-        cells[first[first.size - before.size :], 0] = np.where(before, ord(":"), ord(";"))
-        out.write(text(cells).replace(b";", close + b"]," + close).replace(b":", b"]," + close))
-    out.write(b"]" if empty[-1] else close + b"]")
+        cells[first[lo == 0 :], 0] = ord(";")  # closes the row before: none before the first
+        out.write(text(cells).replace(b";", close + b"]," + close))
+    out.write(close + b"]")
     out.write(b"" if offsets is None else outer + b"]")
 
 
 def disk_json(disk: CombinatorialDisk) -> bytes:
-    """The disk file: ``report.canonical_json`` of the portable form, straight from the arrays."""
+    """The disk file: ``report.canonical_json`` of the portable form, straight from the
+    arrays for a disk with a boundary and no empty row, as every grown disk is."""
+    if not (disk.boundary.size and disk.graph.neighbors.size and np.diff(disk.graph.offsets).all()):
+        from .report import canonical_json
+        portable = {"r": disk.ambient_degree, "layer": disk.layer_index,
+                    "boundary": disk.boundary.tolist(), "rotation": disk.graph.rotations}
+        return canonical_json(portable).encode()
     head, middle, tail = _DISK.split(b"%s")
     out = io.BytesIO()
     out.write(head)

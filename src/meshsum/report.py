@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from decimal import Decimal
 from itertools import chain
 from typing import TYPE_CHECKING, TextIO
 
@@ -237,7 +236,7 @@ def layer_texts(seed: SeedDescriptor, n_layers: int, cumulative: bool = True) ->
     v, e and f are never converted."""
     s_text = int_to_json(counts_from_boundary(seed).v) if cumulative else None
     b_text = int_to_json(seed.t)
-    for n, a, _, dv, de, df, v, e, f in census_stream(seed, n_layers, Decimal):
+    for n, a, _, dv, de, df, v, e, f in census_stream(seed, n_layers):
         if cumulative:
             v_text, dv_text = int_to_json(v), int_to_json(dv)
             yield (n, int_to_json(a), b_text, dv_text, int_to_json(de), int_to_json(df),

@@ -26,7 +26,6 @@ from . import exact, mesh
 from .growth import (
     CANONICAL_SEEDS,
     MIN_DEGREE,
-    SeedDescriptor,
     census_step,
     counts_from_boundary,
     deltas_from_census,
@@ -77,14 +76,13 @@ def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tal
             if profile is None:
                 continue
 
-            descriptor = SeedDescriptor(r, profile.t, profile.d)
             for name, ok, detail in (
                 ("handshake", profile.d + r * counts.s == 2 * counts.e, "d + r*s != 2e"),
                 ("triangulation", 3 * counts.f + profile.t == 2 * counts.e, "3f + t != 2e"),
                 ("convexity", mesh.is_convex(measured.disk), "boundary degree too high"),
-                ("closed-form-counts", counts_from_boundary(descriptor) == counts,
+                ("closed-form-counts", counts_from_boundary(profile) == counts,
                  "boundary profile does not reproduce measured counts"),
-                ("seed-independence", mesh_invariants_from_seed(descriptor) == closed_inv,
+                ("seed-independence", mesh_invariants_from_seed(profile) == closed_inv,
                  "invariants depend on the seed profile"),
             ):
                 tally.record(name, ok, f"{tag}: {detail}")
@@ -99,7 +97,7 @@ def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tal
             )
             if prev_profile is None:
                 continue
-            expected = initial_census(SeedDescriptor(r, prev_profile.t, prev_profile.d))
+            expected = initial_census(prev_profile)
             a = census.a + (1 if fault == "census" and measured.layer == 1 else 0)
             tally.record(
                 "census-formulas",

@@ -68,7 +68,7 @@ def sweep():
                 contradiction = False
                 if prev is not None:
                     try:
-                        census = layer_census(prev, disk)
+                        census = layer_census(disk)
                     except Exception:
                         contradiction = True
                 layers.append(

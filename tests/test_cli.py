@@ -596,10 +596,10 @@ def _fail_face_layer_2(monkeypatch, how: str) -> None:
     contradiction, or a disk corrupted as ``_corrupt`` does it."""
     census, expand = mesh.layer_census, mesh.expand
 
-    def contradicting_census(prev, new):
-        if (new.ambient_degree, new.layer_index, len(prev.boundary)) == (7, 2, 12):
+    def contradicting_census(disk):  # the vertex seed's layer 2 has 21 boundary vertices
+        if (disk.ambient_degree, disk.layer_index, len(disk.boundary)) == (7, 2, 33):
             raise mesh.CensusContradiction(CONTRADICTION)
-        return census(prev, new)
+        return census(disk)
 
     def corrupting_expand(disk, budget=mesh.DEFAULT_VERTEX_BUDGET):
         grown = expand(disk, budget)

@@ -67,7 +67,7 @@ def test_exact_context_raises_instead_of_rounding():
 def test_exact_predictions_equal_predict_layers_and_leave_the_context_alone(seed, n):
     caller = decimal.getcontext()
     layers = []
-    for layer in census_stream(seed, n, Decimal):
+    for layer in census_stream(seed, n):
         assert decimal.getcontext() is caller  # no context leaks out of the generator
         layers.append(layer)
     for exact, reference in zip(layers, predict_layers(seed, n), strict=True):

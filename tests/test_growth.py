@@ -141,9 +141,9 @@ def test_predictions_match_explicit_growth():
         disk = seed_face(r)
         preds = predict_layers(SeedDescriptor(r, 3, 6), 3)
         for p in preds:
-            prev, disk = disk, expand(disk)
+            disk = expand(disk)
             assert count_explicit(disk) == p.cumulative
-            assert layer_census(prev, disk) == p.census
+            assert layer_census(disk) == p.census
 
 
 def test_vertex_seed_enters_analytics_at_the_fan():
@@ -214,37 +214,30 @@ def test_boundary_profiles_of_grown_disks_are_valid_seeds():
     for r in (7, 8, 9, 12):
         disk = grow(seed_face(r), 2)
         profile = boundary_profile(disk)
-        descriptor = SeedDescriptor(r, profile.t, profile.d)
-        assert counts_from_boundary(descriptor) == count_explicit(disk)
-
-
-def _profile_seed(disk) -> SeedDescriptor:
-    profile = boundary_profile(disk)
-    return SeedDescriptor(disk.ambient_degree, profile.t, profile.d)
+        assert profile.r == r
+        assert counts_from_boundary(profile) == count_explicit(disk)
 
 
 @settings(max_examples=60, deadline=None)
 @given(disk=convex_disks())
 def test_the_oracle_counts_random_convex_disks_as_their_profile_predicts(disk):
     assert validate_disk(disk) == [] and is_convex(disk)
-    assert count_explicit(disk) == counts_from_boundary(_profile_seed(disk))
+    assert count_explicit(disk) == counts_from_boundary(boundary_profile(disk))
 
 
 @settings(max_examples=40, deadline=None)
 @given(disk=convex_disks())
 def test_random_convex_disks_grow_as_predicted(disk):
-    prev = disk
-    for layer in predict_layers(_profile_seed(disk), 2):
-        grown = expand(prev)
-        assert count_explicit(grown) == layer.cumulative
-        assert layer_census(prev, grown) == layer.census
-        prev = grown
+    for layer in predict_layers(boundary_profile(disk), 2):
+        disk = expand(disk)
+        assert count_explicit(disk) == layer.cumulative
+        assert layer_census(disk) == layer.census
 
 
 @settings(max_examples=60, deadline=None)
 @given(disk=convex_disks())
 def test_random_convex_disks_sum_to_the_mesh_invariants(disk):
-    assert mesh_invariants_from_seed(_profile_seed(disk)) == mesh_invariants(disk.ambient_degree)
+    assert mesh_invariants_from_seed(boundary_profile(disk)) == mesh_invariants(disk.ambient_degree)
 
 
 def _rows(layers) -> list[tuple]:
@@ -259,10 +252,9 @@ def _rows(layers) -> list[tuple]:
 @settings(max_examples=60)
 def test_both_rings_of_the_stream_equal_the_textbook_loop(seed, n):
     want = reference_layers(seed, n)
-    for ring in (int, Decimal):
-        rows = list(census_stream(seed, n, ring))
-        assert all(type(x) is ring for row in rows for x in row[1:])
-        assert rows == [row[:9] for row in want]  # an int and a Decimal compare exactly
+    rows = list(census_stream(seed, n))
+    assert all(type(x) is Decimal for row in rows for x in row[1:])
+    assert rows == [row[:9] for row in want]  # an int and a Decimal compare exactly
     rows = _rows(predict_layers(seed, n))
     assert all(type(x) is int for row in rows for x in row[1:])
     assert rows == want
@@ -273,7 +265,7 @@ def test_both_rings_of_the_stream_equal_the_textbook_loop(seed, n):
 def test_the_stream_has_the_identities_its_writers_reuse(seed, n):
     # s_n = v_{n-1} and b_{n+1} = dv_n, from s_1 = v_0 (the base) and b_1 = t
     v_prev, b_next = counts_from_boundary(seed).v, seed.t
-    layers = zip(census_stream(seed, n, Decimal), predict_layers(seed, n), strict=True)
+    layers = zip(census_stream(seed, n), predict_layers(seed, n), strict=True)
     for (_, _, b, dv, _, _, v, _, _), p in layers:
         assert b == b_next and p.cumulative.s == v_prev
         v_prev, b_next = v, dv
@@ -283,13 +275,8 @@ def test_the_stream_has_the_identities_its_writers_reuse(seed, n):
 @settings(max_examples=60)
 def test_a_decimal_stream_ignores_a_coarse_caller_context(seed, n):
     with decimal.localcontext(decimal.Context(prec=3, traps=[])) as caller:
-        rows = list(census_stream(seed, n, Decimal))
+        rows = list(census_stream(seed, n))
         assert decimal.getcontext() is caller
         assert caller.prec == 3
         assert not any(caller.flags.values()) and not any(caller.traps.values())
     assert rows == [row[:9] for row in reference_layers(seed, n)]
-
-
-def test_the_stream_takes_only_int_or_decimal():
-    with pytest.raises(TypeError, match="ring must be int or Decimal"):
-        next(census_stream(SeedDescriptor(7, 3, 6), 2, float))

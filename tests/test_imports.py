@@ -358,6 +358,178 @@ def test_only_canonical_json_lays_out_json(path):
     assert json_layouts(path.read_text(encoding="utf-8")) == [], path
 
 
+def _unannotated(node: ast.AST):
+    """``ast.walk`` of ``node`` without annotations, which ``from __future__
+    import annotations`` never evaluates."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _unannotated(child)
+
+
+def call_graph(sources: dict[str, str]) -> tuple[dict[str, set[str]], set[str]]:
+    """The package's call graph from its modules' sources (module name to
+    source), and the nodes that are functions or methods.
+
+    A node is a top-level function, class or assigned name, "module.name",
+    or a method, "module.Class.name"; it maps to the nodes it reads.  A
+    name resolves within its module or through a relative import; ``m.name``
+    through a module ``m`` imported from the package; any other ``.name``
+    to every method of that name, as the walk cannot know an object's
+    type.  A class reads its bases and its ``__init__`` and
+    ``__post_init__``; its other methods are read by name."""
+    bodies, imported, methods = {}, {}, {}
+    for module, source in sources.items():
+        names = imported[module] = {}
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    names[alias.asname or alias.name] = ".".join(
+                        filter(None, [node.module, alias.name]))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies[f"{module}.{node.name}"] = node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef):
+                        bodies[f"{module}.{node.name}.{item.name}"] = item
+                        methods.setdefault(item.name, []).append(f"{module}.{node.name}.{item.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            bodies[f"{module}.{name.id}"] = node.value
+    graph = {}
+    for node_name, body in bodies.items():
+        module = node_name.partition(".")[0]
+        reads = graph[node_name] = set()
+        parts = [body]
+        if isinstance(body, ast.ClassDef):
+            reads.update(f"{node_name}.{m}" for m in ("__init__", "__post_init__"))
+            parts = [*body.bases, *body.decorator_list,
+                     *(item for item in body.body if not isinstance(item, ast.FunctionDef))]
+        for sub in (sub for part in parts for sub in _unannotated(part)):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                local = f"{module}.{sub.id}"
+                reads.add(local if local in bodies else imported[module].get(sub.id, ""))
+            elif isinstance(sub, ast.Attribute):
+                owner = imported[module].get(getattr(sub.value, "id", None))
+                if owner in sources:
+                    reads.add(f"{owner}.{sub.attr}")
+                else:
+                    reads.update(methods.get(sub.attr, ()))
+        reads.intersection_update(bodies)
+    return graph, {name for name, body in bodies.items() if isinstance(body, ast.FunctionDef)}
+
+
+def _reach(graph: dict[str, set[str]], roots) -> set[str]:
+    """The nodes of ``graph`` that ``roots`` reach, the roots included."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += graph.get(name, ())
+    return seen
+
+
+# count_explicit and validate_disk are the oracle that expand and the closed forms
+# are checked against: their pass never reaches the growth pipeline, and it takes
+# from growth only the degree rule, the convexity bound and the count type.
+ORACLE_ROOTS = ("mesh.count_explicit", "mesh.validate_disk")
+NOT_IN_THE_ORACLE = ("expand", "_gaps_last", "grow", "layer_census", "measured_layers",
+                     "_require_room")
+ORACLE_TAKES = {"growth": {"check_degree", "convexity_bound", "DiskCounts"},
+                "summation": set(), "report": set()}
+# The private helpers the pass shares with expand, and why a bug in each cannot hide.
+SHARED_WITH_EXPAND = {
+    "mesh._ranges": "only rows off the gap-last form reach it, on either side: a row "
+    "that _gaps_last turns or whose first entry _outer_slots misses; no grown disk has "
+    "one (test_growth_never_turns_a_row), and on hand-built disks with turned rows "
+    "expand is held to support.reference_expand and the pass to support.reference_inspect, "
+    "neither of which calls it",
+    "mesh._require_simple_cycle": "it only refuses: a wrong refusal fails every grown "
+    "layer, and test_a_pinched_boundary_is_not_a_simple_cycle and "
+    "test_a_lone_edge_in_one_half_breaks_symmetry pin its verdicts by hand, as "
+    "support.reference_inspect calls it too",
+    "mesh.CombinatorialDisk._boundary_degrees": "expand fills the cache and a later "
+    "pass over the same disk reads it, read-only; a wrong degree fails verify's "
+    "closed-form-counts check, which sums it into d and compares the closed forms "
+    "with the pass's counts, taken from slot totals alone, and "
+    "support.reference_inspect recomputes it",
+}
+
+
+def oracle_problems(sources: dict[str, str]) -> list[str]:
+    """What breaks the oracle's independence in the package's sources: a
+    node of the pipeline that the pass reaches, a name it takes from
+    ``growth``, ``summation`` or ``report`` beyond ``ORACLE_TAKES``, and a
+    private helper it shares with ``expand`` but for ``SHARED_WITH_EXPAND``
+    (or one listed there that it no longer shares)."""
+    graph, functions = call_graph(sources)
+    oracle = _reach(graph, ORACLE_ROOTS)
+    problems = [f"reaches mesh.{name}" for name in NOT_IN_THE_ORACLE if f"mesh.{name}" in oracle]
+    for node in sorted(oracle):
+        for target in sorted(graph[node]):
+            module, _, name = target.partition(".")
+            if module != node.partition(".")[0] and name not in ORACLE_TAKES.get(module, {name}):
+                problems.append(f"{node} takes {target}")
+    shared = {
+        name for name in oracle & _reach(graph, ["mesh.expand"]) & functions
+        if name.rpartition(".")[2].startswith("_") and not name.endswith("__")
+    }
+    problems += [f"shares {name} with expand" for name in sorted(shared - SHARED_WITH_EXPAND.keys())]
+    problems += [f"no longer shares {name}" for name in sorted(SHARED_WITH_EXPAND.keys() - shared)]
+    return problems
+
+
+def test_the_check_finds_a_pass_that_leans_on_the_pipeline():
+    mesh_source = textwrap.dedent('''\
+        from .growth import DiskCounts, SeedDescriptor, check_degree
+        from . import summation
+        class Disk:
+            def __init__(self):
+                self.rows = _copy()
+            @property
+            def _degrees(self):
+                return 3
+        def _copy():
+            return []
+        def _ranges(n: SeedDescriptor) -> Disk:
+            return n
+        def _measure(disk):
+            check_degree(7)
+            return DiskCounts(disk._degrees, _ranges(1), summation.euler_sum(), SeedDescriptor)
+        def count_explicit(disk):
+            return _measure(disk)
+        def validate_disk(disk):
+            return layer_census(disk)
+        def layer_census(disk):
+            return disk
+        def expand(disk):
+            return Disk(), disk._degrees, _ranges(2)
+        ''')
+    growth_source = "class DiskCounts:\n    pass\nclass SeedDescriptor:\n    pass\n"
+    growth_source += "def check_degree(r):\n    return r\n"
+    sources = {"mesh": mesh_source, "growth": growth_source,
+               "summation": "def euler_sum():\n    return 0\n"}
+    # annotations read nothing: _ranges reaches neither Disk nor _copy
+    assert oracle_problems(sources) == [
+        "reaches mesh.layer_census",
+        "mesh._measure takes growth.SeedDescriptor",
+        "mesh._measure takes summation.euler_sum",
+        "shares mesh.Disk._degrees with expand",
+        "no longer shares mesh.CombinatorialDisk._boundary_degrees",
+        "no longer shares mesh._require_simple_cycle",
+    ]
+
+
+def test_the_oracle_stays_independent_of_the_pipeline_and_the_closed_forms():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert oracle_problems(sources) == []
+
+
 def _fresh(probe: str, cwd: Path):
     """The literal that a fresh interpreter running ``probe`` prints last."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
@@ -421,7 +593,7 @@ def test_every_public_name_resolves():
 # The library's public API, ``meshsum.__all__``: "__version__", then every
 # public name in sorted order.  Changing it changes the API.
 PUBLIC_NAMES = [
-    "__version__", "BoundaryProfile", "BudgetExceededError", "CensusContradiction",
+    "__version__", "BudgetExceededError", "CensusContradiction",
     "CombinatorialDisk", "ConvexityError", "DeltaCounts", "DiskCounts", "InvalidSeedError",
     "LayerCensus", "LayerPrediction", "LayoutError", "MalformedDiskError", "MeasuredLayer",
     "MeshInvariants", "PoleError", "RecurrenceSeries", "RotationGraph", "SeedDescriptor",

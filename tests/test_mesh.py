@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 
 from meshsum import mesh
 from meshsum import (
-    BoundaryProfile,
     BudgetExceededError,
     CensusContradiction,
     CombinatorialDisk,
     ConvexityError,
     DeltaCounts,
     DiskCounts,
+    InvalidSeedError,
     LayerCensus,
     MalformedDiskError,
     RotationGraph,
+    SeedDescriptor,
     boundary_profile,
     convexity_bound,
     count_explicit,
@@ -50,7 +51,7 @@ from support import (
 def test_seed_face_shape():
     disk = seed_face(7)
     assert count_explicit(disk) == DiskCounts(3, 3, 1, 0)
-    assert boundary_profile(disk) == BoundaryProfile(3, 6)
+    assert boundary_profile(disk) == SeedDescriptor(7, 3, 6)
     assert is_convex(disk)
     assert validate_disk(disk) == []
 
@@ -83,7 +84,7 @@ def test_first_expansion_of_vertex_is_full_fan(r):
     fan = expand(seed_vertex(r))
     assert count_explicit(fan) == DiskCounts(1 + r, 2 * r, r, 1)
     profile = boundary_profile(fan)
-    assert profile == BoundaryProfile(r, 3 * r)
+    assert profile == SeedDescriptor(r, r, 3 * r)
     assert validate_disk(fan) == []
     assert fan.layer_index == 1
 
@@ -92,7 +93,7 @@ def test_single_expansion_of_face_seed():
     disk = seed_face(7)
     grown = expand(disk)
     assert count_explicit(grown) == DiskCounts(15, 30, 16, 3)
-    assert layer_census(disk, grown) == LayerCensus(9, 3)
+    assert layer_census(grown) == LayerCensus(9, 3)
     assert delta_counts(count_explicit(disk), count_explicit(grown)) == DeltaCounts(12, 27, 15)
     assert boundary_profile(grown).t == 12
     assert validate_disk(grown) == []
@@ -101,7 +102,7 @@ def test_single_expansion_of_face_seed():
 def test_double_expansion_face_seed_frozen_counts():
     d2 = grow(seed_face(7), 2)
     assert count_explicit(d2) == DiskCounts(48, 108, 61, 15)
-    assert layer_census(grow(seed_face(7), 1), d2) == LayerCensus(21, 12)
+    assert layer_census(d2) == LayerCensus(21, 12)
 
 
 def test_double_expansion_vertex_seed():
@@ -110,7 +111,7 @@ def test_double_expansion_vertex_seed():
     counts = count_explicit(d2)
     assert counts == DiskCounts(29, 63, 35, 8)
     assert counts.v - counts.e + counts.f == 1
-    assert layer_census(fan, d2) == LayerCensus(14, 7)
+    assert layer_census(d2) == LayerCensus(14, 7)
 
 
 def test_expand_is_pure():
@@ -164,14 +165,16 @@ def test_census_contradiction_detected():
     rotations[3].extend([8, 9])  # boundary vertex forced to degree 5
     doctored = CombinatorialDisk(RotationGraph(rotations), 7, grown.boundary, 1)
     with pytest.raises(CensusContradiction):
-        layer_census(disk, doctored)
+        layer_census(doctored)
 
 
-def test_layer_census_requires_consecutive_disks():
-    disk = seed_face(7)
-    d2 = grow(disk, 2)
-    with pytest.raises(ValueError):
-        layer_census(disk, d2)
+def test_a_profile_that_no_convex_disk_has_is_refused():
+    # a square is no triangulation: at r = 9, (r - 6) v = t r - 2 t - d - 6 = 14
+    square = CombinatorialDisk(RotationGraph([[1, 3], [2, 0], [3, 1], [0, 2]]), 9, (0, 1, 2, 3), 0)
+    assert [v.kind for v in validate_disk(square)] == ["face-structure"]
+    with pytest.raises(InvalidSeedError, match="count v is not integral"):
+        boundary_profile(square)
+    assert boundary_profile(pentagon_fan(8)) == SeedDescriptor(8, 6, 18)
 
 
 def test_face_tracer_agrees_with_reference():
@@ -439,7 +442,7 @@ def test_a_disk_reads_its_boundary_degrees_once():
     count_explicit(disk)
     degs = disk._boundary_degrees
     assert not degs.flags.writeable
-    assert boundary_profile(disk) == BoundaryProfile(degs.size, int(degs.sum()))
+    assert boundary_profile(disk) == SeedDescriptor(7, degs.size, int(degs.sum()))
     assert disk._boundary_degrees is degs
 
 
@@ -505,6 +508,21 @@ def test_a_lone_edge_in_one_half_breaks_symmetry():
         ("symmetry", "edge (0, 1) has no reverse entry"),
         ("boundary-cycle", "boundary is not a simple cycle"),
     ]
+
+
+def test_a_pinched_boundary_is_not_a_simple_cycle():
+    # two triangles that share vertex 0, which the boundary walk visits twice; the
+    # rows are symmetric, so only the simple-cycle rule refuses it, and the
+    # references share that rule, so the verdict is pinned here by hand
+    rows = [[1, 2, 3, 4], [2, 0], [0, 1], [4, 0], [0, 3]]
+    disk = CombinatorialDisk(RotationGraph(rows), 7, (0, 1, 2, 0, 3, 4), 0)
+    assert [(v.kind, v.detail) for v in validate_disk(disk)] == [
+        ("boundary-cycle", "boundary is not a simple cycle"),
+    ]
+    with pytest.raises(MalformedDiskError, match="^boundary-cycle: boundary is not a simple"):
+        count_explicit(disk)
+    with pytest.raises(MalformedDiskError, match="^boundary is not a simple cycle$"):
+        expand(disk)
 
 
 def test_bad_boundary_ids_raise_malformed():
@@ -710,14 +728,14 @@ def test_a_graph_past_the_slot_limit_is_malformed(monkeypatch):
 def test_measured_layers_match_direct_measurement(r, kind, n_layers, budget):
     layers = list(measured_layers(r, kind, n_layers, budget))
     assert [m.layer for m in layers] == list(range(len(layers)))
-    prev, disk = None, seed_face(r) if kind == "face" else seed_vertex(r)
+    disk = seed_face(r) if kind == "face" else seed_vertex(r)
     for m in layers:
         if m.layer:
-            prev, disk = disk, expand(disk, budget)
+            disk = expand(disk, budget)
         assert m.disk == disk
         assert m.counts == count_explicit(disk)
         assert m.profile == (None if disk.is_degenerate else boundary_profile(disk))
-        assert m.census == (None if prev is None else layer_census(prev, disk))
+        assert m.census == (layer_census(disk) if m.layer else None)
     truncated = len(layers) <= n_layers
     assert truncated == (budget == 3000)
     if truncated:  # stopped quietly where the next layer would pass the budget
@@ -732,7 +750,7 @@ def test_measured_layers_reject_other_seeds():
 
 
 def test_measured_layers_name_the_failing_layer(monkeypatch):
-    def contradiction(prev, new):
+    def contradiction(disk):
         raise CensusContradiction("new boundary vertex 3 has degree 5, expected 3 or 4")
 
     monkeypatch.setattr(mesh, "layer_census", contradiction)
@@ -755,6 +773,22 @@ def test_measured_layers_keep_two_disks_alive(monkeypatch):
         refs.append(weakref.ref(measured.disk))
     # only the disk being expanded is alive when the next one is built
     assert alive_at_expand == [1, 1, 1, 1]
+
+
+def test_measured_layers_count_a_layer_beside_no_older_disk(monkeypatch):
+    refs, alive_at_count = [], []
+    real_count = mesh.count_explicit
+
+    def tracking_count(disk):
+        alive_at_count.append(sum(ref() is not None for ref in refs))
+        return real_count(disk)
+
+    monkeypatch.setattr(mesh, "count_explicit", tracking_count)
+    for measured in measured_layers(7, "face", 4):
+        refs.append(weakref.ref(measured.disk))
+        del measured  # a caller that keeps no layer
+    # the pipeline itself holds no predecessor while it counts a layer
+    assert alive_at_count == [0, 0, 0, 0, 0]
 
 
 @settings(max_examples=40, deadline=None)

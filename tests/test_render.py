@@ -25,7 +25,8 @@ from meshsum import (
     seed_face,
     seed_vertex,
 )
-from meshsum.mesh import _CHUNK, disk_json
+from meshsum import mesh
+from meshsum.mesh import _CHUNK, disk_from_canonical_json, disk_json
 from meshsum.render import CANVAS
 from meshsum.textcells import fixed2_cells, int_cells, row, text
 from support import (
@@ -305,16 +306,40 @@ BIG, LOW = 2**31 - 1, -(2**31)  # the widest ids a RotationGraph takes
         ([list(range(_CHUNK)), [], [0, 1]], (0,)),
         ([[0] * (_CHUNK - 1), [1, 2], [], [3]], ()),
         ([[7] * _CHUNK, []], list(range(_CHUNK + 1))),
+        ([[7] * (2 * _CHUNK + 1), [0, 1], [2]], (2, 0)),
+        ([], (0, 1)),
     ],
 )
 def test_disk_json_matches_the_reference_on_disks_not_grown(rows, boundary):
     # no rows at all, empty rows between and around others, and ids outside
     # [0, nv) that no grown or loaded disk has, up to the int32 extremes; the
-    # writer formats runs of whole rows of about _CHUNK slots, and the last
-    # three cross a run boundary: an empty row opens the second run, a row
-    # spans the boundary, and an empty last row is a run of its own
+    # writer formats runs of whole rows of about _CHUNK slots, and the next
+    # four cross a run boundary: an empty row opens the second run, a row
+    # spans the boundary, an empty last row is a run of its own, and a row
+    # with no empty row beside it spans two boundaries; the last has a
+    # boundary but no rows
     disk = CombinatorialDisk(RotationGraph(rows), 7, boundary, 0)
     assert disk_json(disk) == reference_disk_json(disk).encode("ascii")
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_disk_json_matches_the_reference_with_an_empty_row_before_the_last(data):
+    # disk_json lays out a disk with a boundary and no empty row from its arrays, in
+    # runs of whole rows (of 1 to 8 slots here, so that rows cross runs), and any
+    # other disk through canonical_json; the byte reader takes back only the first
+    ids = st.integers(min_value=0, max_value=40)
+    rows = data.draw(st.lists(st.lists(ids, min_size=1, max_size=5), min_size=1, max_size=12))
+    boundary = data.draw(st.lists(ids, min_size=1, max_size=6))
+    layer = data.draw(st.integers(min_value=0, max_value=12))
+    full = CombinatorialDisk(RotationGraph(rows), 7, boundary, layer)
+    rows.insert(data.draw(st.integers(min_value=0, max_value=len(rows) - 1)), [])
+    holed = CombinatorialDisk(RotationGraph(rows), 7, boundary, layer)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mesh, "_CHUNK", data.draw(st.integers(min_value=1, max_value=8)))
+        texts = [disk_json(disk) for disk in (full, holed)]
+    assert texts == [reference_disk_json(disk).encode("ascii") for disk in (full, holed)]
+    assert disk_from_canonical_json(texts[1]) is None
 
 
 def _kernel_lines(cells: np.ndarray) -> list[str]:
