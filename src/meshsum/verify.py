@@ -2,9 +2,9 @@
 
 Each degree gets an independent, deterministically seeded run, over the seeds
 of ``growth.CANONICAL_SEEDS`` in order.  The calling thread and, for two
-degrees on two usable CPUs, one helper take degrees largest first (numpy drops
-the GIL in its sorts and gathers); after an error or Ctrl-C neither takes
-another, and the caller waits for the helper's degree before it raises.
+degrees on two usable CPUs, one helper pop degrees from one deque, largest
+first (numpy drops the GIL in its sorts and gathers); an error or Ctrl-C
+empties it, and the caller waits for the helper's degree before it raises.
 Tallies merge in sorted degree order.  The explicit layers come from
 mesh.measured_layers, whose count_explicit call also checks every disk
 invariant; a malformed disk fails the disk-invariants check and a census
@@ -16,9 +16,11 @@ degree where it corrupts nothing fails an ``inject-fault`` check instead.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import threading
+from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -56,10 +58,10 @@ class _Tally:
         self.checks: dict[str, dict[str, int]] = {}  # the report's {"pass", "fail"} entries
         self.violations: list[str] = []
 
-    def record(self, name: str, ok: bool, detail: str = ""):
+    def record(self, name: str, ok: bool, detail: str):
         self.checks.setdefault(name, {"pass": 0, "fail": 0})["pass" if ok else "fail"] += 1
         if not ok:
-            self.violations.append(f"{name}: {detail}" if detail else name)
+            self.violations.append(f"{name}: {detail}")
 
 
 def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tally, fault):
@@ -69,48 +71,38 @@ def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tal
         for measured in mesh.measured_layers(r, seed_kind, layers, budget):
             prev_counts, prev_profile = counts, profile
             counts, profile, census = measured.counts, measured.profile, measured.census
-            tag = f"r={r} seed={seed_kind} layer={measured.layer}"
-            tally.record("disk-invariants", True)
-            tally.record("euler-layer", counts.v - counts.e + counts.f == 1, f"{tag}: v-e+f != 1")
-
-            if profile is None:
-                continue
-
-            for name, ok, detail in (
-                ("handshake", profile.d + r * counts.s == 2 * counts.e, "d + r*s != 2e"),
-                ("triangulation", 3 * counts.f + profile.t == 2 * counts.e, "3f + t != 2e"),
-                ("convexity", mesh.is_convex(measured.disk), "boundary degree too high"),
-                ("closed-form-counts", counts_from_boundary(profile) == counts,
-                 "boundary profile does not reproduce measured counts"),
-                ("seed-independence", mesh_invariants_from_seed(profile) == closed_inv,
-                 "invariants depend on the seed profile"),
-            ):
-                tally.record(name, ok, f"{tag}: {detail}")
-
-            if census is None:
-                continue
-            tally.record("census-degrees", True)
-            tally.record(
-                "delta-linear-map",
-                deltas_from_census(census) == mesh.delta_counts(prev_counts, counts),
-                f"{tag}: measured deltas disagree with the census map",
-            )
-            if prev_profile is None:
-                continue
-            expected = initial_census(prev_profile)
-            a = census.a + (1 if fault == "census" and measured.layer == 1 else 0)
-            tally.record(
-                "census-formulas",
-                a == expected.a and census.b == expected.b,
-                f"{tag}: census ({a}, {census.b}) != predicted ({expected.a}, {expected.b})",
-            )
-            if census_pred is not None:
-                tally.record(
-                    "census-recursion",
-                    census == census_pred,
-                    f"{tag}: census disagrees with the linear recursion",
-                )
-            census_pred = census_step(r, census)
+            checks = [
+                ("disk-invariants", True, ""),
+                ("euler-layer", counts.v - counts.e + counts.f == 1, "v-e+f != 1"),
+            ]
+            if profile is not None:
+                checks += [
+                    ("handshake", profile.d + r * counts.s == 2 * counts.e, "d + r*s != 2e"),
+                    ("triangulation", 3 * counts.f + profile.t == 2 * counts.e, "3f + t != 2e"),
+                    ("convexity", mesh.is_convex(measured.disk), "boundary degree too high"),
+                    ("closed-form-counts", counts_from_boundary(profile) == counts,
+                     "boundary profile does not reproduce measured counts"),
+                    ("seed-independence", mesh_invariants_from_seed(profile) == closed_inv,
+                     "invariants depend on the seed profile"),
+                ]
+            if census is not None:
+                checks += [
+                    ("census-degrees", True, ""),
+                    ("delta-linear-map",
+                     deltas_from_census(census) == mesh.delta_counts(prev_counts, counts),
+                     "measured deltas disagree with the census map"),
+                ]
+            if census is not None and prev_profile is not None:
+                expected = initial_census(prev_profile)
+                a = census.a + (1 if fault == "census" and measured.layer == 1 else 0)
+                checks.append(("census-formulas", a == expected.a and census.b == expected.b,
+                               f"census {(a, census.b)} != predicted {(expected.a, expected.b)}"))
+                if census_pred is not None:
+                    checks.append(("census-recursion", census == census_pred,
+                                   "census disagrees with the linear recursion"))
+                census_pred = census_step(r, census)
+            for name, ok, detail in checks:
+                tally.record(name, ok, f"r={r} seed={seed_kind} layer={measured.layer}: {detail}")
     except mesh.MalformedDiskError as exc:
         tally.record("disk-invariants", False, str(exc))
     except mesh.CensusContradiction as exc:
@@ -118,21 +110,17 @@ def _verify_layers(r: int, seed_kind: str, layers: int, budget: int, tally: _Tal
 
 
 def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
-    where = f"r={r}"
     inv = mesh_invariants(r)
-    tally.record("invariants-euler-formula", euler_formula_check(inv), f"{where}: v - e + f != 1")
+    tally.record("invariants-euler-formula", euler_formula_check(inv), f"r={r}: v - e + f != 1")
 
     for seed_kind in CANONICAL_SEEDS:
         descriptor = seed_descriptor_for(seed_kind, r)
         from_seed = mesh_invariants_from_seed(descriptor)
         if fault == "invariants" and seed_kind == next(iter(CANONICAL_SEEDS)):
             from_seed = type(from_seed)(from_seed.v + 1, from_seed.e, from_seed.f)
-        tally.record(
-            "seed-independence",
-            from_seed == inv,
-            f"{where} seed={seed_kind}: seeded invariants drift from closed form",
-        )
-
+        checks = [
+            ("seed-independence", from_seed == inv, ": seeded invariants drift from closed form")
+        ]
         deltas = [p.deltas for p in predict_layers(descriptor, 50)]
         for name in ("dv", "de", "df"):
             series = [getattr(d, name) for d in deltas]
@@ -140,22 +128,17 @@ def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
                 series[i + 2] == second_order_step(r, series[i], series[i + 1])
                 for i in range(len(series) - 2)
             )
-            tally.record(
-                "recurrence-equivalence",
-                ok,
-                f"{where} seed={seed_kind} {name}: coupled and second-order forms disagree",
-            )
+            checks.append(("recurrence-equivalence", ok,
+                           f" {name}: coupled and second-order forms disagree"))
 
-        gamma = r - 4
-        probe = RecurrenceSeries(gamma, deltas[0].dv, deltas[1].dv)
-        t = Fraction(1, 2 * gamma)
+        probe = RecurrenceSeries(r - 4, deltas[0].dv, deltas[1].dv)
+        t = Fraction(1, 2 * (r - 4))
         value = generating_value(probe, t)
         gap = abs(partial_sum(probe, t, 40) - value)
-        tally.record(
-            "convergence",
-            gap <= abs(value) * CONVERGENCE_GAP,
-            f"{where} seed={seed_kind}: partial sums stall away from F(t)",
-        )
+        checks.append(("convergence", gap <= abs(value) * CONVERGENCE_GAP,
+                       ": partial sums stall away from F(t)"))
+        for name, ok, detail in checks:
+            tally.record(name, ok, f"r={r} seed={seed_kind}{detail}")
 
     rng = random.Random(f"meshsum:{rng_seed}:{r}")
     for _ in range(trials):
@@ -166,7 +149,7 @@ def _verify_analytics(r: int, trials: int, rng_seed: int, tally: _Tally, fault):
         tally.record(
             "sum-routes-agree",
             lhs == rhs,
-            f"{where} x1={x1} x2={x2}: Euler sum routes disagree",
+            f"r={r} x1={x1} x2={x2}: Euler sum routes disagree",
         )
 
 
@@ -210,24 +193,19 @@ def run_verification(
     if not degrees:
         raise ValueError("no degrees to verify")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    todo = reversed(degrees)  # largest degree first
-    lock, helper_done = threading.Lock(), threading.Event()
+    todo = deque(degrees)  # both lanes pop the largest degree first
+    helper_done = threading.Event()
     tallies: dict[int, dict] = {}
     errors: dict[int, Exception] = {}
-    stopped = False
-
-    def take():
-        with lock:
-            return None if stopped else next(todo, None)
 
     def work():
-        nonlocal stopped
-        for r in iter(take, None):
-            try:
-                tallies[r] = verify_degree(r, layers, budget, trials, rng_seed, fault)
-            except Exception as exc:  # raised below: the largest failing degree's
-                errors[r] = exc
-                stopped = True
+        with contextlib.suppress(IndexError):  # raised by todo.pop() once todo is empty
+            for r in iter(todo.pop, None):
+                try:
+                    tallies[r] = verify_degree(r, layers, budget, trials, rng_seed, fault)
+                except Exception as exc:  # raised below: the largest failing degree's
+                    errors[r] = exc
+                    todo.clear()
 
     def helper_work():
         work()
@@ -241,9 +219,8 @@ def run_verification(
         if helper is not None:  # not join(): Ctrl-C in join() marks a live thread stopped
             helper_done.wait()
     finally:
-        with lock:
-            stopped = True
-        if helper is not None and helper.is_alive():  # a helper not alive yet sees stopped
+        todo.clear()
+        if helper is not None and helper.is_alive():  # a helper not alive yet finds todo empty
             helper.join()
     if errors:
         raise errors[max(errors)]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -702,3 +704,87 @@ def reference_run_verification(
         "violations": violations,
         "all_pass": all(c["fail"] == 0 for c in merged.values()),
     }
+
+
+def bumped(result):
+    """``result`` plus 1: a number, or a dataclass with 1 added to its last field."""
+    if isinstance(result, (int, Fraction)):
+        return result + 1
+    last = dataclasses.fields(result)[-1].name
+    return dataclasses.replace(result, **{last: getattr(result, last) + 1})
+
+
+# One fault per check that holds the oracle to the closed forms, plus convexity,
+# the one restating check that verify computes by its own call: the name that
+# ``verify`` reads (``is_convex`` through ``mesh``), patched to return its real
+# result ``bumped`` (or False, for the two predicates), and the first violation
+# of run_verification([7], layers=3, trials=2), the only check that then fails.
+CHECK_FAULTS = {
+    "counts_from_boundary": "closed-form-counts: r=7 seed=face layer=0: "
+                            "boundary profile does not reproduce measured counts",
+    "initial_census": "census-formulas: r=7 seed=face layer=1: census (9, 3) != predicted (9, 4)",
+    "census_step": "census-recursion: r=7 seed=face layer=2: "
+                   "census disagrees with the linear recursion",
+    "deltas_from_census": "delta-linear-map: r=7 seed=face layer=1: "
+                          "measured deltas disagree with the census map",
+    "mesh_invariants_from_seed": "seed-independence: r=7 seed=face layer=0: "
+                                 "invariants depend on the seed profile",
+    "second_order_step": "recurrence-equivalence: r=7 seed=face dv: "
+                         "coupled and second-order forms disagree",
+    "partial_sum": "convergence: r=7 seed=face: partial sums stall away from F(t)",
+    "euler_sum_by_lemma": "sum-routes-agree: r=7 x1=-878728 x2=438778: Euler sum routes disagree",
+    "euler_formula_check": "invariants-euler-formula: r=7: v - e + f != 1",
+    "is_convex": "convexity: r=7 seed=face layer=0: boundary degree too high",
+}
+PREDICATES = ("euler_formula_check", "is_convex")
+
+
+def break_check(monkeypatch, name: str) -> None:
+    """Patch ``name`` as ``CHECK_FAULTS`` says, for the rest of the test."""
+    owner = mesh if name == "is_convex" else verify
+    real = getattr(owner, name)
+    fake = (lambda *args: False) if name in PREDICATES else (lambda *args: bumped(real(*args)))
+    monkeypatch.setattr(owner, name, fake)
+
+
+class Poly:
+    """An exact polynomial in r, t and d: a dict from exponent triples to
+    nonzero ``int`` coefficients, with +, -, * and == against ints too."""
+
+    def __init__(self, terms: dict[tuple[int, int, int], int]):
+        self.terms = {power: c for power, c in terms.items() if c}
+
+    @staticmethod
+    def of(value) -> Poly:
+        return value if isinstance(value, Poly) else Poly({(0, 0, 0): value})
+
+    def __add__(self, other) -> Poly:
+        terms = dict(self.terms)
+        for power, c in Poly.of(other).terms.items():
+            terms[power] = terms.get(power, 0) + c
+        return Poly(terms)
+
+    def __mul__(self, other) -> Poly:
+        terms: dict[tuple[int, int, int], int] = {}
+        for p, c in self.terms.items():
+            for q, k in Poly.of(other).terms.items():
+                power = (p[0] + q[0], p[1] + q[1], p[2] + q[2])
+                terms[power] = terms.get(power, 0) + c * k
+        return Poly(terms)
+
+    def __sub__(self, other) -> Poly:
+        return self + Poly.of(other) * -1
+
+    def __rsub__(self, other) -> Poly:
+        return Poly.of(other) - self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.terms == Poly.of(other).terms
+
+    def __call__(self, r: int, t: int, d: int) -> int:
+        return sum(c * r**i * t**j * d**k for (i, j, k), c in self.terms.items())
+
+
+R, T, D = Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1})

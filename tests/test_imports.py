@@ -18,7 +18,9 @@ stays behind.  Only ``growth.CANONICAL_SEEDS`` names a seed: no other
 module holds a seed's name as a string, but for ``--seed``'s default.
 Only ``growth`` states the degree rule: no other module holds the integer
 literal ``MIN_DEGREE``.  Only ``report.canonical_json`` lays out JSON: no
-string constant holds a newline, spaces and then a quoted key.
+string constant holds a newline, spaces and then a quoted key.  README's
+evidence map of ``verify`` names exactly the checks that it records, and
+calls independent exactly those that a wrong closed form makes fail.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import pytest
 
 import meshsum
 from meshsum.growth import CANONICAL_SEEDS, MIN_DEGREE
+from meshsum.verify import run_verification
+from support import CHECK_FAULTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "meshsum"
@@ -637,3 +641,48 @@ def test_the_readme_library_examples_run():
     for block in blocks:
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(block, "README.md", "exec"), {})
+
+
+def evidence_problems(paragraph: str, recorded: set[str], can_fail: set[str]) -> list[str]:
+    """What README's evidence paragraph gets wrong: a check it names (a
+    backquoted word that is not a public name) that ``verify`` does not
+    record, or the reverse, and a check it calls independent evidence that no
+    fault of ``support.CHECK_FAULTS`` fails, or the reverse.  ``platonic`` has
+    its own test, and ``convexity`` restates the pass but is computed by its
+    own call, so a fault fails it too."""
+    def names(text: str) -> set[str]:
+        return set(re.findall(r"`([a-z]+(?:-[a-z]+)*)`", text)) - set(meshsum.__all__)
+
+    named = names(paragraph)
+    independent = names(
+        paragraph.partition("The independent evidence is")[2].partition(". The restating")[0]
+    )
+    should_be = can_fail - {"convexity"} | {"platonic"}
+    problems = [f"names {name}, which verify does not record" for name in sorted(named - recorded)]
+    problems += [f"does not name {name}" for name in sorted(recorded - named)]
+    problems += [f"calls {name} independent" for name in sorted(independent - should_be)]
+    problems += [f"does not call {name} independent" for name in sorted(should_be - independent)]
+    return problems
+
+
+def test_the_check_finds_a_drifted_evidence_map():
+    paragraph = "`euler-layer` restates `expand`. The independent evidence is `convexity` "
+    paragraph += "and `closed-form-counts`. The restating checks stay, as `sum-routes-agree`."
+    recorded = {"euler-layer", "closed-form-counts", "convexity", "platonic"}
+    can_fail = {"closed-form-counts", "convexity", "census-formulas"}
+    assert evidence_problems(paragraph, recorded, can_fail) == [
+        "names sum-routes-agree, which verify does not record",
+        "does not name platonic",
+        "calls convexity independent",
+        "does not call census-formulas independent",
+        "does not call platonic independent",
+    ]
+
+
+def test_the_readme_evidence_map_is_the_checks_verify_records():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [paragraph] = [p for p in readme.split("\n\n") if p.startswith("Not every check is")]
+    recorded = set(run_verification([7, 8], layers=3, trials=1)["checks"])
+    can_fail = {violation.partition(":")[0] for violation in CHECK_FAULTS.values()}
+    assert len(recorded) == 16
+    assert evidence_problems(paragraph, recorded, can_fail) == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import sys
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from meshsum import verify
 from meshsum.cli import main
+from meshsum.report import canonical_json
 from meshsum.verify import run_verification
-from support import reference_run_verification
+from support import CHECK_FAULTS, break_check, reference_run_verification
 
 
 @given(
@@ -140,6 +142,18 @@ def test_ctrl_c_inside_thread_start_leaves_no_degree_running(monkeypatch, two_cp
 
 
 @pytest.mark.usefixtures("sigint_raises")
+def test_ctrl_c_stops_the_helper_on_a_host_of_any_size(monkeypatch, two_cpus):
+    # as test_ctrl_c_cancels_the_degrees_not_yet_started, with the helper
+    # started on a one-CPU host too: after the signal it takes no degree
+    started = _failing_degree(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGINT))
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_verification(range(7, 41))
+    assert len(started) < 10
+    assert threading.active_count() == threads
+
+
+@pytest.mark.usefixtures("sigint_raises")
 def test_ctrl_c_while_the_caller_waits_leaves_no_degree_running(monkeypatch, two_cpus):
     helper_busy = threading.Event()
 
@@ -230,3 +244,23 @@ def test_trials_past_the_bound_are_refused_before_any_degree_runs(monkeypatch):
         run_verification([7], trials=10**5000)
     with pytest.raises(Started):  # the bound itself passes the check
         run_verification([7], layers=1, trials=verify.MAX_TRIALS)
+
+
+@pytest.mark.parametrize("name", CHECK_FAULTS)
+def test_each_check_fails_when_its_closed_form_is_wrong(monkeypatch, name):
+    break_check(monkeypatch, name)
+    report = run_verification([7], layers=3, trials=2)
+    check = CHECK_FAULTS[name].partition(":")[0]
+    assert [key for key, counts in report["checks"].items() if counts["fail"]] == [check]
+    assert report["violations"][0] == CHECK_FAULTS[name]
+
+
+def test_six_wrong_closed_forms_at_once_give_the_pinned_report(monkeypatch):
+    for name in ("counts_from_boundary", "deltas_from_census", "census_step",
+                 "mesh_invariants_from_seed", "initial_census", "second_order_step"):
+        break_check(monkeypatch, name)
+    report = run_verification([7, 8, 9], layers=4, trials=3, fault="census")
+    assert len(report["violations"]) == 138
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == (
+        "db62679a0d3d9ba26bf18191c4f016439ef5dcba95038dc59830fbd37879f0f5"
+    )
