@@ -70,8 +70,11 @@ from .textcells import int_cells, row, text
 # Ids and slot numbers are int32; a vertex has 2 slots or more, so ids stay below 2^30.
 INT32 = np.iinfo(np.int32)
 MAX_SLOTS = int(INT32.max)
-# Index entries per gather or scatter in the measurement pass: numpy copies an int32 index to intp.
-_CHUNK = 1 << 16
+# Index entries per gather or scatter in the measurement pass.  numpy reads an int32 index at
+# twice the cost of an intp one, so the pass casts each block's index to intp, or uses `take`,
+# but only on arrays it allocates (`take` copies a non-contiguous source whole); blocks of 2^15
+# keep those 256 KB copies from raising the peak per slot of a small disk.
+_CHUNK = 1 << 15
 _FACE, _VERTEX = CANONICAL_SEEDS.values()  # the rows seed_face and seed_vertex build
 
 
@@ -271,7 +274,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _require_simple_cycle(w: np.ndarray, nv: int) -> None:
     seen = np.zeros(nv, dtype=bool)
-    seen[w] = True
+    seen[w.astype(np.intp)] = True
     if w.size < 3 or np.count_nonzero(seen) != w.size:
         raise MalformedDiskError("boundary is not a simple cycle")
 
@@ -457,8 +460,8 @@ def count_explicit(disk: CombinatorialDisk) -> DiskCounts:
     repeats iff each slot's partner points back at the slot's tail, and
     then it is the reverse.  Every face off the boundary is a triangle iff,
     for each slot u -> v there, next(u -> v) points at the successor of v
-    in the row of u (``_face_problem`` has the proof).  The pass peaks near
-    8.5 bytes per slot on the largest layers.  Raises MalformedDiskError("<kind>: <detail>")
+    in the row of u (``_face_problem`` has the proof).  The pass peaks at 8.2
+    to 8.6 bytes per slot on the largest layers.  Raises MalformedDiskError("<kind>: <detail>")
     naming the first violation that validate_disk reports: it returns
     counts, with v - e + f = 1, for exactly the disks validate_disk accepts.
     """
@@ -511,10 +514,9 @@ def measured_layers(
         yield MeasuredLayer(layer, disk, counts, profile, census)
 
 
-def _packed(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """high << 32 | low as int64, for non-negative ids and slot numbers."""
-    key = high.astype(np.int64)
-    key <<= 32
+def _packed(high: np.ndarray, low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """high << 32 | low as int64 (into ``out`` if given), for non-negative ids and slot numbers."""
+    key = np.left_shift(high, 32, out=out, dtype=np.int64)
     key |= low
     return key
 
@@ -537,8 +539,8 @@ def _row_ends(offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for v0, v1 in _row_spans(offsets):
         starts, ends = offsets[v0:v1], offsets[v0 + 1 : v1 + 1] - 1
         full = ends >= starts
-        if full.any():
-            yield starts[full], ends[full]
+        if full.any():  # grown disks have no empty row
+            yield (starts, ends) if full.all() else (starts[full], ends[full])
 
 
 def _forward_half(src: np.ndarray, dst: np.ndarray, lo: int) -> tuple[np.ndarray, bool]:
@@ -563,7 +565,8 @@ def _backward_half(nbr: np.ndarray, slots: np.ndarray) -> None:
     by dst << 32 | slot, as slot numbers ascend with src."""
     keys = np.empty(slots.size, dtype=np.int64)
     for lo in range(0, slots.size, _CHUNK):
-        keys[lo : lo + _CHUNK] = _packed(nbr[slots[lo : lo + _CHUNK]], slots[lo : lo + _CHUNK])
+        part = slots[lo : lo + _CHUNK].astype(np.intp)
+        _packed(nbr[part], part, keys[lo : lo + _CHUNK])
     keys.sort()
     np.bitwise_and(keys, 0xFFFFFFFF, out=slots, casting="unsafe")
 
@@ -590,10 +593,11 @@ def _reverse_slots(offsets, nbr, first, second) -> np.ndarray | None:
     edge's reverse, or None if the halves do not pair up.  rev pairs every slot, and
     halves that repeat no edge pair up iff the head of slot rev[x] is the tail of x."""
     rev = np.empty(nbr.size, dtype=np.int32)
-    for lo in range(0, first.size, _CHUNK):
-        rev[first[lo : lo + _CHUNK]] = second[lo : lo + _CHUNK]
-        rev[second[lo : lo + _CHUNK]] = first[lo : lo + _CHUNK]
-    paired = all((nbr[rev[lo : lo + src.size]] == src).all() for lo, src in _row_runs(offsets))
+    for a, b in ((first, second), (second, first)):
+        for lo in range(0, a.size, _CHUNK):
+            rev[a[lo : lo + _CHUNK].astype(np.intp)] = b[lo : lo + _CHUNK]
+    paired = all((nbr[rev[lo : lo + src.size].astype(np.intp)] == src).all()
+                 for lo, src in _row_runs(offsets))
     return rev if paired else None
 
 
@@ -608,7 +612,7 @@ def _outer_slots(offsets, nbr, rev, w, degs):
     outer, after = np.empty(w.size, dtype=np.int32), np.roll(w, -1)
     for lo in range(0, w.size, _CHUNK):
         w_next, deg = after[lo : lo + _CHUNK], degs[lo : lo + _CHUNK]
-        start = offsets[w[lo : lo + _CHUNK]]
+        start = offsets[w[lo : lo + _CHUNK].astype(np.intp)]
         at_start = deg > 0
         at_start[at_start] = nbr[start[at_start]] == w_next[at_start]
         found = np.where(at_start, start, -1)
@@ -619,7 +623,7 @@ def _outer_slots(offsets, nbr, rev, w, degs):
             found[np.repeat(rest, deg[rest])[hit]] = slots[hit]
         if (found < 0).any():
             return None, lo + int(np.argmax(found < 0))
-        outer[lo : lo + _CHUNK] = rev[found]
+        outer[lo : lo + _CHUNK] = rev.take(found)
     return outer, None
 
 
@@ -645,18 +649,18 @@ def _face_problem(offsets, nbr, rev, outer) -> str | None:
     is next^3 composed, to name the first offender.
     """
     nxt = rev
-    wrap = [nxt[starts] for starts, _ in _row_ends(offsets)]  # the slots whose reverse opens a row
+    wrap = [nxt.take(starts) for starts, _ in _row_ends(offsets)]  # slots whose reverse opens a row
     nxt -= 1  # only once every wrap slot is read: a wrap slot may itself open a row
     for slots, (_, ends) in zip(wrap, _row_ends(offsets)):
-        nxt[slots] = ends
+        nxt[slots.astype(np.intp)] = ends
     del wrap
     if not np.array_equal(nxt[outer], np.roll(outer, 1)):
         return "outer face does not trace the boundary"
     bad = np.empty(nbr.size, dtype=bool)
     for starts, ends in _row_ends(offsets):  # each slot against the next in its row
         lo, hi = starts[0], ends[-1]  # the run's slots, of which the last ends a row
-        np.not_equal(nbr[nxt[lo:hi]], nbr[lo + 1 : hi + 1], out=bad[lo:hi])
-        bad[ends] = nbr[nxt[ends]] != nbr[starts]
+        np.not_equal(nbr[nxt[lo:hi].astype(np.intp)], nbr[lo + 1 : hi + 1], out=bad[lo:hi])
+        bad[ends] = nbr[nxt.take(ends).astype(np.intp)] != nbr[starts]
     bad[outer] = False
     if not bad.any():
         return None

@@ -11,12 +11,16 @@ after each ``expand`` and ``count_explicit`` call.  Then, with
 ``tracemalloc`` on, it prints the traced peak per slot of the result of
 ``expand`` into the largest r = 7 and r = 10 face layers under the budget,
 and of ``count_explicit`` on each of them, measured first (its boundary
-degrees not yet cached), as ``measured_layers`` measures it.
+degrees not yet cached), as ``measured_layers`` measures it.  Beside each
+peak it prints the call's median time per slot over 5 more runs, in ns:
+the baseline for a change to either.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -62,8 +66,18 @@ def traced_peak(call, disk) -> tuple[int, object]:
         tracemalloc.stop()
 
 
+def median_ns(call, disk) -> float:
+    """The median time of 5 calls, in ns."""
+    times = []
+    for _ in range(5):
+        start = time.perf_counter_ns()
+        call(disk)
+        times.append(time.perf_counter_ns() - start)
+    return statistics.median(times)
+
+
 def largest_layers(r: int) -> None:
-    """Bytes per slot of expand into, and count_explicit on, the largest face layer at r."""
+    """Bytes and ns per slot of expand into, and count_explicit on, the largest face layer at r."""
     prev, disk = None, mesh.seed_face(r)
     while True:
         try:
@@ -75,10 +89,12 @@ def largest_layers(r: int) -> None:
     slots = disk.graph.neighbors.size
     print(f"r = {r:>2} face layer {disk.layer_index} ({disk.graph.vertex_count:,} vertices, "
           f"{slots:,} slots)")
-    print(f"  expand          {peak / slots:6.2f} B/slot of its result")
+    ns = median_ns(mesh.expand, prev)
+    print(f"  expand          {peak / slots:6.2f} B/slot of its result   {ns / slots:6.1f} ns/slot")
     del prev
     peak, _ = traced_peak(mesh.count_explicit, disk)
-    print(f"  count_explicit  {peak / slots:6.2f} B/slot, measured first")
+    ns = median_ns(mesh.count_explicit, disk)
+    print(f"  count_explicit  {peak / slots:6.2f} B/slot, measured first  {ns / slots:6.1f} ns/slot")
 
 
 def main(argv: list[str]) -> None:
@@ -86,7 +102,7 @@ def main(argv: list[str]) -> None:
     seed = argv[1] if len(argv) > 1 else "face"
     print(f"measured_layers(r = {r}, seed = {seed}), MB:")
     rss_run(r, seed)
-    print("tracemalloc peaks:")
+    print("tracemalloc peaks, and median times of 5 more runs:")
     for degree in (7, 10):
         largest_layers(degree)
 
