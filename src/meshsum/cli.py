@@ -110,7 +110,8 @@ def _layer_table(report: dict, out: TextIO) -> None:
         source = ex if ex is not None else pred["cum"]
         census = rec["census"] or (pred if pred and "a" in pred else None)
         census_txt = f"({census['a']},{census['b']})" if census else "-"
-        match_txt = {True: "ok", False: "MISMATCH", None: "-" if ex else "analytic"}[rec["match"]]
+        verdict = rec["match"] and rec["census_match"] is not False  # a census mismatch fails too
+        match_txt = {True: "ok", False: "MISMATCH", None: "-" if ex else "analytic"}[verdict]
         cells = "".join(f" {source[key]:>10}" for key in "vefs")
         out.write(f"{rec['layer']:>5}{cells}  {census_txt:<13}{match_txt:>9}\n")
     out.write(f"invariants {_invariants_line(report['invariants'])}\n")

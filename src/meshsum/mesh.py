@@ -255,16 +255,6 @@ def seed_vertex(r: int) -> CombinatorialDisk:
     return _seed_disk(r, *_VERTEX)
 
 
-def _fan(r: int, layer_index: int) -> CombinatorialDisk:
-    """All r triangles around one vertex: the first layer of seed_vertex."""
-    rim = np.arange(1, r + 1, dtype=np.int32)
-    rim.flags.writeable = False
-    spokes = np.stack([np.roll(rim, -1), np.zeros_like(rim), np.roll(rim, 1)], axis=1)
-    offsets = np.concatenate([[0], r + 3 * np.arange(r + 1)])
-    graph = RotationGraph.from_arrays(offsets, np.concatenate([rim, spokes.ravel()]))
-    return CombinatorialDisk(graph, r, rim, layer_index)
-
-
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + n) over the pairs (s, n)."""
     ends = np.cumsum(lengths)
@@ -305,9 +295,10 @@ def expand(disk: CombinatorialDisk, budget: int = DEFAULT_VERTEX_BUDGET) -> Comb
     a simple cycle of ids whose rotations have an outer gap.
     """
     r = disk.ambient_degree
-    if disk.is_degenerate:
+    if disk.is_degenerate:  # the first layer is the fan: all r triangles around the seed vertex
         _require_room(1 + r, 4 * r, budget)
-        return _fan(r, disk.layer_index + 1)
+        rows = [range(1, r + 1), *((v % r + 1, 0, (v - 2) % r + 1) for v in range(1, r + 1))]
+        return CombinatorialDisk(RotationGraph(rows), r, rows[0], disk.layer_index + 1)
 
     offsets = disk.graph.offsets
     v_old = disk.graph.vertex_count

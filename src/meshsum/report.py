@@ -126,7 +126,6 @@ def growth_report(
         return {"layer": k, "predicted": pred, **_UNMEASURED}
 
     records = []
-    all_match = True
     for measured in chain([first], layers):
         k, profile, census = measured.layer, measured.profile, measured.census
         rec = record(k)
@@ -139,17 +138,16 @@ def growth_report(
             rec["census"] = _ints(census, "ab")
         if pred is not None:
             rec["match"] = pred["cum"] == counts
-            all_match = all_match and rec["match"]
         if k > base_layer:  # an analytic layer n >= 1, so both censuses exist
             rec["census_match"] = rec["census"] == {"a": pred["a"], "b": pred["b"]}
-            all_match = all_match and rec["census_match"]
         records.append(rec)
     truncated = measured.layer < n_layers
     analytic_records = map(record, range(measured.layer + 1, n_layers + 1))
 
     inv_obj = invariants_entry(r, descriptor)
     del inv_obj["via_seed"]
-    all_match = all_match and inv_obj["seed_match"]
+    all_match = inv_obj["seed_match"] and all(
+        False not in (rec["match"], rec["census_match"]) for rec in records)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -144,6 +145,52 @@ def test_growth_report_returns_last_explicit_disk(seed):
         assert str(disk.graph.vertex_count) == layers[explicit[-1]]["explicit"]["v"]
 
 
+@pytest.mark.parametrize(
+    "argv, env, shown",
+    [(["grow", "-r", "7", "--budget", "0"], None, "0"),
+     (["verify", "-r", "7", "--budget", "-5"], None, "-5"),
+     (["grow", "-r", "7"], "0", "0")],
+    ids=["grow-flag", "verify-flag", "grow-env"],
+)
+def test_a_budget_below_one_is_refused_before_the_output_opens(
+    capsys, monkeypatch, tmp_path, argv, env, shown
+):
+    if env is not None:
+        monkeypatch.setenv("MESHSUM_BUDGET", env)
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "-o", str(report)) == (
+        2, "", f"error: budget must be positive, got {shown}\n"
+    )
+    assert not report.exists()
+
+
+_OFF_AT_LAYER_2 = {  # each flag's measurement, and that measurement one off
+    "match": ("count_explicit", lambda counts: dataclasses.replace(counts, v=counts.v + 1)),
+    "census_match": ("layer_census", lambda census: dataclasses.replace(census, a=census.a + 1)),
+}
+
+
+@pytest.mark.parametrize("flag", list(_OFF_AT_LAYER_2))
+def test_grow_fails_a_layer_that_misses_its_prediction(capsys, monkeypatch, flag):
+    """A count or census that misses its prediction at one layer fails that
+    layer's flag, ``all_match`` and the exit code, and the table says so."""
+    name, off = _OFF_AT_LAYER_2[flag]
+    measure = getattr(mesh, name)
+    monkeypatch.setattr(
+        mesh, name, lambda disk: off(measure(disk)) if disk.layer_index == 2 else measure(disk)
+    )
+    code, out, err = run_cli(capsys, "grow", "-r", "7", "-n", "3", "--json")
+    report = json.loads(out)
+    assert (code, err, report["all_match"]) == (1, "", False)
+    failed = [[rec[key] is False for key in _OFF_AT_LAYER_2] for rec in report["layers"]]
+    assert failed == [[False, False], [False, False], [key == flag for key in _OFF_AT_LAYER_2],
+                      [False, False]]
+    code, out, err = run_cli(capsys, "grow", "-r", "7", "-n", "3")
+    rows = out.splitlines()[1:5]
+    assert (code, err) == (1, "")
+    assert [row.split()[-1] for row in rows] == ["ok", "ok", "MISMATCH", "ok"]
+
+
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("MESHSUM_BUDGET", "10")
     code, out, _ = run_cli(capsys, "grow", "-r", "7", "-n", "1", "--budget", "100", "--json")
@@ -202,6 +249,16 @@ def test_render_rejects_bad_input(capsys, tmp_path):
         assert "error:" in err
         assert kind in err
         assert not (tmp_path / "baddisk.svg").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7"])
+def test_render_refuses_disk_json_that_is_not_an_object(capsys, tmp_path, text):
+    disk = tmp_path / "d.json"
+    disk.write_text(text)
+    assert run_cli(capsys, "render", str(disk)) == (
+        2, "", "error: disk JSON must be an object\n"
+    )
+    assert not (tmp_path / "d.svg").exists()
 
 
 @pytest.mark.parametrize("layers", [0, 1])

@@ -62,6 +62,17 @@ def test_invalid_seed_reports_failing_component():
 
 
 @pytest.mark.parametrize(
+    "t, d, message",
+    [(3.0, 6, "t must be an integer, got 3.0"), (True, 6, "t must be an integer, got True"),
+     (3, 6.0, "d must be an integer, got 6.0")],
+    ids=["float-t", "bool-t", "float-d"],
+)
+def test_a_seed_profile_must_be_two_integers(t, d, message):
+    with pytest.raises(InvalidSeedError, match="^" + re.escape(message) + "$"):
+        SeedDescriptor(7, t, d)
+
+
+@pytest.mark.parametrize(
     "r, shown",
     [(6, "6"), (-10**5000, "-1" + "0" * 38 + "... (5002 characters)"), (7.0, "7.0"),
      (True, "True")],

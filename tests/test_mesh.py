@@ -689,7 +689,7 @@ def _slot_limit_is_exact(disk: CombinatorialDisk, slots: int) -> None:
         patch.setattr(mesh, "MAX_SLOTS", slots)
         assert expand(disk, budget=10**12).graph.neighbors.size == slots
         patch.setattr(mesh, "MAX_SLOTS", slots - 1)
-        for builder in ("_gaps_last", "_fan"):  # the first step of building each kind of layer
+        for builder in ("_gaps_last", "RotationGraph"):  # the first step of building each kind of layer
             patch.setattr(mesh, builder, lambda *args: pytest.fail("expand allocated"))
         with pytest.raises(BudgetExceededError) as err:
             expand(disk, budget=10**12)
